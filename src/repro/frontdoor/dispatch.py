@@ -1179,6 +1179,15 @@ class FrontDoor:
             self._fail(request, run)
             return
         now = self.fleet.clock.now
+        deadline = res.policy.deadline_ms
+        if deadline is not None and now > request.t_arrive_ms + deadline:
+            # The clock can pass the deadline while the retry waits (a
+            # heartbeat during a live drain moves it): the retry times
+            # out without placing copies.
+            request.resolved = True
+            run.timed_out += 1
+            run.resolved += 1
+            return
         pool = self._pool_lists.get(run.family)
         if pool is None:
             pool = self._pool_lists[run.family] = list(
@@ -1237,7 +1246,6 @@ class FrontDoor:
                 self._resolve_failed(request, run)
             return
         timeout = run.timeout_ms
-        deadline = res.policy.deadline_ms
         if deadline is not None:
             slack = request.t_arrive_ms + deadline - now
             if timeout is None or slack < timeout:

@@ -9,15 +9,16 @@ counter per sharing domain. A write to a shared page either copies it
 
 For scalability the simulation tracks frames as *extents* (runs of pages
 with identical state) rather than one object per frame. Reference counts
-are stored as a per-extent base count plus a sparse per-page delta, so
-cloning a whole guest is O(#extents) while individual COW faults stay
-exact per page.
+are stored as a per-extent base count plus a run-length map of per-page
+offsets and dead pages, so cloning a whole guest is O(#extents), while
+COW faults and teardown stay exact per page at a cost of O(runs).
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from repro.faults.injector import NULL_INJECTOR
@@ -60,6 +61,72 @@ PRIVATE_PAGE_TYPES = frozenset(
 
 _extent_ids = itertools.count(1)
 
+#: Run value of pages freed or adopted out of their extent.
+_DEAD = None
+#: Run value of live pages at ``base_ref`` that a partial drop has
+#: touched: their refcount equals a zero offset, but they still keep
+#: the whole-extent drop fast path off, so ``base_ref`` evolves exactly
+#: as with an explicit per-page delta of zero.
+_TOUCHED = "touched"
+
+
+def _offset(value) -> int:
+    """Refcount offset from ``base_ref`` of a run value."""
+    return 0 if value is _DEAD or value is _TOUCHED else value
+
+
+class _RefRuns:
+    """Run-length map of per-page refcount state over ``[0, count)``.
+
+    ``bounds`` holds sorted breakpoints, from 0 to ``count`` inclusive;
+    run ``k`` covers ``[bounds[k], bounds[k+1])`` and has value
+    ``values[k]``: an int refcount offset from the extent's ``base_ref``
+    (live), :data:`_TOUCHED` (live at offset 0) or :data:`_DEAD`.
+    Adjacent runs always hold different values (coalesced).
+    """
+
+    __slots__ = ("bounds", "values")
+
+    def __init__(self, count: int, value) -> None:
+        self.bounds = [0, count]
+        self.values = [value]
+
+    def run_at(self, index: int) -> int:
+        """Index of the run containing page ``index``."""
+        return bisect_right(self.bounds, index) - 1
+
+    def slice(self, start: int, end: int) -> tuple[int, int]:
+        """Add breakpoints at ``start < end``; returns the runs ``[i, j)``
+        that now cover exactly ``[start, end)``."""
+        bounds, values = self.bounds, self.values
+        i = bisect_right(bounds, start) - 1
+        if bounds[i] != start:
+            i += 1
+            bounds.insert(i, start)
+            values.insert(i, values[i - 1])
+        j = bisect_right(bounds, end, i) - 1
+        if bounds[j] != end:
+            j += 1
+            bounds.insert(j, end)
+            values.insert(j, values[j - 1])
+        return i, j
+
+    def coalesce(self, i: int, j: int) -> None:
+        """Merge equal neighbours among runs ``i-1 .. j`` after an update
+        of runs ``[i, j)``."""
+        lo = i - 1 if i > 0 else 0
+        hi = j + 1 if j < len(self.values) else j
+        bounds, values = self.bounds, self.values
+        new_bounds = [bounds[lo]]
+        new_values = [values[lo]]
+        for k in range(lo + 1, hi):
+            value = values[k]
+            if value != new_values[-1]:
+                new_bounds.append(bounds[k])
+                new_values.append(value)
+        bounds[lo:hi] = new_bounds
+        values[lo:hi] = new_values
+
 
 @dataclass(slots=True)
 class Extent:
@@ -79,14 +146,14 @@ class Extent:
     cow_protected: bool = True
     #: Whole-extent reference count (number of domains mapping every page).
     base_ref: int = 0
-    #: Sparse per-page adjustment to ``base_ref``.
-    ref_delta: dict[int, int] = field(default_factory=dict)
     #: Pages whose last reference was dropped and whose frame was freed.
     freed: int = 0
     #: Pages adopted by their sole remaining sharer (frame moved, not freed).
     adopted: int = 0
-    #: Pages no longer live in this extent (freed or adopted).
-    dead_pages: set[int] = field(default_factory=set)
+    #: Per-page state where it differs from "live at ``base_ref``":
+    #: ``None`` while the extent is uniform, created by the first
+    #: partial operation.
+    runs: _RefRuns | None = None
     #: True once the extent was split; its pages live on in the parts.
     retired: bool = False
     extent_id: int = field(default_factory=lambda: next(_extent_ids))
@@ -102,11 +169,82 @@ class Extent:
         """Reference count of page ``index`` (extent-local)."""
         if not 0 <= index < self.count:
             raise XenInvalidError(f"page index {index} outside extent of {self.count}")
-        return self.base_ref + self.ref_delta.get(index, 0)
+        runs = self.runs
+        if runs is None:
+            return self.base_ref
+        return self.base_ref + _offset(runs.values[runs.run_at(index)])
 
     def is_dead(self, index: int) -> bool:
         """Was page ``index`` freed or adopted out of this extent?"""
-        return index in self.dead_pages
+        runs = self.runs
+        if runs is None or not 0 <= index < self.count:
+            return False
+        return runs.values[runs.run_at(index)] is _DEAD
+
+    def ref_run(self, index: int, limit: int) -> tuple[int, int]:
+        """Refcount of page ``index`` and how many pages from ``index``
+        on (at most ``limit``) are live with that same refcount.
+
+        Page ``index`` itself always counts, dead or not; the caller
+        rejects a dead first page by its refcount.
+        """
+        base = self.base_ref
+        runs = self.runs
+        if runs is None:
+            return base, limit
+        bounds, values = runs.bounds, runs.values
+        k = runs.run_at(index)
+        value = values[k]
+        ref = base + _offset(value)
+        if value is _DEAD and index + 1 < bounds[k + 1]:
+            return ref, 1
+        stop = index + limit
+        pos = bounds[k + 1]
+        k += 1
+        while pos < stop:
+            value = values[k]
+            if value is _DEAD or base + _offset(value) != ref:
+                break
+            k += 1
+            pos = bounds[k]
+        return ref, (pos if pos < stop else stop) - index
+
+    def _first_unadoptable(self, index: int, count: int) -> int:
+        """First page of ``[index, index+count)``, ``count > 0``, that is
+        dead or whose refcount is not 1; -1 if there is none."""
+        base = self.base_ref
+        runs = self.runs
+        if runs is None:
+            return -1 if base == 1 else index
+        bounds, values = runs.bounds, runs.values
+        k = runs.run_at(index)
+        end = index + count
+        while k < len(values) and bounds[k] < end:
+            value = values[k]
+            if value is _DEAD or base + _offset(value) != 1:
+                return max(bounds[k], index)
+            k += 1
+        return -1
+
+    def _kill_all(self) -> None:
+        """Mark every page dead in O(1)."""
+        self.runs = _RefRuns(self.count, _DEAD)
+
+    def _slice(self, start: int, end: int) -> tuple[_RefRuns, int, int]:
+        """The run map (created on first use), split so that its runs
+        ``[i, j)`` cover exactly pages ``[start, end)``."""
+        runs = self.runs
+        if runs is None:
+            runs = self.runs = _RefRuns(self.count, 0)
+        i, j = runs.slice(start, end)
+        return runs, i, j
+
+    def _settle(self, runs: _RefRuns, i: int, j: int) -> None:
+        """Coalesce after updating runs ``[i, j)``; a map left with one
+        untouched run at offset 0 carries nothing and is dropped."""
+        runs.coalesce(i, j)
+        if runs.values == [0]:
+            self.runs = None
 
     def __hash__(self) -> int:
         return self.extent_id
@@ -212,7 +350,7 @@ class FrameTable:
         self._debit(extent.owner, live)
         self.free_frames += live
         extent.freed = extent.count - extent.adopted
-        extent.dead_pages.update(range(extent.count))
+        extent._kill_all()
         self.stats["frees"] += live
         return live
 
@@ -254,24 +392,28 @@ class FrameTable:
         """
         if not extent.shared:
             raise XenInvalidError(f"{extent!r} is not shared")
-        if start < 0 or count < 0 or start + count > extent.count:
-            raise XenInvalidError(
-                f"range [{start}, {start + count}) outside extent of {extent.count}"
-            )
-        if start == 0 and count == extent.count and not extent.dead_pages:
+        self._check_range(extent, start, count)
+        runs = extent.runs
+        if start == 0 and count == extent.count \
+                and (runs is None or _DEAD not in runs.values):
             extent.base_ref += 1
             return
-        delta = extent.ref_delta
-        dead = extent.dead_pages
-        for index in range(start, start + count):
-            if index in dead:
-                raise XenInvalidError(
-                    f"cannot re-reference dead page {index} of {extent!r}")
-            value = (delta[index] if index in delta else 0) + 1
-            if value == 0:
-                del delta[index]
-            else:
-                delta[index] = value
+        if count == 0:
+            return
+        runs, i, j = extent._slice(start, start + count)
+        values = runs.values
+        dead_page = -1
+        for k in range(i, j):
+            value = values[k]
+            if value is _DEAD:
+                # Pages before the dead one keep their new reference.
+                dead_page = runs.bounds[k]
+                break
+            values[k] = _offset(value) + 1
+        extent._settle(runs, i, j)
+        if dead_page >= 0:
+            raise XenInvalidError(
+                f"cannot re-reference dead page {dead_page} of {extent!r}")
 
     def drop_ref_range(self, extent: Extent, start: int, count: int) -> int:
         """Drop one reference on pages ``[start, start+count)``.
@@ -282,35 +424,32 @@ class FrameTable:
         """
         if not extent.shared:
             raise XenInvalidError(f"{extent!r} is not shared")
-        if start < 0 or count < 0 or start + count > extent.count:
-            raise XenInvalidError(
-                f"range [{start}, {start + count}) outside extent of {extent.count}"
-            )
+        self._check_range(extent, start, count)
         freed = 0
-        if start == 0 and count == extent.count and not extent.ref_delta \
-                and not extent.dead_pages:
+        runs = extent.runs
+        if start == 0 and count == extent.count and runs is None:
             # Fast path: uniform refcount across the whole extent.
             extent.base_ref -= 1
             if extent.base_ref == 0:
                 freed = extent.live_pages
                 extent.freed += freed
-                extent.dead_pages.update(range(extent.count))
-        else:
-            delta = extent.ref_delta
-            dead = extent.dead_pages
+                extent._kill_all()
+        elif count:
+            runs, i, j = extent._slice(start, start + count)
+            bounds, values = runs.bounds, runs.values
             base = extent.base_ref
-            for index in range(start, start + count):
-                if index in dead:
+            for k in range(i, j):
+                value = values[k]
+                if value is _DEAD:
                     continue
-                new_ref = base + (delta[index] if index in delta else 0) - 1
-                if new_ref == 0:
-                    extent.freed += 1
-                    dead.add(index)
-                    if index in delta:
-                        del delta[index]
-                    freed += 1
+                offset = _offset(value) - 1
+                if base + offset == 0:
+                    values[k] = _DEAD
+                    freed += bounds[k + 1] - bounds[k]
                 else:
-                    delta[index] = new_ref - base
+                    values[k] = offset if offset else _TOUCHED
+            extent.freed += freed
+            extent._settle(runs, i, j)
         if freed:
             self._debit(DOMID_COW, freed)
             self.free_frames += freed
@@ -339,21 +478,18 @@ class FrameTable:
         ownership is transferred from dom_cow to the domain generating
         the fault"). Every page in the range must have refcount 1.
         """
-        base = extent.base_ref
-        delta = extent.ref_delta
-        dead = extent.dead_pages
-        for i in range(index, index + count):
-            ref = base + (delta[i] if i in delta else 0)
-            if ref != 1 or i in dead:
-                raise XenInvalidError(
-                    f"page {i} of {extent!r} has refcount "
-                    f"{ref}, adoption needs exactly 1"
-                )
+        self._check_range(extent, index, count)
+        page = extent._first_unadoptable(index, count) if count else -1
+        if page >= 0:
+            raise XenInvalidError(
+                f"page {page} of {extent!r} has refcount "
+                f"{extent.effective_ref(page)}, adoption needs exactly 1"
+            )
         extent.adopted += count
-        for i in range(index, index + count):
-            dead.add(i)
-            if i in delta:
-                del delta[i]
+        if count:
+            runs, i, j = extent._slice(index, index + count)
+            runs.values[i:j] = [_DEAD] * (j - i)
+            extent._settle(runs, i, j)
         self._debit(DOMID_COW, count)
         self._credit(new_owner, count)
         self.stats["cow_adoptions"] += count
@@ -377,6 +513,13 @@ class FrameTable:
         for domid, count in self._owned.items():
             if count < 0:
                 raise AssertionError(f"negative ownership for dom {domid}: {count}")
+
+    @staticmethod
+    def _check_range(extent: Extent, start: int, count: int) -> None:
+        if start < 0 or count < 0 or start + count > extent.count:
+            raise XenInvalidError(
+                f"range [{start}, {start + count}) outside extent of {extent.count}"
+            )
 
     def _credit(self, owner: int, count: int) -> None:
         if count == 0:

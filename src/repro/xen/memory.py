@@ -103,17 +103,29 @@ class GuestMemory:
                       npages: int, label: str = "") -> Segment:
         """Map an existing extent slice (e.g. a shared parent extent)."""
         segment = Segment(pfn_start, npages, extent, extent_offset, label)
-        index = bisect.bisect_left([s.pfn_start for s in self.segments], pfn_start)
+        starts = self._starts()
+        index = bisect.bisect_left(starts, pfn_start)
         self.segments.insert(index, segment)
-        self._starts_cache = None
+        starts.insert(index, pfn_start)
         self._next_pfn = max(self._next_pfn, segment.pfn_end)
         return segment
 
-    def find(self, pfn: int) -> tuple[Segment, int]:
-        """Locate the segment covering ``pfn``; returns (segment, local index)."""
+    def _starts(self) -> list[int]:
+        """Sorted segment start pfns, rebuilt after a wholesale change."""
         if self._starts_cache is None:
             self._starts_cache = [s.pfn_start for s in self.segments]
-        i = bisect.bisect_right(self._starts_cache, pfn) - 1
+        return self._starts_cache
+
+    def _splice(self, seg: Segment, pieces: list[Segment]) -> None:
+        """Replace ``seg`` with ``pieces``, keeping the start cache."""
+        starts = self._starts()
+        i = bisect.bisect_left(starts, seg.pfn_start)  # starts are unique
+        self.segments[i:i + 1] = pieces
+        starts[i:i + 1] = [piece.pfn_start for piece in pieces]
+
+    def find(self, pfn: int) -> tuple[Segment, int]:
+        """Locate the segment covering ``pfn``; returns (segment, local index)."""
+        i = bisect.bisect_right(self._starts(), pfn) - 1
         if i >= 0:
             seg = self.segments[i]
             if seg.pfn_start <= pfn < seg.pfn_end:
@@ -170,24 +182,10 @@ class GuestMemory:
             extent = cur_seg.extent
             index = cur_seg.extent_offset + cur_local
             limit = min(span - offset, cur_seg.npages - cur_local)
-            delta = extent.ref_delta
-            dead = extent.dead_pages
-            base = extent.base_ref
-            ref = base + (delta[index] if index in delta else 0)
+            ref, run = extent.ref_run(index, limit)
             if ref < 1:
                 raise XenInvalidError(
                     f"write to dead shared page (pfn {start_pfn + offset})")
-            if not delta and not dead:
-                run = limit  # uniform refcount across the extent
-            else:
-                run = 1
-                while run < limit:
-                    nxt = index + run
-                    if (nxt in dead
-                            or base + (delta[nxt] if nxt in delta else 0)
-                            != ref):
-                        break
-                    run += 1
             if ref > 1:
                 replacement = self.frames.cow_copy(extent, index, self.domid,
                                                    run)
@@ -208,7 +206,6 @@ class GuestMemory:
         replaced range; references inside it were already dropped by the
         frame table (cow_copy / cow_adopt).
         """
-        i = self.segments.index(seg)
         pieces: list[Segment] = []
         if local > 0:
             pieces.append(Segment(seg.pfn_start, local, seg.extent,
@@ -219,8 +216,7 @@ class GuestMemory:
         if tail > 0:
             pieces.append(Segment(seg.pfn_start + local + span, tail, seg.extent,
                                   seg.extent_offset + local + span, seg.label))
-        self.segments[i:i + 1] = pieces
-        self._starts_cache = None
+        self._splice(seg, pieces)
 
     def retype_range(self, pfn: int, npages: int, page_type: PageType,
                      label: str = "") -> Segment:
@@ -246,7 +242,6 @@ class GuestMemory:
         ]
         pieces = self.frames.split_private(seg.extent, parts)
         # Rebuild the segment list: map each piece at its pfn.
-        i = self.segments.index(seg)
         new_segments = []
         cursor = seg.pfn_start
         for piece in pieces:
@@ -254,8 +249,7 @@ class GuestMemory:
                                         label if piece.page_type is page_type
                                         else seg.label))
             cursor += piece.count
-        self.segments[i:i + 1] = new_segments
-        self._starts_cache = None
+        self._splice(seg, new_segments)
         for segment in new_segments:
             if segment.extent.page_type is page_type \
                     and segment.pfn_start == pfn:

@@ -7,7 +7,9 @@ integration, and the pinned overload-storm fingerprint.
 
 import pytest
 
+from repro.apps.traffic import as_shape
 from repro.faults.plan import FaultPlan, FaultSpec
+from repro.fleet.chaos import audit_fleet
 from repro.frontdoor import FleetSession, Overloaded
 from repro.frontdoor.resilience import (
     BREAKER_CLOSED,
@@ -266,6 +268,32 @@ def test_deadline_sheds_what_cannot_finish_in_time():
         assert result.shed == 25
         res = sess.frontdoor.resilience_report()
         assert res["sheds"] == {"deadline": 25}
+
+
+@pytest.mark.parametrize("seed", [0xC10E, 1, 2])
+def test_retry_past_its_deadline_during_a_drain_times_out(seed):
+    """Heartbeats during a live drain can move the clock past a waiting
+    retry's deadline. The retry must resolve as timed out, placing no
+    copies, instead of scheduling its timeout in the past."""
+    policy = ResiliencePolicy(
+        sojourn_bound_ms=25.0, brownout_start=2.0, brownout_full=8.0,
+        retry_budget_fraction=0.1, retry_burst=8.0, max_attempts=3,
+        breaker_window=16, breaker_failure_threshold=0.7,
+        breaker_min_samples=8, breaker_probe_quota=2, deadline_ms=50.0)
+    with FleetSession(hosts=4, seed=seed) as sess:
+        sess.create_family("fd", ip="10.9.0.1")
+        sess.clone("fd", count=11)
+        sess.drain_host("host0")
+        rps = 0.3 * 12 * as_shape("faas").capacity_rps
+        result = sess.dispatch("fd", "faas", requests=5000, arrival_rps=rps,
+                               clone_factor=2, timeout_ms=40.0,
+                               resilience=policy, heartbeat_every_ms=50.0,
+                               label="readmit")
+        assert audit_fleet(sess.fleet, sess.frontdoor) == []
+        assert result.requests == (result.completed + result.failed
+                                   + result.timed_out + result.shed)
+        assert result.timed_out > 0
+        sess.close(check=False)
 
 
 def test_legacy_fingerprint_untouched_by_the_resilience_fields():

@@ -159,7 +159,7 @@ def test_add_ref_range_whole_extent_fast_path(frames):
     frames.share_to_cow(extent)
     frames.add_ref_range(extent, 0, 10)
     assert extent.base_ref == 2
-    assert not extent.ref_delta
+    assert extent.runs is None
 
 
 def test_cannot_reref_dead_page(frames):
