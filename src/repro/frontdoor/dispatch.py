@@ -35,9 +35,20 @@ server's exact per-advance share history against the copy (see
 byte-identical to the sequential per-job-decrement formulation the
 equivalence suite keeps as an oracle.
 
+One drive loop runs every dispatch. It merges four sources: the
+pre-generated arrival array, read through the loop's own arrival
+cursor; the front door's :class:`~repro.sim.engine.Engine` queue,
+which holds only timeouts, retries and the periodic heartbeat /
+autoscale callbacks; and the departure-hint heap. Arrivals and
+departures never become engine events. The loop runs the source with
+the least ``(time, seq)`` key. Runs with periodic callbacks mint every
+seq from the engine's one counter, so equal times break in scheduling
+order; runs without them let an arrival beat an engine event beat a
+hint. Both orders are pinned by fingerprints (see DESIGN.md).
+
 Determinism: arrivals, demands and routing each draw from their own
-forked RNG stream keyed by (family, shape, label), all events run on
-one :class:`~repro.sim.engine.Engine` bound to the fleet clock, and the
+forked RNG stream keyed by (family, shape, label), every source runs on
+the fleet clock, and the
 :class:`~repro.frontdoor.results.DispatchResult` fingerprint covers the
 full per-request latency series — same seed, same bytes.
 """
@@ -48,7 +59,6 @@ import hashlib
 import heapq
 import json
 from array import array
-from functools import partial
 from typing import TYPE_CHECKING, Any
 
 from repro.apps.traffic import RequestShape, as_shape
@@ -164,9 +174,9 @@ class ReplicaServer:
     """
 
     __slots__ = ("host", "domid", "rate", "jobs", "last_ms",
-                 "work_done_ms", "departure_event", "depart_cb", "alive",
-                 "draining", "vclock", "hint_seq", "_hist", "_hist_base",
-                 "_heap", "_heap_dead", "_seq", "_compact_at")
+                 "work_done_ms", "alive", "draining", "vclock",
+                 "hint_seq", "_hist", "_hist_base", "_heap", "_heap_dead",
+                 "_seq", "_compact_at")
 
     def __init__(self, host: str, domid: int, now_ms: float) -> None:
         self.host = host
@@ -175,8 +185,6 @@ class ReplicaServer:
         self.jobs: list[_Copy] = []
         self.last_ms = now_ms
         self.work_done_ms = 0.0
-        self.departure_event = None
-        self.depart_cb = None
         self.alive = True
         #: Host is DRAINING (mid-migration): resilient routing avoids
         #: it unless it is the only capacity left.
@@ -548,18 +556,17 @@ class FrontDoor:
         #: The in-progress ``run_workload`` bookkeeping (None between runs).
         self._run: _Run | None = None
         self._hist = None
-        #: Fast-path departure-hint heap of ``(when, seq, token, exact,
-        #: server)`` (None outside a fast-path run — slow/interleaved
-        #: runs keep departures as engine events). Each server owns one
-        #: *live* hint: every state-changing push bumps its
-        #: ``hint_seq`` token, superseding earlier entries, which then
-        #: drop for free at peek. A live entry's ``when`` is a valid
-        #: lower bound on the server's next departure; ``exact`` marks
-        #: bounds already settled by ``next_departure_ms`` — those fire
-        #: directly, while a popped bound converts with exactly one
-        #: exact recompute.
+        #: Departure-hint heap of ``(when, seq, token, exact, server)``
+        #: (None outside a run), with ``seq`` drawn from the engine's
+        #: counter. Each server owns one *live* hint: every
+        #: state-changing push bumps its ``hint_seq`` token,
+        #: superseding earlier entries, which then drop for free at
+        #: peek. A live entry's ``when`` is a valid lower bound on the
+        #: server's next departure; ``exact`` marks bounds already
+        #: settled by ``next_departure_ms`` — those fire directly,
+        #: while a popped bound converts with exactly one exact
+        #: recompute.
         self._dep_heap: list | None = None
-        self._dep_seq = 0
         self.stats: dict[str, Any] = {
             "requests": 0,
             "completed": 0,
@@ -620,8 +627,13 @@ class FrontDoor:
             if server is None:
                 server = pool[(host_name, domid)] = ReplicaServer(
                     host_name, domid, now)
-            server.rate = (DEGRADED_RATE if host.state.value == "degraded"
-                           else 1.0)
+            rate = DEGRADED_RATE if host.state.value == "degraded" else 1.0
+            if rate != server.rate:
+                # Service delivered so far was earned at the old rate:
+                # bill it before switching, then re-hint the departure.
+                server.advance(now)
+                server.rate = rate
+                self._reschedule(server, now)
             server.draining = host.state.value == "draining"
         for key in [k for k in pool if k not in live]:
             self._retire(pool.pop(key), now)
@@ -636,9 +648,6 @@ class FrontDoor:
         server.advance(now_ms)
         server.alive = False
         self.retired_work_ms += server.work_done_ms
-        if server.departure_event is not None:
-            server.departure_event.cancel()
-            server.departure_event = None
         self.stats["servers_retired"] += 1
         vclock = server.vclock
         for copy in list(server.jobs):
@@ -748,111 +757,108 @@ class FrontDoor:
             periodic.append(self.engine.every(
                 autoscale.check_interval_ms, check_scale))
 
-        # Drive until every request resolved, bounded by a drain guard.
+        # The one drive loop (module docstring), bounded by a drain
+        # guard: the least ``(time, seq)`` key among the arrival cursor
+        # ``rid``, the engine queue and the hint heap runs next. With
+        # periodic callbacks armed, keys reproduce one engine queue
+        # that also holds arrivals and departures: an arrival's key is
+        # its time clamped to the clock after the previous admit, with
+        # a seq drawn right after that admit, and a converted bound
+        # keeps its seq. Otherwise an arrival beats an engine event
+        # beats a hint at equal times. DESIGN.md says why both remain.
+        engine_order = bool(periodic)
         guard = 60 * requests + 100_000
         steps = 0
-        if not periodic:
-            # Fast path: no periodic events means nothing else charges
-            # the fleet clock mid-run, so arrival times never need the
-            # max(t, now) clamp. Three event sources merge directly:
-            # the pre-generated arrival array, the engine queue (only
-            # request timeouts live there now) and the departure-hint
-            # heap. Arrival wins ties; engine beats hints on ties.
-            engine = self.engine
-            next_time = engine.next_time
-            step = engine.step
-            clock = self.fleet.clock
-            admit = self._admit
-            depart = self._depart
-            heappop = heapq.heappop
-            heappush = heapq.heappush
-            self._dep_heap = dep = []
-            self._dep_seq = 0
-            rid = 0
-            try:
-                while run.resolved < requests:
-                    # Earliest live departure hint (dead servers and
-                    # drained hints are dropped on the way).
-                    while dep:
-                        head = dep[0]
-                        hint_server = head[4]
-                        if (head[2] == hint_server.hint_seq
-                                and hint_server.jobs
-                                and hint_server.alive):
-                            break
-                        heappop(dep)
-                    t_dep = dep[0][0] if dep else None
-                    t_engine = next_time()
-                    if t_engine is not None and (t_dep is None
-                                                 or t_engine <= t_dep):
-                        t_next_ev = t_engine
-                        src_engine = True
-                    else:
-                        t_next_ev = t_dep
-                        src_engine = False
-                    if rid < requests and (t_next_ev is None
-                                           or arrivals[rid] <= t_next_ev):
+        engine = self.engine
+        queue = engine._queue
+        next_time = engine.next_time
+        step = engine.step
+        mint = engine.next_seq
+        clock = self.fleet.clock
+        admit = self._admit
+        depart = self._depart
+        heappop = heapq.heappop
+        heappush = heapq.heappush
+        self._dep_heap = dep = []
+        rid = 0
+        t_arrive = arrivals[0]
+        s_arrive = mint() if engine_order else -1
+        try:
+            while run.resolved < requests:
+                # Earliest live departure hint (dead servers and
+                # drained hints are dropped on the way).
+                while dep:
+                    head = dep[0]
+                    hint_server = head[4]
+                    if (head[2] == hint_server.hint_seq
+                            and hint_server.jobs
+                            and hint_server.alive):
+                        break
+                    heappop(dep)
+                if queue and queue[0][2].cancelled:
+                    next_time()  # drops the cancelled heads
+                # source: 1 arrival, 2 engine event, 3 departure hint.
+                source = 0
+                if rid < requests:
+                    source = 1
+                    t_next = t_arrive
+                    s_next = s_arrive
+                if queue:
+                    head = queue[0]
+                    t_head = head[0]
+                    if (not source or t_head < t_next
+                            or (t_head == t_next and head[1] < s_next)):
+                        source = 2
+                        t_next = t_head
+                        s_next = head[1]
+                if dep:
+                    head = dep[0]
+                    t_head = head[0]
+                    if (not source or t_head < t_next
+                            or (engine_order and t_head == t_next
+                                and head[1] < s_next)):
+                        source = 3
+                if source == 1:
+                    if t_arrive > clock._now:
+                        clock._now = t_arrive
+                    admit(run, rid, demands[rid], family, clone_factor,
+                          route_rng, timeout_ms)
+                    rid += 1
+                    if rid < requests:
                         t_arrive = arrivals[rid]
-                        if t_arrive > clock._now:
-                            clock._now = t_arrive
-                        admit(run, rid, demands[rid], family, clone_factor,
-                              route_rng, timeout_ms)
-                        rid += 1
-                    elif src_engine:
-                        step()
-                    elif t_next_ev is not None:
-                        when, _seq, token, exact, server = heappop(dep)
-                        if not exact:
-                            # A live bound: the server saw no admits or
-                            # removals since the push, so one exact
-                            # recompute settles its true departure. If
-                            # the bound was already tight, fire now;
-                            # otherwise convert it to an exact hint and
-                            # let the heap re-order it.
-                            true_when = server.next_departure_ms()
-                            if true_when != when:
+                        if engine_order:
+                            if t_arrive < clock._now:
+                                t_arrive = clock._now
+                            s_arrive = mint()
+                elif source == 2:
+                    step()
+                elif source == 3:
+                    when, seq, token, exact, server = heappop(dep)
+                    if not exact:
+                        # A live bound: the server saw no admits or
+                        # removals since the push, so one exact
+                        # recompute settles its true departure. If the
+                        # bound was already tight, fire now; otherwise
+                        # convert it to an exact hint and let the heap
+                        # re-order it.
+                        true_when = server.next_departure_ms()
+                        if true_when != when:
+                            if engine_order:
+                                if true_when < when:
+                                    true_when = when
+                            else:
                                 if true_when < clock._now:
                                     true_when = clock._now
-                                server.hint_seq = ntoken = token + 1
-                                self._dep_seq = nseq = self._dep_seq + 1
-                                heappush(dep, (true_when, nseq, ntoken,
-                                               True, server))
-                                steps += 1
-                                continue
-                        if when > clock._now:
-                            clock._now = when
-                        depart(server)
-                    else:
-                        raise FrontDoorError(
-                            "dispatch engine drained with "
-                            f"{requests - run.resolved} unresolved "
-                            "requests")
-                    steps += 1
-                    if steps > guard:
-                        raise FrontDoorError(
-                            "dispatch failed to drain "
-                            f"(engine ran {steps} events)")
-            finally:
-                self._dep_heap = None
-        else:
-            # Slow path (heartbeats / autoscale interleaved): arrivals
-            # stay engine events so control-plane clock charges keep
-            # deferring them, but gaps and demands still come from the
-            # pre-generated arrays.
-            state = {"next_rid": 0}
-
-            def arrive() -> None:
-                rid = state["next_rid"]
-                state["next_rid"] = rid + 1
-                self._admit(run, rid, demands[rid], family, clone_factor,
-                            route_rng, timeout_ms)
-                if rid + 1 < requests:
-                    self.engine.schedule_at(
-                        max(arrivals[rid + 1], self.fleet.clock.now), arrive)
-
-            self.engine.schedule_at(arrivals[0], arrive)
-            while run.resolved < requests:
-                if not self.engine.step():
+                                seq = mint()
+                            server.hint_seq = token = token + 1
+                            heappush(dep, (true_when, seq, token, True,
+                                           server))
+                            steps += 1
+                            continue
+                    if when > clock._now:
+                        clock._now = when
+                    depart(server)
+                else:
                     raise FrontDoorError(
                         "dispatch engine drained with "
                         f"{requests - run.resolved} unresolved requests")
@@ -860,8 +866,10 @@ class FrontDoor:
                 if steps > guard:
                     raise FrontDoorError("dispatch failed to drain "
                                          f"(engine ran {steps} events)")
-        for handle in periodic:
-            handle.cancel()
+        finally:
+            self._dep_heap = None
+            for handle in periodic:
+                handle.cancel()
         self._flush_run(run)
         self._run = None
         self._hist = None
@@ -971,6 +979,7 @@ class FrontDoor:
             return
         copies = request.copies
         dep = self._dep_heap
+        mint = self.engine.next_seq
         heappush = heapq.heappush
         inj = self._inj
         stalled = 0
@@ -1013,25 +1022,21 @@ class FrontDoor:
             copy.job_idx = len(jobs)
             jobs.append(copy)
             heappush(server._heap, (vkey, cseq, copy))
-            if dep is not None:
-                # An admit never needs the exact departure time up
-                # front — except for an empty server, whose sole fresh
-                # job departs at exactly now + demand/rate: that hint
-                # is exact and fires without any recompute (the common
-                # case at light load). Busy servers get the cheap
-                # bound, converted to exact only when it pops.
-                server.hint_seq = token = server.hint_seq + 1
-                self._dep_seq = seq = self._dep_seq + 1
-                if len(jobs) == 1:
-                    heappush(dep, (now + demand_ms / server.rate, seq,
-                                   token, True, server))
-                else:
-                    bound = server.bound_departure_ms()
-                    if bound < now:
-                        bound = now
-                    heappush(dep, (bound, seq, token, False, server))
+            # An admit never needs the exact departure time up front —
+            # except for an empty server, whose sole fresh job departs
+            # at exactly now + demand/rate: that hint is exact and
+            # fires without any recompute (the common case at light
+            # load). Busy servers get the cheap bound, converted to
+            # exact only when it pops.
+            server.hint_seq = token = server.hint_seq + 1
+            if len(jobs) == 1:
+                heappush(dep, (now + demand_ms / server.rate, mint(),
+                               token, True, server))
             else:
-                self._reschedule(server, now)
+                bound = server.bound_departure_ms()
+                if bound < now:
+                    bound = now
+                heappush(dep, (bound, mint(), token, False, server))
         run.copies += len(placed)
         if res is not None:
             if stalled == len(placed):
@@ -1185,6 +1190,7 @@ class FrontDoor:
             # heartbeat during a live drain moves it): the retry times
             # out without placing copies.
             request.resolved = True
+            request.copies.clear()
             run.timed_out += 1
             run.resolved += 1
             return
@@ -1257,46 +1263,30 @@ class FrontDoor:
     def _resolve_failed(self, request: _Request, run: _Run) -> None:
         """Terminal failure of a retried request (no further gates)."""
         request.resolved = True
+        request.copies.clear()
         run.failed += 1
         run.resolved += 1
 
-    def _reschedule(self, server: ReplicaServer,
-                    now: float | None = None) -> None:
+    def _reschedule(self, server: ReplicaServer, now: float) -> None:
+        """Push ``server``'s fresh departure hint (during a run only).
+
+        The fresh token supersedes every earlier hint the server has in
+        the heap (they drop for free at pop time), so each server owns
+        exactly one live hint. The hint is only a cheap lower bound —
+        computing the exact departure here would replay share history
+        that is almost always thrown away again before the hint pops.
+        """
         dep = self._dep_heap
-        if dep is not None:
-            # Fast path: push a hint instead of an engine event. The
-            # fresh token supersedes every earlier hint the server has
-            # in the heap (they drop for free at pop time), so each
-            # server owns exactly one live hint. The hint is only a
-            # cheap lower bound — computing the exact departure here
-            # would replay share history that is almost always thrown
-            # away again before the hint pops.
-            if server.jobs:
-                bound = server.bound_departure_ms()
-                if now is not None and bound < now:
-                    bound = now
-                server.hint_seq = token = server.hint_seq + 1
-                self._dep_seq = seq = self._dep_seq + 1
-                heapq.heappush(dep, (bound, seq, token, False, server))
-            return
-        event = server.departure_event
-        if event is not None:
-            event.cancel()
-        if server.jobs:
-            callback = server.depart_cb
-            if callback is None:
-                callback = server.depart_cb = partial(self._depart, server)
-            when = server.next_departure_ms()
-            if now is None:
-                now = self.fleet.clock.now
-            server.departure_event = self.engine.schedule_at(
-                when if when >= now else now, callback)
-        else:
-            server.departure_event = None
+        if dep is not None and server.jobs:
+            bound = server.bound_departure_ms()
+            if bound < now:
+                bound = now
+            server.hint_seq = token = server.hint_seq + 1
+            heapq.heappush(dep, (bound, self.engine.next_seq(), token,
+                                 False, server))
 
     def _depart(self, server: ReplicaServer) -> None:
         """A replica's soonest job should now be done: complete winners."""
-        server.departure_event = None
         now = self.fleet.clock.now
         server.advance(now)
         for copy in server.finished_jobs():
@@ -1326,6 +1316,7 @@ class FrontDoor:
             self.stats["copies_won"] += 1
             self.stats["work_useful_ms"] += request.demand_ms
         dep = self._dep_heap
+        mint = self.engine.next_seq
         heappush = heapq.heappush
         for copy in request.copies:
             if copy.state != _ACTIVE:
@@ -1355,20 +1346,17 @@ class FrontDoor:
             else:
                 self.stats["work_served_ms"] += consumed
                 self.stats["copies_cancelled"] += 1
-            if dep is not None:
-                if jobs:
-                    bound = server.bound_departure_ms()
-                    if bound < now_ms:
-                        bound = now_ms
-                    server.hint_seq = token = server.hint_seq + 1
-                    self._dep_seq = seq = self._dep_seq + 1
-                    heappush(dep, (bound, seq, token, False, server))
-            else:
-                self._reschedule(server, now_ms)
+            if jobs:
+                bound = server.bound_departure_ms()
+                if bound < now_ms:
+                    bound = now_ms
+                server.hint_seq = token = server.hint_seq + 1
+                heappush(dep, (bound, mint(), token, False, server))
         if request.timeout_event is not None:
             request.timeout_event.cancel()
             request.timeout_event = None
         request.resolved = True
+        request.copies.clear()
         latency = now_ms - request.t_arrive_ms + DISPATCH_RTT_MS
         if run is not None:
             run.completed += 1
@@ -1391,8 +1379,8 @@ class FrontDoor:
         res = self._active_res
         # Timeout/departure tie: a copy whose service is already
         # complete at the expiry instant departs *first* — the request
-        # resolves completed, deterministically, on both the fast path
-        # and the engine path (pinned by the tie regression tests).
+        # resolves completed, deterministically, under either tie order
+        # (pinned by the tie regression tests).
         for copy in request.copies:
             if copy.state != _ACTIVE:
                 continue
@@ -1418,6 +1406,7 @@ class FrontDoor:
         if res is not None and self._retry(request, run, res, now):
             return
         request.resolved = True
+        request.copies.clear()
         run.timed_out += 1
         run.resolved += 1
 
@@ -1433,6 +1422,7 @@ class FrontDoor:
                 request.timeout_event = None
             return
         request.resolved = True
+        request.copies.clear()
         if request.timeout_event is not None:
             request.timeout_event.cancel()
             request.timeout_event = None

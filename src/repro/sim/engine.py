@@ -53,6 +53,11 @@ class Engine:
         self.clock = clock if clock is not None else VirtualClock()
         self._queue: list[tuple[float, int, ScheduledEvent]] = []
         self._seq = itertools.count()
+        #: Draws the next tie-break sequence number. An external driver
+        #: (the front door's dispatch loop) mints its own ``(time, seq)``
+        #: keys from it, so its sources interleave with queued events
+        #: exactly as if they had been scheduled here.
+        self.next_seq = self._seq.__next__
         #: Cancelled events still sitting in the heap. When they come to
         #: outnumber the live ones the queue is rebuilt without them, so
         #: cancel-heavy workloads (periodic timers torn down en masse)
@@ -146,7 +151,7 @@ class Engine:
         Cancelled heads are popped on the way (the same lazy-deletion
         discipline :meth:`step` applies), so a subsequent :meth:`step`
         dispatches exactly the event this peeked at. Lets an external
-        driver (the front door's dispatch fast path) merge its own
+        driver (the front door's dispatch loop) merge its own
         pre-generated arrival stream with the engine queue without
         scheduling one event per arrival.
         """

@@ -1,11 +1,13 @@
 """Tests: the front-door request-cloning dispatcher."""
 
+from collections import Counter
+
 import pytest
 
 from repro.errors import ReproError
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.fleet.chaos import audit_fleet, audit_frontdoor
-from repro.fleet.fleet import HostState
+from repro.fleet.fleet import Fleet, HostState
 from repro.frontdoor import (
     DISPATCH_RTT_MS,
     AutoscalePolicy,
@@ -16,6 +18,9 @@ from repro.frontdoor import (
     ReplicaServer,
 )
 from repro.frontdoor.dispatch import DEGRADED_RATE, _Copy, _Request
+from repro.frontdoor.resilience import ResiliencePolicy
+from repro.sim.engine import Engine
+from repro.sim.rng import DeterministicRNG
 
 
 @pytest.fixture
@@ -265,6 +270,35 @@ def test_degraded_host_serves_at_half_rate(session):
     session.fleet.hosts[0].state = HostState.UP
 
 
+def test_host_degraded_mid_service_bills_each_rate_for_its_slice(
+        monkeypatch):
+    """A 10 ms job whose host turns DEGRADED 4 ms into service: 4 ms of
+    work at rate 1.0, the other 6 ms at half rate, so it departs 16 ms
+    after arrival (not 20, which billing the whole stay at the new
+    rate would give)."""
+    monkeypatch.setattr(DeterministicRNG, "expovariate",
+                        lambda self, rate: 10.0)
+    with FleetSession(hosts=1) as sess:
+        sess.create_family("deg", ip="10.5.5.1")
+        host = sess.fleet.hosts[0]
+
+        def degrade_once(fleet):
+            # A heartbeat that marks the host DEGRADED without charging
+            # the clock, so the rate flips exactly 4 ms into service.
+            if host.state is HostState.UP:
+                host.state = HostState.DEGRADED
+                fleet.topology_epoch += 1
+
+        monkeypatch.setattr(Fleet, "tick", degrade_once)
+        # Arrival at +10 ms; first heartbeat at +14 ms.
+        result = sess.dispatch("deg", "faas", requests=1,
+                               arrival_rps=100.0, heartbeat_every_ms=14.0)
+        host.state = HostState.UP
+    assert result.completed == 1
+    assert result.latency_max_ms == pytest.approx(
+        4.0 + 6.0 / DEGRADED_RATE + DISPATCH_RTT_MS, abs=1e-9)
+
+
 def test_destroyed_family_retires_servers(session):
     session.dispatch("fam", "faas", requests=50, arrival_rps=100.0)
     frontdoor = session.frontdoor
@@ -360,8 +394,6 @@ def constant_draws(monkeypatch):
     """Pin every exponential draw to TIE_MS: arrivals land TIE_MS
     apart and every request demands exactly TIE_MS of service, so
     ``timeout_ms=TIE_MS`` collides with the departure instant."""
-    from repro.sim.rng import DeterministicRNG
-
     monkeypatch.setattr(DeterministicRNG, "expovariate",
                         lambda self, rate: TIE_MS)
 
@@ -383,9 +415,11 @@ def test_timeout_departure_tie_departure_wins_fast_path(constant_draws):
         assert audit_frontdoor(sess.frontdoor) == []
 
 
-def test_timeout_departure_tie_departure_wins_engine_path(constant_draws):
+def test_timeout_departure_tie_departure_wins_with_heartbeats(
+        constant_draws):
     with _tie_session() as sess:
-        # A periodic heartbeat forces the event-engine slow path.
+        # A periodic heartbeat switches the loop to the engine's
+        # (time, seq) tie order.
         result = sess.dispatch("tie", "faas", requests=1,
                                arrival_rps=100.0, clone_factor=1,
                                timeout_ms=TIE_MS,
@@ -426,3 +460,48 @@ def test_cancelled_timeout_events_are_compacted_not_leaked(session):
     # holds a cancelled majority.
     assert (engine.pending < 64
             or engine.cancelled_pending * 2 <= engine.pending)
+
+
+@pytest.mark.parametrize("resilient", [False, True])
+def test_heartbeat_dispatch_schedules_only_timeouts_and_retries(
+        monkeypatch, resilient):
+    """Arrivals and departures never become engine events, even with
+    heartbeats and an autoscaler armed: every ``Engine.schedule_at``
+    call is a request timeout or a retry. (Periodic re-arms are pushed
+    by ``Engine.every`` itself, without ``schedule_at``.)"""
+    scheduled = Counter()
+    schedule_at = Engine.schedule_at
+
+    def counting(self, t_ms, callback):
+        name = getattr(callback, "__qualname__", repr(callback))
+        scheduled[name.split(".<locals>")[0]] += 1
+        return schedule_at(self, t_ms, callback)
+
+    monkeypatch.setattr(Engine, "schedule_at", counting)
+    policy = ResiliencePolicy(
+        sojourn_bound_ms=25.0, retry_budget_fraction=0.1, retry_burst=8.0,
+        max_attempts=3, deadline_ms=50.0) if resilient else None
+    with FleetSession(hosts=2) as sess:
+        sess.create_family("fam", ip="10.5.6.1")
+        sess.clone("fam", count=5)
+        autoscale = AutoscalePolicy(threshold_rps=1.0,
+                                    check_interval_ms=100.0,
+                                    max_replicas=10, scale_step=2)
+        result = sess.dispatch("fam", "faas", requests=800,
+                               arrival_rps=1500.0, clone_factor=2,
+                               timeout_ms=20.0, heartbeat_every_ms=25.0,
+                               autoscale=autoscale, resilience=policy)
+        rejected = sess.frontdoor.stats["rejected_no_capacity"]
+        assert audit_fleet(sess.fleet, sess.frontdoor) == []
+    assert sess.frontdoor.stats["autoscale_events"] >= 1
+    timeouts = scheduled["FrontDoor._admit"] + scheduled["FrontDoor._readmit"]
+    assert set(scheduled) <= {"FrontDoor._admit", "FrontDoor._readmit",
+                              "FrontDoor._retry"}
+    assert scheduled["FrontDoor._retry"] == result.retries
+    if resilient:
+        assert result.retries > 0
+        # One timeout per placed attempt: first tries that got past
+        # admission, plus the retries that placed copies.
+        assert timeouts <= result.offered - result.shed + result.retries
+    else:
+        assert rejected == 0 and timeouts == result.requests

@@ -17,17 +17,22 @@ that it does not:
 * end-to-end golden fingerprints captured from the old implementation
   (plain runs, timeout runs, and composed host-kill + autoscale +
   heartbeat runs) must still come out of the new code byte for byte,
-  with clean conservation ledgers.
+  with clean conservation ledgers;
+* resilient heartbeat + autoscale runs and a dispatch after
+  ``drain_host``, pinned before arrivals and departures left the event
+  engine, hold the heartbeat-armed tie order.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps.traffic import as_shape
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.fleet.chaos import audit_fleet
 from repro.frontdoor import AutoscalePolicy, FleetSession, ReplicaServer
 from repro.frontdoor.dispatch import EPS, _Copy, _Request
+from repro.frontdoor.resilience import ResiliencePolicy
 
 
 # ----------------------------------------------------------------------
@@ -210,6 +215,34 @@ _COMPOSED_GOLDEN = {
         "86e0cc8650764eaf3718ab0984d6304f567cd2132dba8ed9213a350cefbb8740",
 }
 
+#: (seed, clone_factor, requests) -> fingerprint of a resilient run
+#: with heartbeats and a firing autoscaler. Sibling copies tie at
+#: equal departure instants and the winner decides which breaker
+#: records the success, so these pin the heartbeat-armed tie order.
+_RESILIENT_HEARTBEAT_GOLDEN = {
+    (0xC10E, 8, 3000):
+        "9cece34e203fffff24f0ae3213bfe4727d717e29a20631c9534109b8523322d3",
+    (0xBEEF, 6, 3000):
+        "c21497b27b41d95021475ffa1f881e5d54186c73c80a948b63fc18ed2aff50f3",
+}
+
+#: (seed, clone_factor, requests) -> fingerprint of a heartbeat run
+#: dispatched right after ``drain_host`` (the migration streams on the
+#: heartbeats while the traffic runs).
+_DRAIN_GOLDEN = {
+    (0xC10E, 2, 2000):
+        "355f323d02dd63de63255447de229295b5951f2228048852d24126c2bf38e1cf",
+    (7, 3, 1500):
+        "27e269d37b4377aa0a1bc9bb16c1123a8353d86be04fb28ab48912e452836022",
+}
+
+#: The protected policy of the ``frontdoor_overload`` experiment.
+_PROTECTED = ResiliencePolicy(
+    sojourn_bound_ms=25.0, brownout_start=2.0, brownout_full=8.0,
+    retry_budget_fraction=0.1, retry_burst=8.0, max_attempts=3,
+    breaker_window=16, breaker_failure_threshold=0.7,
+    breaker_min_samples=8, breaker_probe_quota=2, deadline_ms=50.0)
+
 
 def _plain_fingerprint(seed, d, requests, rps, timeout):
     with FleetSession(hosts=2, seed=seed) as sess:
@@ -238,6 +271,59 @@ def _composed_fingerprint(seed, d, requests, kill_after):
         violations = audit_fleet(sess.fleet, sess.frontdoor)
         sess.close(check=False)  # a host was killed on purpose
     return result.fingerprint, violations
+
+
+def _resilient_heartbeat_run(seed, d, requests):
+    with FleetSession(hosts=4, seed=seed) as sess:
+        sess.create_family("rh", ip="10.78.0.1")
+        sess.clone("rh", count=11)
+        capacity = as_shape("faas").capacity_rps
+        policy = AutoscalePolicy(threshold_rps=0.25 * capacity,
+                                 check_interval_ms=200.0, max_replicas=16,
+                                 scale_step=2)
+        result = sess.dispatch("rh", "faas", requests=requests,
+                               arrival_rps=0.3 * 12 * capacity,
+                               clone_factor=d, timeout_ms=40.0,
+                               resilience=_PROTECTED,
+                               heartbeat_every_ms=50.0, autoscale=policy,
+                               label="pin")
+        stats = dict(sess.frontdoor.stats)
+        violations = audit_fleet(sess.fleet, sess.frontdoor)
+        sess.close(check=False)
+    return result, stats, violations
+
+
+def _drain_run(seed, d, requests):
+    with FleetSession(hosts=4, seed=seed) as sess:
+        sess.create_family("dr", ip="10.79.0.1")
+        sess.clone("dr", count=11)
+        sess.drain_host("host0")
+        capacity = as_shape("faas").capacity_rps
+        result = sess.dispatch("dr", "faas", requests=requests,
+                               arrival_rps=0.15 * 12 * capacity,
+                               clone_factor=d, timeout_ms=60.0,
+                               heartbeat_every_ms=50.0, label="pin")
+        migrations_done = sess.fleet.stats["migrations_done"]
+        violations = audit_fleet(sess.fleet, sess.frontdoor)
+        sess.close(check=False)
+    return result, migrations_done, violations
+
+
+@pytest.mark.parametrize("params", sorted(_RESILIENT_HEARTBEAT_GOLDEN))
+def test_resilient_heartbeat_runs_match_pins(params):
+    result, stats, violations = _resilient_heartbeat_run(*params)
+    assert violations == []
+    assert stats["breaker_trips"] > 0 and stats["autoscale_events"] > 0
+    assert result.retries > 0
+    assert result.fingerprint == _RESILIENT_HEARTBEAT_GOLDEN[params]
+
+
+@pytest.mark.parametrize("params", sorted(_DRAIN_GOLDEN))
+def test_dispatch_after_drain_matches_pins(params):
+    result, migrations_done, violations = _drain_run(*params)
+    assert violations == []
+    assert migrations_done == 1
+    assert result.fingerprint == _DRAIN_GOLDEN[params]
 
 
 @pytest.mark.parametrize("params", sorted(_PLAIN_GOLDEN))
