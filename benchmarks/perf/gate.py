@@ -10,14 +10,12 @@ exits non-zero when:
   drops below its floor,
 - any scenario's ``speedup`` (noisy wall clock; floors carry a wide
   margin) drops below its floor,
-- the serial and process-parallel fleet storms disagree on their
-  sha256 fingerprint (always enforced — determinism does not depend
-  on the host), or the parallel ``scaling`` falls below its floor on
-  a host that actually has the CPUs to parallelize (``cpus >=
-  workers``; a 1-CPU container is exempt from the scaling floor but
-  never from fingerprint equality),
 - any golden figure series (or the KVM clone burst) drifts at the
   pinned seed.
+
+Scenarios that pin a result fingerprint (``frontdoor_p99``,
+``fleet_migration``, ``frontdoor_overload``) assert it inside their
+own timed run, so drift there aborts the gate before any row prints.
 
 Usage::
 
@@ -95,40 +93,19 @@ def check(payload: dict, floors: dict) -> tuple[list[str], list[list[str]]]:
     violations: list[str] = []
     rows: list[list[str]] = []
 
-    def row(name: str, metric: str, measured, floor, ok: bool,
-            note: str = "") -> None:
-        status = "ok" if ok else "FAIL"
-        if note:
-            status += f" ({note})"
-        rows.append([name, metric, str(measured), str(floor), status])
-        if not ok:
-            violations.append(
-                f"{name}: {metric} {measured} below floor {floor}")
-
     for name, entry in payload["scenarios"].items():
         scenario_floors = floors.get(name, {}).get(scale, {})
-        if name == "fleet_parallel":
-            match = entry["fingerprint_match"]
-            rows.append([name, "fingerprint_match", str(match),
-                         "True", "ok" if match else "FAIL"])
-            if not match:
-                violations.append(
-                    f"{name}: serial and parallel fingerprints differ")
-            floor = scenario_floors.get("scaling")
-            if floor is not None:
-                exempt = entry["cpus"] < entry["workers"]
-                ok = exempt or entry["scaling"] >= floor
-                row(name, "scaling", entry["scaling"], floor, ok,
-                    note=f"{entry['cpus']} cpus < {entry['workers']} "
-                         f"workers, floor waived" if exempt else "")
-            continue
         for metric in ("work_reduction", "speedup"):
             floor = scenario_floors.get(metric)
             if floor is None:
                 continue
             measured = entry.get(metric)
             ok = measured is not None and measured >= floor
-            row(name, metric, measured, floor, ok)
+            rows.append([name, metric, str(measured), str(floor),
+                         "ok" if ok else "FAIL"])
+            if not ok:
+                violations.append(
+                    f"{name}: {metric} {measured} below floor {floor}")
 
     for name, verdict in sorted(payload.get("determinism", {}).items()):
         ok = verdict == "ok"

@@ -81,13 +81,10 @@ FRONTDOOR_FINGERPRINTS = {
 #: target — the remaining profile is flat (no frame above 4%), so the
 #: floor pins what is actually held rather than the aspiration.
 #:
-#: ``fleet_parallel`` is gated on fingerprint equality (serial vs
-#: process-parallel, always) and on barrier overhead (the serial-storm
-#: wall-clock per epoch staying sane); its wall-clock ``scaling`` is
-#: recorded but only enforced when the host actually has at least as
-#: many CPUs as workers — a 1-CPU container cannot speed anything up
-#: by adding processes. ``kvm_clone_burst`` is gated on same-seed
-#: determinism next to the Xen golden guard.
+#: ``kvm_clone_burst`` is gated on same-seed determinism next to the
+#: Xen golden guard; ``fleet_migration`` and ``frontdoor_overload``
+#: carry no floors yet and are gated only on the fingerprints they
+#: assert in their own timed region.
 #: Floors are per scale: the wins scale with event count, so quick
 #: runs (CI smoke) sit much closer to the seed than full runs.
 FLOORS: dict[str, dict[str, dict[str, float]]] = {
@@ -113,9 +110,6 @@ FLOORS: dict[str, dict[str, dict[str, float]]] = {
     "frontdoor_p99": {
         "full": {"speedup": 3.0, "work_reduction": 5.5},
         "quick": {"speedup": 0.9, "work_reduction": 1.25}},
-    "fleet_parallel": {
-        "full": {"scaling": 0.9},
-        "quick": {"scaling": 0.9}},
 }
 
 
@@ -240,23 +234,21 @@ def _frontdoor(quick: bool):
 
 
 #: FleetMigrationResult fingerprints the migration scenario must
-#: reproduce byte-for-byte: the drain/kill/baseline ablation, the
-#: migration fault storm and the serial-vs-parallel comparison all
-#: feed the hash, so any behavior drift in the migration tier fails
-#: the run before its timing is even recorded.
+#: reproduce byte-for-byte: the drain/kill/baseline ablation and the
+#: migration fault storm both feed the hash, so any behavior drift in
+#: the migration tier fails the run before its timing is even recorded.
 MIGRATION_FINGERPRINTS = {
-    "full": "98a934ed0a6abd25196b7021df9765ba70c84645166404844a8965806e080b55",
-    "quick": "5ef74037f1e59da4d07ede5e0d76dab03d3b3f87f057b4074ef442ae5bbbb476",
+    "full": "32ced3de2043b36a20f8da1e4d5652db82eb9e88057ffab42a09257d9035bca8",
+    "quick": "a5ed03e3ecc4e5dc2e67f063d0d729f996bbf44e252e5e4d73e6bc7b78088b7a",
 }
 
 
 def _fleet_migration(quick: bool):
     """The drain-vs-kill migration ablation under front-door traffic.
 
-    Times the full ``fleet_migration`` experiment: three dispatch arms
-    (baseline / drain-evacuate / kill-reboot) plus the migration fault
-    storm, with the serial and process-pool runs compared inside the
-    experiment. Fingerprint and conservation audits are asserted in
+    Times one run of the ``fleet_migration`` experiment: three dispatch
+    arms (baseline / drain-evacuate / kill-reboot) plus the migration
+    fault storm. Fingerprint and conservation audits are asserted in
     the timed region — a faster migration path that changes a single
     latency or leaks a page is a regression, not a win.
     """
@@ -280,25 +272,23 @@ def _fleet_migration(quick: bool):
 
 #: FrontdoorOverloadResult fingerprints the overload scenario must
 #: reproduce byte-for-byte: the baseline/unprotected/protected
-#: ablation past the knee, the overload chaos storm and the
-#: serial-vs-parallel comparison all feed the hash, so any drift in
-#: admission control, retry budgets or breaker behavior fails the run
-#: before its timing is even recorded.
+#: ablation past the knee and the overload chaos storm both feed the
+#: hash, so any drift in admission control, retry budgets or breaker
+#: behavior fails the run before its timing is even recorded.
 OVERLOAD_FINGERPRINTS = {
-    "full": "b83a8d41029448f188e4544a3fe760e7e243ff92bbf08549e98d74ed9a622390",
-    "quick": "f0a47d0cef0e99c345ddc1c8198b1ff847447407132284cdf36697ad818bf62c",
+    "full": "e101f6c782e7eca1afea720c5f6931f9deef4155d912cf911e1354b615c8993a",
+    "quick": "621953fe35aa704ea2f01d493a74d8eae36c47156e02d6d79cc7994e10aa77d1",
 }
 
 
 def _frontdoor_overload(quick: bool):
     """The past-the-knee overload ablation with and without protection.
 
-    Times the full ``frontdoor_overload`` experiment: three dispatch
-    arms (below-knee baseline / unprotected retry storm / protected
-    admission+budget+breaker stack) plus the overload chaos storm,
-    with the serial and process-pool runs compared inside the
-    experiment. Fingerprint and conservation audits are asserted in
-    the timed region.
+    Times one run of the ``frontdoor_overload`` experiment: three
+    dispatch arms (below-knee baseline / unprotected retry storm /
+    protected admission+budget+breaker stack) plus the overload chaos
+    storm. Fingerprint and conservation audits are asserted in the
+    timed region.
     """
     from repro.experiments import frontdoor_overload
 
@@ -367,52 +357,6 @@ def kvm_fingerprint() -> str:
     }
     payload = json.dumps(observables, sort_keys=True).encode()
     return hashlib.sha256(payload).hexdigest()
-
-
-def fleet_parallel_entry(quick: bool, repeat: int = 1) -> dict:
-    """Time the epoch-barrier storm serial vs process-parallel.
-
-    Byte-identical fingerprints between the two executors are this
-    scenario's hard invariant (the determinism guard for the parallel
-    fleet runner). Wall-clock ``scaling`` (serial / parallel seconds)
-    is recorded together with the host CPU count; on a single-CPU
-    host the parallel run necessarily loses to the serial one (same
-    work plus pipe traffic), so the gate only enforces the scaling
-    floor when ``cpus >= workers``.
-    """
-    from repro.fleet.parallel import run_parallel_storm
-
-    workers = 2 if quick else 4
-    params = dict(hosts=4, parents=2, batch=2, epochs=3, kills=1) \
-        if quick else dict(hosts=4, parents=3, batch=3, epochs=8, kills=1)
-
-    def run(n_workers: int):
-        return run_parallel_storm(workers=n_workers, **params)
-
-    serial_best = float("inf")
-    parallel_best = float("inf")
-    serial_print = parallel_print = ""
-    for _ in range(max(1, repeat)):
-        gc.collect()
-        start = time.perf_counter()
-        report = run(0)
-        serial_best = min(serial_best, time.perf_counter() - start)
-        serial_print = report.fingerprint
-        start = time.perf_counter()
-        report = run(workers)
-        parallel_best = min(parallel_best, time.perf_counter() - start)
-        parallel_print = report.fingerprint
-    return {
-        "seconds": round(serial_best, 3),
-        "parallel_seconds": round(parallel_best, 3),
-        "scaling": round(serial_best / parallel_best, 2),
-        "workers": workers,
-        "hosts": params["hosts"],
-        "epochs": params["epochs"],
-        "cpus": os.cpu_count(),
-        "fingerprint_match": serial_print == parallel_print,
-        "fingerprint": serial_print,
-    }
 
 
 SCENARIOS = {
@@ -484,7 +428,6 @@ def run_harness(quick: bool = False, repeat: int = 1,
                                if base_calls and calls else None),
         }
         results[name] = entry
-    results["fleet_parallel"] = fleet_parallel_entry(quick, repeat=repeat)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "scale": scale,
@@ -518,14 +461,6 @@ def format_wallclock(payload: dict) -> str:
     width = max(len(name) for name in payload["scenarios"])
     for name, entry in payload["scenarios"].items():
         line = f"  {name:<{width}}  {entry['seconds']:>8.3f}s"
-        if name == "fleet_parallel":
-            line += (f"  (parallel {entry['parallel_seconds']:.3f}s, "
-                     f"{entry['scaling']:.2f}x over {entry['workers']} "
-                     f"workers on {entry['cpus']} cpus, fingerprints "
-                     + ("match)" if entry["fingerprint_match"]
-                        else "DIFFER)"))
-            lines.append(line)
-            continue
         if entry.get("baseline_seconds"):
             line += (f"  (baseline {entry['baseline_seconds']:.3f}s, "
                      f"{entry['speedup']:.2f}x)")

@@ -31,17 +31,12 @@ carries the overload window (the experiment asserts all three). A
 fourth unit runs the 100-fault migration storm
 (:func:`run_migration_chaos`) and requires a clean fleet-wide audit
 with pages in flight.
-
-Determinism: all four units run twice — serially and through a
-process pool — and the experiment asserts the two result sets are
-byte-identical before fingerprinting.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -62,15 +57,14 @@ HOST_MEMORY_BYTES = 2 * MIB + 13 * MIB + 512 * 1024
 HOST_DOM0_BYTES = 2 * MIB
 
 
-def _run_arm(task: tuple[str, int, dict[str, Any]]) -> dict[str, Any]:
-    """One experiment unit, self-contained so a pool worker can run it."""
-    kind, seed, params = task
+def _run_arm(kind: str, seed: int, params: dict[str, Any]
+             ) -> dict[str, Any]:
+    """One experiment unit: a traffic arm or the migration storm."""
     if kind == "storm":
         report = run_migration_chaos(
             seed=seed, hosts=params["hosts"],
             faults=params["faults"], rounds=params["storm_rounds"])
         return {
-            "arm": kind,
             "migrations_planned": report.migrations_planned,
             "migrations_done": report.migrations_done,
             "migrations_failed": report.migrations_failed,
@@ -122,7 +116,6 @@ def _run_arm(task: tuple[str, int, dict[str, Any]]) -> dict[str, Any]:
                       for record in session.fleet.migrations]
     session.close(check=False)
     return {
-        "arm": kind,
         "origin": placement.host,
         "requests": dispatch.requests,
         "completed": dispatch.completed,
@@ -153,7 +146,7 @@ def _run_arm(task: tuple[str, int, dict[str, Any]]) -> dict[str, Any]:
 
 @dataclass
 class FleetMigrationResult:
-    """The ablation table plus the storm unit and determinism check."""
+    """The ablation table plus the storm unit."""
 
     seed: int
     hosts: int
@@ -162,8 +155,6 @@ class FleetMigrationResult:
     arrival_rps: float
     arms: dict[str, dict[str, Any]] = field(default_factory=dict)
     storm: dict[str, Any] = field(default_factory=dict)
-    #: True when the pool-executed run matched the serial run exactly.
-    parallel_identical: bool = True
     violations: list[str] = field(default_factory=list)
     fingerprint: str = ""
 
@@ -178,7 +169,6 @@ class FleetMigrationResult:
             "arms": {name: dict(arm)
                      for name, arm in sorted(self.arms.items())},
             "storm": dict(self.storm),
-            "parallel_identical": self.parallel_identical,
             "violations": list(self.violations),
             "fingerprint": self.fingerprint,
         }
@@ -188,8 +178,7 @@ def run(seed: int = 0xC10E, *, hosts: int = 3, clones_origin: int = 6,
         clones_spill: int = 2, requests: int = 12_000,
         arrival_rps: float = 1500.0, heartbeat_every_ms: float = 50.0,
         kill_tick: int | None = None, storm_faults: int = 100,
-        storm_rounds: int = 10,
-        parallel: bool = True) -> FleetMigrationResult:
+        storm_rounds: int = 10) -> FleetMigrationResult:
     """The drain-vs-kill ablation at one operating point.
 
     The arrival rate deliberately exceeds what the spill host's
@@ -209,29 +198,18 @@ def run(seed: int = 0xC10E, *, hosts: int = 3, clones_origin: int = 6,
         "kill_tick": kill_tick, "faults": storm_faults,
         "storm_rounds": storm_rounds,
     }
-    tasks = [(kind, seed, params)
-             for kind in ("baseline", "drain", "kill", "storm")]
-    serial = [_run_arm(task) for task in tasks]
     result = FleetMigrationResult(
         seed=seed, hosts=hosts,
         instances=2 + clones_origin + clones_spill,
         requests=requests, arrival_rps=arrival_rps)
-    if parallel:
-        with multiprocessing.get_context("fork").Pool(2) as pool:
-            pooled = pool.map(_run_arm, tasks)
-        result.parallel_identical = pooled == serial
-        if not result.parallel_identical:
-            result.violations.append(
-                "parallel run diverged from serial run")
-
-    for unit in serial:
-        name = unit.pop("arm")
-        if name == "storm":
+    for kind in ("baseline", "drain", "kill", "storm"):
+        unit = _run_arm(kind, seed, params)
+        if kind == "storm":
             result.storm = unit
         else:
-            result.arms[name] = unit
+            result.arms[kind] = unit
         result.violations.extend(
-            f"{name}: {violation}" for violation in unit["violations"])
+            f"{kind}: {violation}" for violation in unit["violations"])
 
     drain = result.arms["drain"]
     kill = result.arms["kill"]
@@ -269,7 +247,7 @@ def run_quick(seed: int = 0xC10E) -> FleetMigrationResult:
 
 
 def format_result(result: FleetMigrationResult) -> str:
-    """The drain-vs-kill table plus the storm and determinism lines."""
+    """The drain-vs-kill table plus the storm line."""
     rows = []
     for name in ("baseline", "drain", "kill"):
         arm = result.arms[name]
@@ -296,8 +274,6 @@ def format_result(result: FleetMigrationResult) -> str:
         f"{storm.get('migrations_failed', 0)} failed, "
         f"{storm.get('pages_streamed', 0)} pages streamed, "
         f"{storm.get('midstream_audits', 0)} mid-stream audits clean")]
-    lines.append("\nserial == parallel: "
-                 + ("yes" if result.parallel_identical else "NO"))
     if result.violations:
         lines.append(f"\nVIOLATIONS ({len(result.violations)}):")
         lines.extend(f"\n  - {violation}"

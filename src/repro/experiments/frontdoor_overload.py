@@ -30,15 +30,13 @@ A fourth unit runs the seeded overload storm
 flaps) with conservation audits between waves. Each traffic arm also
 audits the fleet *between* its waves — retry budgets and breaker state
 alive, work in flight across the audit — and the experiment requires
-every audit clean. All four units run twice, serially and through a
-process pool, and the two result sets must be byte-identical.
+every audit clean.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -78,9 +76,9 @@ def _arm_policy(kind: str, params: dict[str, Any]
         deadline_ms=params["deadline_ms"])
 
 
-def _run_arm(task: tuple[str, int, dict[str, Any]]) -> dict[str, Any]:
-    """One experiment unit, self-contained so a pool worker can run it."""
-    kind, seed, params = task
+def _run_arm(kind: str, seed: int, params: dict[str, Any]
+             ) -> dict[str, Any]:
+    """One experiment unit: a traffic arm or the overload storm."""
     if kind == "storm":
         report = run_overload_storm(
             seed=seed, hosts=params["hosts"],
@@ -88,7 +86,6 @@ def _run_arm(task: tuple[str, int, dict[str, Any]]) -> dict[str, Any]:
             requests=params["storm_requests"],
             faults=params["storm_faults"])
         return {
-            "arm": kind,
             "offered": report.stats.get("offered", 0),
             "shed": report.stats.get("shed", 0),
             "retries": report.stats.get("retries", 0),
@@ -146,7 +143,6 @@ def _run_arm(task: tuple[str, int, dict[str, Any]]) -> dict[str, Any]:
     offered = sum(w["offered"] for w in waves)
     completed = sum(w["completed"] for w in waves)
     return {
-        "arm": kind,
         "clone_factor": d,
         "offered": offered,
         "completed": completed,
@@ -168,7 +164,7 @@ def _run_arm(task: tuple[str, int, dict[str, Any]]) -> dict[str, Any]:
 
 @dataclass
 class FrontdoorOverloadResult:
-    """The ablation table plus the storm unit and determinism check."""
+    """The ablation table plus the storm unit."""
 
     seed: int
     hosts: int
@@ -177,8 +173,6 @@ class FrontdoorOverloadResult:
     arrival_rps: float
     arms: dict[str, dict[str, Any]] = field(default_factory=dict)
     storm: dict[str, Any] = field(default_factory=dict)
-    #: True when the pool-executed run matched the serial run exactly.
-    parallel_identical: bool = True
     violations: list[str] = field(default_factory=list)
     fingerprint: str = ""
 
@@ -193,7 +187,6 @@ class FrontdoorOverloadResult:
             "arms": {name: dict(arm)
                      for name, arm in sorted(self.arms.items())},
             "storm": dict(self.storm),
-            "parallel_identical": self.parallel_identical,
             "violations": list(self.violations),
             "fingerprint": self.fingerprint,
         }
@@ -205,8 +198,8 @@ def run(seed: int = 0xC10E, *, shape: str = "faas", hosts: int = 4,
         overload_d: int = 8, timeout_ms: float = 60.0,
         attempt_timeout_ms: float = 40.0,
         sojourn_bound_ms: float = 25.0, deadline_ms: float = 50.0,
-        storm_requests: int = 3_000, storm_faults: int = 30,
-        parallel: bool = True) -> FrontdoorOverloadResult:
+        storm_requests: int = 3_000, storm_faults: int = 30
+        ) -> FrontdoorOverloadResult:
     """The overload ablation at one operating point.
 
     ``utilization`` is chosen so the baseline clone factor sits clear
@@ -226,26 +219,15 @@ def run(seed: int = 0xC10E, *, shape: str = "faas", hosts: int = 4,
         "deadline_ms": deadline_ms,
         "storm_requests": storm_requests, "storm_faults": storm_faults,
     }
-    tasks = [(kind, seed, params)
-             for kind in ("baseline", "unprotected", "protected", "storm")]
-    serial = [_run_arm(task) for task in tasks]
     result = FrontdoorOverloadResult(
         seed=seed, hosts=hosts, replicas=replicas, requests=requests,
         arrival_rps=arrival_rps)
-    if parallel:
-        with multiprocessing.get_context("fork").Pool(2) as pool:
-            pooled = pool.map(_run_arm, tasks)
-        result.parallel_identical = pooled == serial
-        if not result.parallel_identical:
-            result.violations.append(
-                "parallel run diverged from serial run")
-
-    for unit in serial:
-        name = unit.pop("arm")
-        if name == "storm":
+    for kind in ("baseline", "unprotected", "protected", "storm"):
+        unit = _run_arm(kind, seed, params)
+        if kind == "storm":
             result.storm = unit
         else:
-            result.arms[name] = unit
+            result.arms[kind] = unit
         result.violations.extend(unit["violations"])
 
     baseline = result.arms["baseline"]
@@ -311,7 +293,7 @@ def run_quick(seed: int = 0xC10E) -> FrontdoorOverloadResult:
 
 
 def format_result(result: FrontdoorOverloadResult) -> str:
-    """The ablation table plus the storm and determinism lines."""
+    """The ablation table plus the collapse and storm lines."""
     rows = []
     for name in ("baseline", "unprotected", "protected"):
         arm = result.arms[name]
@@ -344,8 +326,6 @@ def format_result(result: FrontdoorOverloadResult) -> str:
         f"{storm.get('shed', 0)} shed, {storm.get('retries', 0)} "
         f"retries, {storm.get('breaker_trips', 0)} breaker trips, "
         f"audits clean: {not storm.get('violations')}")
-    lines.append("\nserial == parallel: "
-                 + ("yes" if result.parallel_identical else "NO"))
     if result.violations:
         lines.append(f"\nVIOLATIONS ({len(result.violations)}):")
         lines.extend(f"\n  - {violation}"

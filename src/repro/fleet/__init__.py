@@ -36,14 +36,6 @@ from repro.fleet.migration import (
     migration_storm_plan,
     run_migration_chaos,
 )
-from repro.fleet.parallel import (
-    HostSpec,
-    ParallelStormReport,
-    ProcessHostExecutor,
-    SerialHostExecutor,
-    audit_parallel_report,
-    run_parallel_storm,
-)
 from repro.fleet.placement import (
     POLICIES,
     LeastLoadedPolicy,
@@ -54,12 +46,6 @@ from repro.fleet.placement import (
 )
 
 __all__ = [
-    "HostSpec",
-    "ParallelStormReport",
-    "ProcessHostExecutor",
-    "SerialHostExecutor",
-    "audit_parallel_report",
-    "run_parallel_storm",
     "Fleet",
     "FleetConfig",
     "FleetError",

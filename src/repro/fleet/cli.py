@@ -15,7 +15,6 @@ import sys
 
 from repro.faults.plan import FaultPlan
 from repro.fleet.chaos import FleetChaosReport, run_fleet_chaos
-from repro.fleet.parallel import ParallelStormReport, run_parallel_storm
 from repro.fleet.placement import POLICIES
 
 
@@ -43,11 +42,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--plan", type=str, default=None,
                         help="JSON fault-plan file (default: generated "
                              "kill plan)")
-    parser.add_argument("--parallel", type=int, default=None,
-                        metavar="N",
-                        help="run the epoch-barrier storm instead, with "
-                             "N worker processes (0 = same storm, "
-                             "serial executor)")
     parser.add_argument("--json", action="store_true",
                         help="print the full report as JSON")
     parser.add_argument("--list-policies", action="store_true",
@@ -75,59 +69,6 @@ def _print_report(report: FleetChaosReport, as_json: bool) -> None:
         print("  leak audit: clean (fleet-wide)")
 
 
-def _print_parallel_report(report: ParallelStormReport,
-                           as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-        return
-    print(f"parallel storm seed={report.seed:#x} hosts={report.hosts} "
-          f"workers={report.workers} policy={report.policy} "
-          f"epochs={report.epochs}")
-    print(f"  clones: requested={report.clones_requested} "
-          f"placed={report.clones_placed} failed={report.clones_failed}")
-    print(f"  hosts killed: {report.hosts_killed}  "
-          f"replacements: {report.children_replaced}  "
-          f"forwards: {report.forwards}  "
-          f"fenced: {report.fenced_commands}")
-    print(f"  fleet clock: {report.clock_ms:.3f} ms")
-    print(f"  fingerprint: {report.fingerprint}")
-    if report.violations:
-        print(f"  VIOLATIONS ({len(report.violations)}):")
-        for violation in report.violations:
-            print(f"    - {violation}")
-    else:
-        print("  leak audit: clean (fleet-wide)")
-
-
-def _main_parallel(args: argparse.Namespace) -> int:
-    """The ``--parallel N`` path: the epoch-barrier storm runner."""
-    fingerprints: list[str] = []
-    report: ParallelStormReport | None = None
-    for _ in range(max(1, args.runs)):
-        report = run_parallel_storm(
-            seed=args.seed, hosts=args.hosts, workers=args.parallel,
-            parents=args.parents, batch=args.batch, epochs=args.rounds,
-            kills=args.kills, policy=args.policy)
-        fingerprints.append(report.fingerprint)
-    assert report is not None
-    _print_parallel_report(report, args.json)
-
-    exit_code = 0
-    if report.violations:
-        print(f"FAIL: {len(report.violations)} leak-oracle violations",
-              file=sys.stderr)
-        exit_code = 1
-    if len(set(fingerprints)) > 1:
-        print(f"FAIL: fingerprint drift across {len(fingerprints)} runs: "
-              f"{fingerprints}", file=sys.stderr)
-        exit_code = 1
-    if report.hosts_killed < min(args.kills, args.hosts):
-        print(f"FAIL: storm killed {report.hosts_killed} hosts, "
-              f"expected {min(args.kills, args.hosts)}", file=sys.stderr)
-        exit_code = 1
-    return exit_code
-
-
 def main(argv: list[str] | None = None) -> int:
     """Run the storm; returns the process exit code."""
     args = _build_parser().parse_args(argv)
@@ -135,8 +76,6 @@ def main(argv: list[str] | None = None) -> int:
         for name in sorted(POLICIES):
             print(name)
         return 0
-    if args.parallel is not None:
-        return _main_parallel(args)
 
     plan = None
     if args.plan:

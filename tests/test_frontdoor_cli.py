@@ -45,6 +45,17 @@ def test_json_report_shape(capsys):
     assert result["fingerprint"]
 
 
+def test_parallel_sweep_prints_the_serial_json(capsys):
+    # --parallel fans the clone factors out to forked workers; each
+    # factor is its own seeded simulation, so the report must not move.
+    argv = ["--requests", "600", "--clone-factors", "1,2", "--json"]
+    assert main(argv) == 0
+    serial = capsys.readouterr().out
+    assert main(argv + ["--parallel", "2"]) == 0
+    assert capsys.readouterr().out == serial
+    assert len(json.loads(serial)["results"]) == 2
+
+
 def test_workload_choices_cover_the_request_shapes(capsys):
     assert main(["--requests", "200", "--clone-factors", "1",
                  "--workload", "nginx"]) == 0

@@ -6,16 +6,17 @@ CI runs the quick size and pins its fingerprint; the full size is the
 """
 
 import json
+import multiprocessing
 
 import pytest
 
 from repro.experiments import frontdoor_overload
 
 #: The quick run's sha256, pinned byte-for-byte like the other
-#: headline experiments — it covers all three arms, the storm, the
-#: mid-run audits and the serial-vs-parallel comparison.
+#: headline experiments — it covers all three arms, the storm and the
+#: mid-run audits.
 QUICK_FINGERPRINT = (
-    "f0a47d0cef0e99c345ddc1c8198b1ff847447407132284cdf36697ad818bf62c")
+    "621953fe35aa704ea2f01d493a74d8eae36c47156e02d6d79cc7994e10aa77d1")
 
 
 @pytest.fixture(scope="module")
@@ -25,7 +26,17 @@ def quick():
 
 def test_quick_run_is_deterministic_and_pinned(quick):
     assert quick.fingerprint == QUICK_FINGERPRINT
-    assert quick.parallel_identical
+
+
+def _quick_payload() -> dict:
+    return frontdoor_overload.run_quick(seed=0xC10E).to_dict()
+
+
+def test_forked_worker_reproduces_the_result(quick):
+    """The whole result is a function of the seed alone: a forked
+    worker process computes exactly the in-process payload."""
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        assert pool.apply(_quick_payload) == quick.to_dict()
 
 
 def test_quick_run_has_zero_violations(quick):
@@ -66,7 +77,7 @@ def test_storm_arm_matches_the_smoke(quick):
 def test_format_result_renders_the_table(quick):
     text = frontdoor_overload.format_result(quick)
     for token in ("baseline", "unprotected", "protected", "goodput",
-                  "breaker trips", "serial == parallel"):
+                  "breaker trips"):
         assert token in text
 
 

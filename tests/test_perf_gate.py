@@ -7,7 +7,12 @@ import json
 import pytest
 
 from benchmarks.perf.gate import check, format_table, load_reference
-from benchmarks.perf.harness import FLOORS, SCHEMA_VERSION
+from benchmarks.perf.harness import (
+    FLOORS,
+    OUTPUT_PATH,
+    SCENARIOS,
+    SCHEMA_VERSION,
+)
 
 
 def _payload(**overrides) -> dict:
@@ -17,8 +22,6 @@ def _payload(**overrides) -> dict:
         "cpus": 8,
         "scenarios": {
             "fig5_density": {"speedup": 2.4, "work_reduction": 3.65},
-            "fleet_parallel": {"fingerprint_match": True, "scaling": 1.4,
-                               "workers": 4, "cpus": 8},
         },
         "determinism": {"fig5": "ok"},
     }
@@ -29,7 +32,7 @@ def _payload(**overrides) -> dict:
 def test_all_floors_held_yields_no_violations():
     violations, rows = check(_payload(), FLOORS)
     assert violations == []
-    assert any(r[0] == "fleet_parallel" and r[1] == "scaling"
+    assert any(r[0] == "fig5_density" and r[1] == "work_reduction"
                for r in rows)
     assert "FAIL" not in format_table(rows)
 
@@ -46,31 +49,6 @@ def test_work_reduction_below_floor_fails():
     payload["scenarios"]["fig5_density"]["work_reduction"] = 1.0
     violations, _ = check(payload, FLOORS)
     assert any("work_reduction" in v for v in violations)
-
-
-def test_fingerprint_mismatch_always_fails_even_on_one_cpu():
-    payload = _payload(cpus=1)
-    payload["scenarios"]["fleet_parallel"].update(
-        fingerprint_match=False, cpus=1, scaling=0.3)
-    violations, _ = check(payload, FLOORS)
-    assert any("fingerprints differ" in v for v in violations)
-
-
-def test_scaling_floor_waived_below_worker_count():
-    payload = _payload(cpus=1)
-    payload["scenarios"]["fleet_parallel"].update(cpus=1, scaling=0.3)
-    violations, rows = check(payload, FLOORS)
-    assert violations == []
-    scaling_row = next(r for r in rows
-                       if r[0] == "fleet_parallel" and r[1] == "scaling")
-    assert "waived" in scaling_row[-1]
-
-
-def test_scaling_floor_enforced_with_enough_cpus():
-    payload = _payload()
-    payload["scenarios"]["fleet_parallel"]["scaling"] = 0.3
-    violations, _ = check(payload, FLOORS)
-    assert any("fleet_parallel: scaling" in v for v in violations)
 
 
 def test_frontdoor_megascale_floor_enforced():
@@ -120,8 +98,16 @@ def test_reference_schema_version_is_enforced(tmp_path):
 def test_committed_payload_satisfies_its_own_floors():
     """The repo must never commit a BENCH_wallclock.json that its own
     gate would reject."""
-    from benchmarks.perf.harness import OUTPUT_PATH
-
     payload = load_reference(OUTPUT_PATH)
     violations, _ = check(payload, payload["floors"])
     assert violations == []
+
+
+def test_committed_payload_matches_the_harness():
+    """The gate enforces the committed floors, so they must be the
+    harness's own, and every committed name must still be a scenario
+    the harness runs."""
+    payload = load_reference(OUTPUT_PATH)
+    assert payload["floors"] == FLOORS
+    assert set(payload["floors"]) <= set(SCENARIOS)
+    assert set(payload["scenarios"]) <= set(SCENARIOS)
