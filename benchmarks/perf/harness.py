@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import cProfile
 import gc
+import importlib
 import json
 import os
 import platform as host_platform
@@ -60,14 +61,16 @@ BASELINES: dict[str, dict[str, tuple[float, int]]] = {
                       "quick": (0.269, 1_415_983)},
 }
 
-#: DispatchResult sweep fingerprints the frontdoor scenario must
-#: reproduce byte-for-byte: a faster dispatcher that perturbs a single
-#: latency by an ulp is a correctness regression, not a win. The full
-#: pin was captured from the pre-rewrite dispatcher; the quick pin
-#: guards run-to-run determinism at CI scale.
-FRONTDOOR_FINGERPRINTS = {
-    "full": "6d55565467eb66bea7d4c3b7edfa7e17596dcd4589e4e2c54630525895cef474",
-    "quick": "35c31ef94ab2eed3d717955da4aaf3752f4c1e948a5d8c1ee05b20d60ba19553",
+#: Full-scale result fingerprints the pinned experiment scenarios must
+#: reproduce byte for byte inside their timed region: a faster path
+#: that perturbs a single latency by an ulp, or leaks a page, is a
+#: correctness regression, not a win. The frontdoor_p99 pin was
+#: captured from the pre-rewrite per-job-decrement dispatcher. The
+#: quick-scale pins live in :data:`repro.scenarios.SCENARIOS`.
+FULL_PINS = {
+    "frontdoor_p99": "6d55565467eb66bea7d4c3b7edfa7e17596dcd4589e4e2c54630525895cef474",
+    "fleet_migration": "32ced3de2043b36a20f8da1e4d5652db82eb9e88057ffab42a09257d9035bca8",
+    "frontdoor_overload": "e101f6c782e7eca1afea720c5f6931f9deef4155d912cf911e1354b615c8993a",
 }
 
 #: Per-scenario regression floors, enforced by the perf gate.
@@ -204,108 +207,36 @@ def _xenstore_deep_clone(quick: bool):
     return scenario
 
 
-def _frontdoor(quick: bool):
-    """The front-door P99-vs-d sweep (megascale dispatch hot loop).
+def _pinned_experiment(name: str):
+    """Scenario factory for the experiment ``repro.experiments.<name>``.
 
-    Full scale is the headline 1,071,875-request sweep across clone
-    factors 1-8 plus the composed autoscale + host-kill run; quick is
-    the CI-sized variant. The sweep fingerprint is asserted against
-    :data:`FRONTDOOR_FINGERPRINTS` inside the timed region — the
-    virtual-time fast path is only admissible while it reproduces the
-    per-job-decrement latency series byte for byte — and the audit
-    ledgers must come back clean.
+    Times one ``run()`` (full) or ``run_quick()`` (quick): the P99-vs-d
+    sweep plus its composed chaos run (``frontdoor_p99``, full scale is
+    the 1,071,875-request megascale sweep), or an ablation's three
+    arms plus its storm (``fleet_migration``, ``frontdoor_overload``).
+    The fingerprint (:data:`FULL_PINS`, or the quick run's registry
+    pin) and clean audits are asserted inside the timed region.
     """
-    from repro.experiments import frontdoor_p99
+    def factory(quick: bool):
+        from repro.scenarios import SCENARIOS
 
-    expected = FRONTDOOR_FINGERPRINTS["quick" if quick else "full"]
+        module = importlib.import_module(f"repro.experiments.{name}")
+        expected = (SCENARIOS[name.replace("_", "-")].pin if quick
+                    else FULL_PINS[name])
 
-    def scenario():
-        result = (frontdoor_p99.run_quick() if quick
-                  else frontdoor_p99.run())
-        if result.fingerprint != expected:
-            raise AssertionError(
-                "frontdoor sweep fingerprint drift: "
-                f"{result.fingerprint} != {expected}")
-        if result.violations:
-            raise AssertionError(
-                f"frontdoor conservation violations: {result.violations}")
+        def scenario():
+            result = module.run_quick() if quick else module.run()
+            if result.fingerprint != expected:
+                raise AssertionError(
+                    f"{name} fingerprint drift: "
+                    f"{result.fingerprint} != {expected}")
+            if result.violations:
+                raise AssertionError(
+                    f"{name} violations: {result.violations}")
 
-    return scenario
+        return scenario
 
-
-#: FleetMigrationResult fingerprints the migration scenario must
-#: reproduce byte-for-byte: the drain/kill/baseline ablation and the
-#: migration fault storm both feed the hash, so any behavior drift in
-#: the migration tier fails the run before its timing is even recorded.
-MIGRATION_FINGERPRINTS = {
-    "full": "32ced3de2043b36a20f8da1e4d5652db82eb9e88057ffab42a09257d9035bca8",
-    "quick": "a5ed03e3ecc4e5dc2e67f063d0d729f996bbf44e252e5e4d73e6bc7b78088b7a",
-}
-
-
-def _fleet_migration(quick: bool):
-    """The drain-vs-kill migration ablation under front-door traffic.
-
-    Times one run of the ``fleet_migration`` experiment: three dispatch
-    arms (baseline / drain-evacuate / kill-reboot) plus the migration
-    fault storm. Fingerprint and conservation audits are asserted in
-    the timed region — a faster migration path that changes a single
-    latency or leaks a page is a regression, not a win.
-    """
-    from repro.experiments import fleet_migration
-
-    expected = MIGRATION_FINGERPRINTS["quick" if quick else "full"]
-
-    def scenario():
-        result = (fleet_migration.run_quick() if quick
-                  else fleet_migration.run())
-        if result.fingerprint != expected:
-            raise AssertionError(
-                "fleet_migration fingerprint drift: "
-                f"{result.fingerprint} != {expected}")
-        if result.violations:
-            raise AssertionError(
-                f"fleet_migration violations: {result.violations}")
-
-    return scenario
-
-
-#: FrontdoorOverloadResult fingerprints the overload scenario must
-#: reproduce byte-for-byte: the baseline/unprotected/protected
-#: ablation past the knee and the overload chaos storm both feed the
-#: hash, so any drift in admission control, retry budgets or breaker
-#: behavior fails the run before its timing is even recorded.
-OVERLOAD_FINGERPRINTS = {
-    "full": "e101f6c782e7eca1afea720c5f6931f9deef4155d912cf911e1354b615c8993a",
-    "quick": "621953fe35aa704ea2f01d493a74d8eae36c47156e02d6d79cc7994e10aa77d1",
-}
-
-
-def _frontdoor_overload(quick: bool):
-    """The past-the-knee overload ablation with and without protection.
-
-    Times one run of the ``frontdoor_overload`` experiment: three
-    dispatch arms (below-knee baseline / unprotected retry storm /
-    protected admission+budget+breaker stack) plus the overload chaos
-    storm. Fingerprint and conservation audits are asserted in the
-    timed region.
-    """
-    from repro.experiments import frontdoor_overload
-
-    expected = OVERLOAD_FINGERPRINTS["quick" if quick else "full"]
-
-    def scenario():
-        result = (frontdoor_overload.run_quick() if quick
-                  else frontdoor_overload.run())
-        if result.fingerprint != expected:
-            raise AssertionError(
-                "frontdoor_overload fingerprint drift: "
-                f"{result.fingerprint} != {expected}")
-        if result.violations:
-            raise AssertionError(
-                f"frontdoor_overload violations: {result.violations}")
-
-    return scenario
+    return factory
 
 
 def _kvm_clone_burst(quick: bool):
@@ -365,9 +296,9 @@ SCENARIOS = {
     "clone_fleet": _clone_fleet,
     "xenstore_deep_clone": _xenstore_deep_clone,
     "kvm_clone_burst": _kvm_clone_burst,
-    "frontdoor_p99": _frontdoor,
-    "fleet_migration": _fleet_migration,
-    "frontdoor_overload": _frontdoor_overload,
+    "frontdoor_p99": _pinned_experiment("frontdoor_p99"),
+    "fleet_migration": _pinned_experiment("fleet_migration"),
+    "frontdoor_overload": _pinned_experiment("frontdoor_overload"),
 }
 
 

@@ -58,7 +58,7 @@ REDIS_OP = RequestShape(
     mean_service_ms=1000.0 / REDIS_OP_CAPACITY_RPS,
     description="Redis GET/SET against a clone replica")
 
-#: Registry, keyed by shape name (``--workload`` on the CLI).
+#: Registry, keyed by shape name (the ``workload`` argument of dispatch).
 SHAPES = {shape.name: shape for shape in (FAAS_INVOKE, NGINX_GET, REDIS_OP)}
 
 

@@ -16,10 +16,9 @@ additions:
     vcpu-pin <dom> <v> <cpus>  pin a vCPU to physical CPUs
     stats                      full platform snapshot (memory, families)
     faults [sites]             fault-injection counters / site registry
-    fleet storm [hosts kills]  multi-host host-kill storm (repro.fleet)
     fleet policies             placement policy registry
     frontdoor [reqs [d]]       request-cloning dispatch smoke (repro.frontdoor)
-    frontdoor storm [faults]   overload-resilience chaos smoke (shed/retry/breaker)
+    storm <name>               a pinned storm or quick experiment (repro.scenarios)
     trace [summary]            per-stage virtual-time breakdown table
     trace spans [kind]         recorded spans (optionally one kind)
     trace export <file.json>   write the machine-readable run report
@@ -78,6 +77,7 @@ class XlShell:
             "faults": self.cmd_faults,
             "fleet": self.cmd_fleet,
             "frontdoor": self.cmd_frontdoor,
+            "storm": self.cmd_storm,
             "trace": self.cmd_trace,
             "help": self.cmd_help,
         }
@@ -301,48 +301,18 @@ class XlShell:
         self._print(faults.format_report())
 
     def cmd_fleet(self, args: list[str]) -> None:
-        """fleet storm [hosts kills] | fleet policies"""
-        sub = args[0] if args else "storm"
-        if sub == "policies":
-            from repro.fleet import POLICIES
+        """fleet policies"""
+        if args != ["policies"]:
+            raise CliError("usage: fleet policies")
+        from repro.fleet import POLICIES
 
-            for name in sorted(POLICIES):
-                self._print(name)
-            return
-        if sub != "storm" or len(args) > 3:
-            raise CliError("usage: fleet storm [hosts kills] | fleet policies")
-        from repro.fleet import run_fleet_chaos
-
-        try:
-            hosts = int(args[1]) if len(args) >= 2 else 4
-            kills = int(args[2]) if len(args) >= 3 else 2
-        except ValueError as error:
-            raise CliError(f"bad hosts/kills: {error}") from error
-        # The storm runs on its own fleet (own hosts, own clock); the
-        # shell's single-host platform is untouched.
-        report = run_fleet_chaos(hosts=hosts, kills=kills)
-        self._print(f"fleet chaos seed={report.seed:#x} "
-                    f"hosts={report.hosts} policy={report.policy}")
-        self._print(f"  clones: requested={report.clones_requested} "
-                    f"placed={report.clones_placed} "
-                    f"failed={report.clones_failed}")
-        self._print(f"  hosts killed: {report.hosts_killed}  "
-                    f"replacements: {report.replacements}")
-        self._print(f"  fingerprint: {report.fingerprint}")
-        if report.violations:
-            self._print(f"  VIOLATIONS ({len(report.violations)}):")
-            for violation in report.violations:
-                self._print(f"    - {violation}")
-        else:
-            self._print("  leak audit: clean (fleet-wide)")
+        for name in sorted(POLICIES):
+            self._print(name)
 
     def cmd_frontdoor(self, args: list[str]) -> None:
-        """frontdoor [requests [clone-factor]] | frontdoor storm [faults]"""
-        if args and args[0] == "storm":
-            return self._frontdoor_storm(args[1:])
+        """frontdoor [requests [clone-factor]]"""
         if len(args) > 2:
-            raise CliError("usage: frontdoor [requests [clone-factor]] "
-                           "| frontdoor storm [faults]")
+            raise CliError("usage: frontdoor [requests [clone-factor]]")
         try:
             requests = int(args[0]) if args else 2000
             clone_factor = int(args[1]) if len(args) >= 2 else 2
@@ -350,8 +320,8 @@ class XlShell:
             raise CliError(f"bad requests/clone-factor: {error}") from error
         from repro.frontdoor import FleetSession
 
-        # Like `fleet storm`, the smoke run owns its own fleet; the
-        # shell's single-host platform is untouched.
+        # The smoke run owns its own fleet; the shell's single-host
+        # platform is untouched.
         with FleetSession(hosts=2) as session:
             session.create_family("front", ip="10.9.0.1")
             session.clone("front", count=2 * clone_factor)
@@ -367,32 +337,16 @@ class XlShell:
         self._print(f"  waste fraction: {result.waste_fraction:.4f}")
         self._print(f"  fingerprint: {result.fingerprint}")
 
-    def _frontdoor_storm(self, args: list[str]) -> None:
-        """frontdoor storm [faults]: the overload-resilience smoke."""
-        if len(args) > 1:
-            raise CliError("usage: frontdoor storm [faults]")
-        try:
-            faults = int(args[0]) if args else 30
-        except ValueError as error:
-            raise CliError(f"bad faults: {error}") from error
-        from repro.frontdoor.resilience import (
-            format_storm_report,
-            run_overload_storm,
-        )
+    def cmd_storm(self, args: list[str]) -> None:
+        """storm <name>: run one pinned scenario at seed 0xC10E."""
+        from repro.scenarios import PIN_SEED, SCENARIOS, format_summary
 
-        # The storm owns its own fleet (own clock, own tracer); fold
-        # its shed/retry/breaker counters into the shell tracer so
-        # `trace summary` surfaces them alongside the datapath counts.
-        report = run_overload_storm(faults=faults)
-        self._print(format_storm_report(report))
-        if self.platform.tracer.enabled:
-            stats = report.stats
-            for key, counter in (("shed", "frontdoor.requests_shed"),
-                                 ("retries", "frontdoor.retries"),
-                                 ("breaker_trips",
-                                  "frontdoor.breaker_trips")):
-                if stats.get(key):
-                    self.platform.tracer.count(counter, stats[key])
+        if len(args) != 1 or args[0] not in SCENARIOS:
+            raise CliError(f"usage: storm <{' | '.join(SCENARIOS)}>")
+        # The scenario builds its own platform or fleet; the shell's
+        # platform is untouched.
+        payload = SCENARIOS[args[0]].runner(PIN_SEED)
+        self._print(format_summary(args[0], payload))
 
     def cmd_trace(self, args: list[str]) -> None:
         """trace [summary | spans [kind] | export <file> | reset]"""

@@ -35,8 +35,6 @@ with pages in flight.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -45,6 +43,7 @@ from repro.faults.plan import FaultPlan, FaultSpec
 from repro.fleet.chaos import audit_fleet
 from repro.fleet.migration import run_migration_chaos
 from repro.frontdoor.session import FleetSession
+from repro.scenarios import fingerprint
 
 MIB = 1024 * 1024
 
@@ -64,17 +63,10 @@ def _run_arm(kind: str, seed: int, params: dict[str, Any]
         report = run_migration_chaos(
             seed=seed, hosts=params["hosts"],
             faults=params["faults"], rounds=params["storm_rounds"])
-        return {
-            "migrations_planned": report.migrations_planned,
-            "migrations_done": report.migrations_done,
-            "migrations_failed": report.migrations_failed,
-            "pages_streamed": report.pages_streamed,
-            "pages_aborted": report.pages_aborted,
-            "faults_fired": report.faults_fired,
-            "midstream_audits": report.midstream_audits,
-            "violations": list(report.violations),
-            "fingerprint": report.fingerprint,
-        }
+        return {key: report[key] for key in (
+            "migrations_planned", "migrations_done", "migrations_failed",
+            "pages_streamed", "pages_aborted", "faults_fired",
+            "midstream_audits", "violations", "fingerprint")}
 
     plan = None
     if kind == "kill":
@@ -234,15 +226,13 @@ def run(seed: int = 0xC10E, *, hosts: int = 3, clones_origin: int = 6,
             f"drain P99 {drain['p99_ms']} ms is not a bounded blip over "
             f"baseline {baseline['p99_ms']} ms")
 
-    payload = result.to_dict()
-    payload.pop("fingerprint")
-    result.fingerprint = hashlib.sha256(
-        json.dumps(payload, sort_keys=True).encode()).hexdigest()
+    result.fingerprint = fingerprint(result.to_dict())
     return result
 
 
 def run_quick(seed: int = 0xC10E) -> FleetMigrationResult:
-    """The CI-sized run: 3k requests per arm, small storm."""
+    """The CI-sized run: 3k requests per arm, small storm; the
+    ``fleet-migration`` entry of :data:`repro.scenarios.SCENARIOS`."""
     return run(seed, requests=3_000, storm_faults=30, storm_rounds=4)
 
 

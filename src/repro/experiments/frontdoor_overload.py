@@ -35,8 +35,6 @@ every audit clean.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -45,6 +43,7 @@ from repro.experiments.report import format_table
 from repro.fleet.chaos import audit_fleet
 from repro.frontdoor.resilience import ResiliencePolicy, run_overload_storm
 from repro.frontdoor.session import FleetSession
+from repro.scenarios import fingerprint
 
 #: Goodput segments reported per wave (offered load is flat across
 #: them by construction, so the series *is* the goodput curve).
@@ -85,15 +84,16 @@ def _run_arm(kind: str, seed: int, params: dict[str, Any]
             replicas=params["replicas"],
             requests=params["storm_requests"],
             faults=params["storm_faults"])
+        stats = report["stats"]
         return {
-            "offered": report.stats.get("offered", 0),
-            "shed": report.stats.get("shed", 0),
-            "retries": report.stats.get("retries", 0),
-            "breaker_trips": report.stats.get("breaker_trips", 0),
+            "offered": stats.get("offered", 0),
+            "shed": stats.get("shed", 0),
+            "retries": stats.get("retries", 0),
+            "breaker_trips": stats.get("breaker_trips", 0),
             "faults_fired": sum(sum(c.values())
-                                for c in report.faults.values()),
-            "violations": list(report.violations),
-            "fingerprint": report.fingerprint,
+                                for c in report["faults"].values()),
+            "violations": report["violations"],
+            "fingerprint": report["fingerprint"],
         }
 
     d = params["baseline_d"] if kind == "baseline" else params["overload_d"]
@@ -279,15 +279,13 @@ def run(seed: int = 0xC10E, *, shape: str = "faas", hosts: int = 4,
             f"protected retries {protected['retries']} exceed the 10% "
             f"budget of {protected['offered']} first tries")
 
-    payload = result.to_dict()
-    payload.pop("fingerprint")
-    result.fingerprint = hashlib.sha256(
-        json.dumps(payload, sort_keys=True).encode()).hexdigest()
+    result.fingerprint = fingerprint(result.to_dict())
     return result
 
 
 def run_quick(seed: int = 0xC10E) -> FrontdoorOverloadResult:
-    """The CI-sized run: small fleet, 6k requests across the arms."""
+    """The CI-sized run: small fleet, 6k requests across the arms; the
+    ``frontdoor-overload`` entry of :data:`repro.scenarios.SCENARIOS`."""
     return run(seed, hosts=2, replicas=6, requests=6_000, overload_d=6,
                storm_requests=1_500, storm_faults=20)
 

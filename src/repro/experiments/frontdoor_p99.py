@@ -27,8 +27,6 @@ conservation laws still hold.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -40,6 +38,7 @@ from repro.frontdoor.dispatch import AutoscalePolicy
 from repro.frontdoor.model import measured_rho_eff, quantile_sojourn_ms
 from repro.frontdoor.results import DispatchResult
 from repro.frontdoor.session import FleetSession
+from repro.scenarios import fingerprint
 
 #: rho_eff above this is "at the knee": the open-loop backlog grows for
 #: as long as arrivals continue, so the measured tail is a function of
@@ -142,6 +141,18 @@ def _measure(session: FleetSession, family: str, shape_name: str, *,
     return result, rho_eff
 
 
+def _unresolved(dispatch: DispatchResult) -> list[str]:
+    """A run that has returned must have resolved every request:
+    ``requests == completed + failed + timed_out``, which is stricter
+    than the mid-run ``requests >= resolved`` of
+    :func:`~repro.fleet.chaos.audit_frontdoor`."""
+    resolved = dispatch.completed + dispatch.failed + dispatch.timed_out
+    if dispatch.requests == resolved:
+        return []
+    return [f"{dispatch.requests} requests but {dispatch.completed}"
+            f"+{dispatch.failed}+{dispatch.timed_out} resolved"]
+
+
 def run(seed: int = 0xC10E, *, shape: str = "faas",
         clone_factors: tuple[int, ...] = (1, 2, 3, 4, 6, 8),
         requests_per_factor: int = 175_000,
@@ -174,6 +185,8 @@ def run(seed: int = 0xC10E, *, shape: str = "faas",
             result.violations.extend(
                 f"d={d}: {v}" for v in audit_fleet(session.fleet,
                                                    session.frontdoor))
+            result.violations.extend(
+                f"d={d}: {v}" for v in _unresolved(dispatch))
             session.close(check=False)
         result.points.append(FrontdoorPoint(
             clone_factor=d, requests=dispatch.requests,
@@ -198,10 +211,7 @@ def run(seed: int = 0xC10E, *, shape: str = "faas",
         result.total_requests += result.composed["requests"]
         result.violations.extend(result.composed.pop("violations"))
 
-    payload = result.to_dict()
-    payload.pop("fingerprint")
-    result.fingerprint = hashlib.sha256(
-        json.dumps(payload, sort_keys=True).encode()).hexdigest()
+    result.fingerprint = fingerprint(result.to_dict())
     return result
 
 
@@ -227,6 +237,7 @@ def _run_composed(seed: int, shape_name: str, *, hosts: int,
         stats = dict(session.frontdoor.stats)
         fleet_stats = dict(session.fleet.stats)
         violations = audit_fleet(session.fleet, session.frontdoor)
+        violations.extend(f"composed: {v}" for v in _unresolved(dispatch))
         session.close(check=False)
     return {
         "requests": dispatch.requests,
@@ -246,7 +257,8 @@ def _run_composed(seed: int, shape_name: str, *, hosts: int,
 
 
 def run_quick(seed: int = 0xC10E) -> FrontdoorP99Result:
-    """The CI-sized sweep: small fleet, 10k requests, d in {1, 2}."""
+    """The CI-sized sweep: small fleet, 10k requests, d in {1, 2}; the
+    ``frontdoor-p99`` entry of :data:`repro.scenarios.SCENARIOS`."""
     return run(seed, clone_factors=(1, 2), requests_per_factor=5_000,
                hosts=2, replicas=6, composed=True,
                composed_requests=2_000)

@@ -7,7 +7,9 @@ makes those failures *schedulable*: a :class:`FaultPlan` arms named
 injection sites (see :mod:`repro.faults.sites`) with deterministic
 triggers, the :class:`FaultInjector` fires them from hooks threaded
 through the hot paths, and :mod:`repro.faults.chaos` runs randomized
-plans against a clone workload while auditing that nothing leaks.
+plans against a clone workload while auditing that nothing leaks
+(``python -m repro.scenarios xen-chaos kvm-chaos`` checks both storms
+against their pins).
 
 The failure model (every site, its real-Xen analogue, its recovery
 semantics) is documented in ``docs/FAULTS.md``; a test keeps that
@@ -15,7 +17,6 @@ document in sync with the registry.
 """
 
 from repro.faults.chaos import (
-    ChaosReport,
     audit_kvm_platform,
     audit_platform,
     run_chaos,
@@ -43,7 +44,6 @@ __all__ = [
     "SITES",
     "EMPTY_PLAN",
     "NULL_INJECTOR",
-    "ChaosReport",
     "FaultInjector",
     "FaultKind",
     "FaultPlan",

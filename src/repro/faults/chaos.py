@@ -4,10 +4,11 @@
 Dom0 and from inside guests, COW writes, transactional Xenstore
 updates, destroys, host traffic) on a platform armed with a fault plan,
 then tears everything down and audits the platform for leaked frames,
-grants, event endpoints, Xenstore nodes and bond slaves. The report
-carries a fingerprint over every deterministic output, so two runs at
-the same seed must produce byte-identical reports — the property the
-chaos-smoke CI job pins.
+grants, event endpoints, Xenstore nodes and bond slaves.
+``run_kvm_chaos`` is the same workload against the KVM port. Both
+return a JSON-ready payload whose fingerprint covers every
+deterministic output, so two runs at the same seed must produce
+byte-identical payloads; :data:`repro.scenarios.SCENARIOS` pins both.
 
 Platform construction is imported lazily: this module is re-exported
 by :mod:`repro.faults`, which the hypervisor imports, so a module-level
@@ -16,45 +17,11 @@ platform import would cycle.
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import dataclass, field
-from typing import Any
+from contextlib import contextmanager
+from typing import Any, Callable, Iterator
 
 from repro.errors import ReproError
 from repro.faults.plan import FaultPlan
-
-
-@dataclass
-class ChaosReport:
-    """The deterministic outcome of one chaos run."""
-
-    seed: int
-    plan_name: str
-    #: sha256 over the canonical JSON of every deterministic field.
-    fingerprint: str = ""
-    clones_attempted: int = 0
-    clones_succeeded: int = 0
-    clone_errors: int = 0
-    txn_attempts: int = 0
-    violations: list[str] = field(default_factory=list)
-    fault_stats: dict[str, Any] = field(default_factory=dict)
-    clock_ms: float = 0.0
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-serializable form (what the CLI prints with --json)."""
-        return {
-            "seed": self.seed,
-            "plan": self.plan_name,
-            "fingerprint": self.fingerprint,
-            "clones_attempted": self.clones_attempted,
-            "clones_succeeded": self.clones_succeeded,
-            "clone_errors": self.clone_errors,
-            "txn_attempts": self.txn_attempts,
-            "violations": list(self.violations),
-            "fault_stats": self.fault_stats,
-            "clock_ms": self.clock_ms,
-        }
 
 
 def audit_platform(platform: Any) -> list[str]:
@@ -200,9 +167,100 @@ def audit_kvm_platform(platform: Any) -> list[str]:
     return violations
 
 
+# ----------------------------------------------------------------------
+# the two chaos runners
+#
+# They differ at eight steps: platform, boot, clone, guest lookup,
+# Xenstore transaction, traffic, destroy and audit. Everything else is
+# one of the helpers below.
+# ----------------------------------------------------------------------
+def _rounds(faults: int, rounds: int | None) -> int:
+    """Workload rounds: by default they scale with the fault budget, so
+    the workload outlives the armed specs and also exercises the
+    no-fault-left steady state, not just back-to-back failures."""
+    return max(3, (faults * 3) // 4) if rounds is None else rounds
+
+
+def _new_report(seed: int, plan: FaultPlan) -> dict[str, Any]:
+    """The counters a chaos run fills in, in payload order."""
+    return {"seed": seed, "plan": plan.name, "clones_attempted": 0,
+            "clones_succeeded": 0, "clone_errors": 0, "txn_attempts": 0}
+
+
+@contextmanager
+def disarmed(injector: Any) -> Iterator[None]:
+    """Suspend ``injector`` for the block: storms boot their parent
+    guests fault-free, because their target is the paths that follow."""
+    if injector.enabled:
+        injector.active = False
+    try:
+        yield
+    finally:
+        if injector.enabled:
+            injector.active = True
+
+
+def _clone_batch(report: dict[str, Any], clone: Callable[..., list[int]],
+                 root: int, batch: int) -> list[int]:
+    """One clone batch; an injected fault may abort all of it."""
+    report["clones_attempted"] += batch
+    try:
+        children = clone(root, count=batch)
+    except ReproError:
+        report["clone_errors"] += 1
+        children = []
+    report["clones_succeeded"] += len(children)
+    return children
+
+
+def _touch(child: Any, rng: Any) -> None:
+    """Deterministic COW writes into a live clone's first segment."""
+    if child is None or not child.memory.segments:
+        return
+    try:
+        child.memory.write_range(child.memory.segments[0].pfn_start,
+                                 rng.randint(1, 4))
+    except ReproError:
+        pass
+
+
+def _destroy(report: dict[str, Any], destroy: Callable[[int], Any],
+             guest: int) -> None:
+    """Destroy one guest; an injected fault counts as an error."""
+    try:
+        destroy(guest)
+    except ReproError:
+        report["clone_errors"] += 1
+
+
+def _destroy_victim(report: dict[str, Any], destroy: Callable[[int], Any],
+                    children: list[int], rng: Any) -> None:
+    """Destroy one child per round: teardown interleaved with injection
+    must not leak either."""
+    if children:
+        _destroy(report, destroy, children[rng.randint(0, len(children) - 1)])
+
+
+def _finish(report: dict[str, Any], destroy: Callable[[int], Any],
+            guests: list[int], audit: Callable[[Any], list[str]],
+            platform: Any) -> dict[str, Any]:
+    """Full teardown, leak audit, fault counters, clock, fingerprint."""
+    from repro.scenarios import fingerprint
+
+    for guest in guests:
+        _destroy(report, destroy, guest)
+    report["violations"] = audit(platform)
+    report["fault_stats"] = platform.faults.report() \
+        if platform.faults.enabled else {}
+    report["clock_ms"] = round(platform.clock.now, 6)
+    report["fingerprint"] = fingerprint(report)
+    return report
+
+
 def run_kvm_chaos(seed: int = 0xC10E, faults: int = 100,
                   plan: FaultPlan | None = None, parents: int = 2,
-                  batch: int = 3, rounds: int | None = None) -> ChaosReport:
+                  batch: int = 3, rounds: int | None = None
+                  ) -> dict[str, Any]:
     """The chaos workload against the KVM backend.
 
     Same shape as :func:`run_chaos` — boot parents disarmed, then clone
@@ -212,8 +270,6 @@ def run_kvm_chaos(seed: int = 0xC10E, faults: int = 100,
     the registry slice the KVM_CLONE_VM path fires. There is no
     Xenstore on this backend, so ``txn_attempts`` stays zero.
     """
-    if rounds is None:
-        rounds = max(3, (faults * 3) // 4)
     from repro.apps.udp_server import UdpServerApp
     from repro.faults.sites import KVM_SITES
     from repro.kvm.platform import KvmPlatform
@@ -223,40 +279,19 @@ def run_kvm_chaos(seed: int = 0xC10E, faults: int = 100,
         plan = FaultPlan.randomized(seed, faults=faults,
                                     sites=list(KVM_SITES))
     platform = KvmPlatform(seed=seed, fault_plan=plan)
-    report = ChaosReport(seed=seed, plan_name=plan.name)
+    report = _new_report(seed, plan)
     rng = platform.rng.fork("chaos-workload")
+    with disarmed(platform.faults):
+        roots = [platform.create_vm(f"chaos{i}", 16 * MIB,
+                                    ip=f"10.0.9.{i + 1}", max_clones=256,
+                                    app=UdpServerApp()).pid
+                 for i in range(parents)]
 
-    if platform.faults.enabled:
-        platform.faults.active = False
-    roots: list[int] = []
-    for i in range(parents):
-        vm = platform.create_vm(f"chaos{i}", 16 * MIB,
-                                ip=f"10.0.9.{i + 1}", max_clones=256,
-                                app=UdpServerApp())
-        roots.append(vm.pid)
-    if platform.faults.enabled:
-        platform.faults.active = True
-
-    for round_index in range(rounds):
+    for round_index in range(_rounds(faults, rounds)):
         for root in roots:
-            report.clones_attempted += batch
-            try:
-                children = platform.clone(root, count=batch)
-            except ReproError:
-                report.clone_errors += 1
-                children = []
-            report.clones_succeeded += len(children)
-
+            children = _clone_batch(report, platform.clone, root, batch)
             for child_pid in children:
-                child = platform.host.vms.get(child_pid)
-                if child is None or not child.memory.segments:
-                    continue
-                try:
-                    child.memory.write_range(
-                        child.memory.segments[0].pfn_start,
-                        rng.randint(1, 4))
-                except ReproError:
-                    pass
+                _touch(platform.host.vms.get(child_pid), rng)
 
             parent = platform.host.vms.get(root)
             if parent is not None and parent.children \
@@ -268,46 +303,25 @@ def run_kvm_chaos(seed: int = 0xC10E, faults: int = 100,
                 except ReproError:
                     pass
 
-            if children:
-                victim = children[rng.randint(0, len(children) - 1)]
-                try:
-                    platform.destroy(victim)
-                except ReproError:
-                    report.clone_errors += 1
+            _destroy_victim(report, platform.destroy, children, rng)
 
-    for pid in sorted(platform.host.vms):
-        try:
-            platform.destroy(pid)
-        except ReproError:
-            report.clone_errors += 1
-
-    report.violations = audit_kvm_platform(platform)
-    report.fault_stats = platform.faults.report() \
-        if platform.faults.enabled else {}
-    report.clock_ms = round(platform.clock.now, 6)
-    payload = report.to_dict()
-    payload.pop("fingerprint")
-    report.fingerprint = hashlib.sha256(
-        json.dumps(payload, sort_keys=True).encode()).hexdigest()
-    return report
+    return _finish(report, platform.destroy, sorted(platform.host.vms),
+                   audit_kvm_platform, platform)
 
 
 def run_chaos(seed: int = 0xC10E, faults: int = 100,
               plan: FaultPlan | None = None, parents: int = 2,
-              batch: int = 3, rounds: int | None = None) -> ChaosReport:
+              batch: int = 3, rounds: int | None = None
+              ) -> dict[str, Any]:
     """One chaos run: workload under injection, teardown, audit.
 
     Every step that can fail is wrapped: an injected fault may abort a
     clone batch (or a single child within one), and the workload keeps
     going — exactly the graceful degradation the hardening promises.
-    ``rounds`` defaults to scaling with the fault budget so the workload
-    outlives the armed specs: the run must also exercise the
-    no-fault-left steady state, not just back-to-back failures.
-    Returns a :class:`ChaosReport` whose fingerprint covers all
-    deterministic outputs.
+    Returns the payload: the run's counters, ``violations``,
+    ``fault_stats``, ``clock_ms`` and a ``fingerprint`` over all of
+    them.
     """
-    if rounds is None:
-        rounds = max(3, (faults * 3) // 4)
     from repro.apps.udp_server import UdpServerApp
     from repro.platform import Platform
     from repro.toolstack.config import DomainConfig, VifConfig
@@ -315,48 +329,23 @@ def run_chaos(seed: int = 0xC10E, faults: int = 100,
     if plan is None:
         plan = FaultPlan.randomized(seed, faults=faults)
     platform = Platform.create(seed=seed, fault_plan=plan)
-    report = ChaosReport(seed=seed, plan_name=plan.name)
+    report = _new_report(seed, plan)
     rng = platform.rng.fork("chaos-workload")
     handle = platform.dom0.handle
+    with disarmed(platform.faults):
+        roots = [platform.xl.create(
+            DomainConfig(name=f"chaos{i}", memory_mb=4,
+                         vifs=[VifConfig(ip=f"10.0.9.{i + 1}")],
+                         max_clones=256),
+            app=UdpServerApp()).domid for i in range(parents)]
 
-    # The chaos target is the *clone* paths: boot the parent fleet with
-    # injection disarmed, then arm it for the workload.
-    if platform.faults.enabled:
-        platform.faults.active = False
-    roots: list[int] = []
-    for i in range(parents):
-        config = DomainConfig(name=f"chaos{i}", memory_mb=4,
-                              vifs=[VifConfig(ip=f"10.0.9.{i + 1}")],
-                              max_clones=256)
-        domain = platform.xl.create(config, app=UdpServerApp())
-        roots.append(domain.domid)
-    if platform.faults.enabled:
-        platform.faults.active = True
-
-    for round_index in range(rounds):
+    for round_index in range(_rounds(faults, rounds)):
         for root in roots:
-            parent = platform.hypervisor.domains.get(root)
-            if parent is None:
+            if root not in platform.hypervisor.domains:
                 continue
-            report.clones_attempted += batch
-            try:
-                children = platform.xl.clone(root, count=batch)
-            except ReproError:
-                report.clone_errors += 1
-                children = []
-            report.clones_succeeded += len(children)
-
-            # Touch clone memory: deterministic COW writes.
+            children = _clone_batch(report, platform.xl.clone, root, batch)
             for child_domid in children:
-                child = platform.hypervisor.domains.get(child_domid)
-                if child is None or not child.memory.segments:
-                    continue
-                try:
-                    child.memory.write_range(
-                        child.memory.segments[0].pfn_start,
-                        rng.randint(1, 4))
-                except ReproError:
-                    pass
+                _touch(platform.hypervisor.domains.get(child_domid), rng)
 
             # Transactional Xenstore update with bounded retry.
             def _bump(h: Any, tid: int,
@@ -365,9 +354,9 @@ def run_chaos(seed: int = 0xC10E, faults: int = 100,
 
             try:
                 handle.run_transaction(_bump)
-                report.txn_attempts += 1
+                report["txn_attempts"] += 1
             except ReproError:
-                report.clone_errors += 1
+                report["clone_errors"] += 1
 
             # Host traffic towards the family (exercises bond/OVS).
             parent = platform.hypervisor.domains.get(root)
@@ -381,28 +370,8 @@ def run_chaos(seed: int = 0xC10E, faults: int = 100,
                     except ReproError:
                         pass
 
-            # Destroy one child per round: teardown interleaved with
-            # injection must not leak either.
-            if children:
-                victim = children[rng.randint(0, len(children) - 1)]
-                try:
-                    platform.xl.destroy(victim)
-                except ReproError:
-                    report.clone_errors += 1
+            _destroy_victim(report, platform.xl.destroy, children, rng)
 
-    # Full teardown: every guest goes; the audit below must be clean.
-    for domid in sorted(platform.hypervisor.domains):
-        try:
-            platform.xl.destroy(domid)
-        except ReproError:
-            report.clone_errors += 1
-
-    report.violations = audit_platform(platform)
-    report.fault_stats = platform.faults.report() \
-        if platform.faults.enabled else {}
-    report.clock_ms = round(platform.clock.now, 6)
-    payload = report.to_dict()
-    payload.pop("fingerprint")
-    report.fingerprint = hashlib.sha256(
-        json.dumps(payload, sort_keys=True).encode()).hexdigest()
-    return report
+    return _finish(report, platform.xl.destroy,
+                   sorted(platform.hypervisor.domains), audit_platform,
+                   platform)

@@ -5,8 +5,8 @@ arming one injection site with a trigger (skip the first N hits, fire
 the next M, optionally with probability p drawn from the platform's
 forked RNG, optionally only after a virtual-clock instant, optionally
 only when the call context matches). Plans are plain data: they
-round-trip through JSON, so the chaos CLI and CI can pin them to files,
-and two runs of the same plan at the same seed inject the exact same
+round-trip through JSON, so a plan can be pinned to a file, and two
+runs of the same plan at the same seed inject the exact same
 faults at the exact same virtual times.
 """
 

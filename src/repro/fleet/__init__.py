@@ -8,11 +8,12 @@ re-places lost clones on survivors — the ROADMAP's "natural next tier
 above per-operation faults". :mod:`repro.fleet.migration` adds live
 warm migration of clone families between hosts (pre-copy dirty-page
 rounds or post-copy demand streaming), driven by the ``drain_host``
-verb and the least-loaded policy's rebalance pass.
+verb and the least-loaded policy's rebalance pass. The host-kill and
+migration storms are the ``fleet-chaos`` and ``migration-chaos``
+entries of :data:`repro.scenarios.SCENARIOS`.
 """
 
 from repro.fleet.chaos import (
-    FleetChaosReport,
     audit_fleet,
     kill_plan,
     run_fleet_chaos,
@@ -28,7 +29,6 @@ from repro.fleet.fleet import (
 from repro.fleet.migration import (
     MIGRATION_CUTOVER_THRESHOLD_PAGES,
     MIGRATION_ROUND_LIMIT,
-    MigrationChaosReport,
     MigrationError,
     MigrationPlanner,
     MigrationRecord,
@@ -61,10 +61,8 @@ __all__ = [
     "audit_fleet",
     "kill_plan",
     "run_fleet_chaos",
-    "FleetChaosReport",
     "MIGRATION_CUTOVER_THRESHOLD_PAGES",
     "MIGRATION_ROUND_LIMIT",
-    "MigrationChaosReport",
     "MigrationError",
     "MigrationPlanner",
     "MigrationRecord",

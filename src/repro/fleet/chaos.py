@@ -5,61 +5,22 @@ deterministic kill plan takes hosts down — some mid-batch (exercising
 the whole-batch rollback on the dying host), some between batches
 (exercising heartbeat-timeout detection) — then quiesces the fleet and
 audits every host, dead or alive, for leaked frames, grants, event
-endpoints and Xenstore nodes. The report fingerprint covers every
+endpoints and Xenstore nodes. The payload fingerprint covers every
 deterministic output, so two runs at the same (seed, plan, policy) must
-be byte-identical: the property the ``fleet-chaos-smoke`` CI job pins.
+be byte-identical; :data:`repro.scenarios.SCENARIOS` pins the default
+storm.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import dataclass, field
 from typing import Any
 
 from repro.errors import ReproError
-from repro.faults.chaos import audit_platform
+from repro.faults.chaos import audit_platform, disarmed
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.fleet.fleet import Fleet, FleetConfig, HostState
 from repro.sim import DeterministicRNG
 from repro.sim.units import MIB
-
-
-@dataclass
-class FleetChaosReport:
-    """The deterministic outcome of one fleet chaos run."""
-
-    seed: int
-    hosts: int
-    policy: str
-    plan_name: str
-    fingerprint: str = ""
-    clones_requested: int = 0
-    clones_placed: int = 0
-    clones_failed: int = 0
-    hosts_killed: int = 0
-    replacements: int = 0
-    violations: list[str] = field(default_factory=list)
-    fleet_stats: dict[str, Any] = field(default_factory=dict)
-    clock_ms: float = 0.0
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-serializable form (what the CLI prints with --json)."""
-        return {
-            "seed": self.seed,
-            "hosts": self.hosts,
-            "policy": self.policy,
-            "plan": self.plan_name,
-            "fingerprint": self.fingerprint,
-            "clones_requested": self.clones_requested,
-            "clones_placed": self.clones_placed,
-            "clones_failed": self.clones_failed,
-            "hosts_killed": self.hosts_killed,
-            "replacements": self.replacements,
-            "violations": list(self.violations),
-            "fleet_stats": self.fleet_stats,
-            "clock_ms": self.clock_ms,
-        }
 
 
 def audit_fleet(fleet: Fleet, frontdoor: Any = None) -> list[str]:
@@ -249,7 +210,7 @@ def run_fleet_chaos(seed: int = 0xC10E, hosts: int = 4, kills: int = 2,
                     rounds: int = 8, policy: str = "round-robin",
                     plan: FaultPlan | None = None,
                     host_memory_mb: int = 192,
-                    ) -> FleetChaosReport:
+                    ) -> dict[str, Any]:
     """One fleet chaos run: storm, quiesce, audit, fingerprint.
 
     Hosts are deliberately small (``host_memory_mb``) so capacity
@@ -257,6 +218,7 @@ def run_fleet_chaos(seed: int = 0xC10E, hosts: int = 4, kills: int = 2,
     clone-batch scale, not only after thousands of instances.
     """
     from repro.apps.udp_server import UdpServerApp
+    from repro.scenarios import fingerprint
     from repro.toolstack.config import DomainConfig, VifConfig
 
     if plan is None:
@@ -265,30 +227,27 @@ def run_fleet_chaos(seed: int = 0xC10E, hosts: int = 4, kills: int = 2,
                          host_memory_bytes=host_memory_mb * MIB,
                          host_dom0_bytes=(host_memory_mb // 3) * MIB)
     fleet = Fleet(config, plan=plan)
-    report = FleetChaosReport(seed=seed, hosts=hosts, policy=policy,
-                              plan_name=plan.name)
+    report: dict[str, Any] = {
+        "seed": seed, "hosts": hosts, "policy": policy, "plan": plan.name,
+        "clones_requested": 0, "clones_placed": 0, "clones_failed": 0}
     rng = fleet.rng.fork("fleet-chaos-workload")
 
     # Boot the parent families with host-fault polling disarmed: the
     # storm targets the clone/failover paths, not initial placement.
-    if fleet.faults.enabled:
-        fleet.faults.active = False
-    families: list[str] = []
-    for i in range(parents):
-        domain_config = DomainConfig(
-            name=f"fam{i}", memory_mb=4,
-            vifs=[VifConfig(ip=f"10.1.{i + 1}.1")], max_clones=1024)
-        fleet.create_family(domain_config, app_factory=UdpServerApp)
-        families.append(domain_config.name)
-    if fleet.faults.enabled:
-        fleet.faults.active = True
+    families = [f"fam{i}" for i in range(parents)]
+    with disarmed(fleet.faults):
+        for i, name in enumerate(families):
+            fleet.create_family(DomainConfig(
+                name=name, memory_mb=4,
+                vifs=[VifConfig(ip=f"10.1.{i + 1}.1")], max_clones=1024),
+                app_factory=UdpServerApp)
 
     for round_index in range(rounds):
         for name in families:
             result = fleet.clone_family(name, count=batch)
-            report.clones_requested += result.requested
-            report.clones_placed += len(result.placed)
-            report.clones_failed += result.failed
+            report["clones_requested"] += result.requested
+            report["clones_placed"] += len(result.placed)
+            report["clones_failed"] += result.failed
 
             # Touch clone memory on its host: COW writes must behave
             # identically whether or not the fleet is mid-failover.
@@ -328,14 +287,11 @@ def run_fleet_chaos(seed: int = 0xC10E, hosts: int = 4, kills: int = 2,
             fleet.repair_host(host.name)
     fleet.shutdown()
 
-    report.hosts_killed = (fleet.stats["hosts_crashed"]
-                           + fleet.stats["hosts_fenced"])
-    report.replacements = fleet.stats["children_replaced"]
-    report.violations = audit_fleet(fleet)
-    report.fleet_stats = fleet.report()["stats"]
-    report.clock_ms = round(fleet.clock.now, 6)
-    payload = report.to_dict()
-    payload.pop("fingerprint")
-    report.fingerprint = hashlib.sha256(
-        json.dumps(payload, sort_keys=True).encode()).hexdigest()
+    report["hosts_killed"] = (fleet.stats["hosts_crashed"]
+                              + fleet.stats["hosts_fenced"])
+    report["replacements"] = fleet.stats["children_replaced"]
+    report["violations"] = audit_fleet(fleet)
+    report["fleet_stats"] = fleet.report()["stats"]
+    report["clock_ms"] = round(fleet.clock.now, 6)
+    report["fingerprint"] = fingerprint(report)
     return report

@@ -36,9 +36,7 @@ source host, the target host, or the stream mid-round; the ledger
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import ReproError
@@ -721,47 +719,8 @@ def audit_migrations(fleet: "Fleet") -> list[str]:
 
 
 # ----------------------------------------------------------------------
-# the migration chaos storm (CI: migration-chaos-smoke)
+# the migration chaos storm
 # ----------------------------------------------------------------------
-@dataclass
-class MigrationChaosReport:
-    """Deterministic outcome of one migration chaos run."""
-
-    seed: int
-    hosts: int
-    fingerprint: str = ""
-    migrations_planned: int = 0
-    migrations_done: int = 0
-    migrations_failed: int = 0
-    pages_streamed: int = 0
-    pages_aborted: int = 0
-    faults_fired: int = 0
-    midstream_audits: int = 0
-    violations: list[str] = field(default_factory=list)
-    records: list[dict] = field(default_factory=list)
-    fleet_stats: dict[str, Any] = field(default_factory=dict)
-    clock_ms: float = 0.0
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-ready representation, the fingerprint payload."""
-        return {
-            "seed": self.seed,
-            "hosts": self.hosts,
-            "fingerprint": self.fingerprint,
-            "migrations_planned": self.migrations_planned,
-            "migrations_done": self.migrations_done,
-            "migrations_failed": self.migrations_failed,
-            "pages_streamed": self.pages_streamed,
-            "pages_aborted": self.pages_aborted,
-            "faults_fired": self.faults_fired,
-            "midstream_audits": self.midstream_audits,
-            "violations": list(self.violations),
-            "records": list(self.records),
-            "fleet_stats": self.fleet_stats,
-            "clock_ms": self.clock_ms,
-        }
-
-
 def migration_storm_plan(seed: int, faults: int = 100,
                          hosts: int = 4):
     """A deterministic fault storm over the migration tier.
@@ -804,7 +763,7 @@ def run_migration_chaos(seed: int = 0xC10E, hosts: int = 4,
                         faults: int = 100, rounds: int = 10,
                         parents: int = 2, batch: int = 2,
                         host_memory_mb: int = 192,
-                        plan=None) -> MigrationChaosReport:
+                        plan=None) -> dict[str, Any]:
     """Drive drains/rebalances under a migration-fault storm, audit.
 
     Every workload round clones, dirties clone memory (so migrations
@@ -812,11 +771,13 @@ def run_migration_chaos(seed: int = 0xC10E, hosts: int = 4,
     host or runs a rebalance pass, and advances several heartbeats so
     the in-flight migrations stream **while faults fire**. The
     fleet-wide audit runs both mid-stream (pages in flight) and after
-    quiesce; the report fingerprint covers every deterministic output.
+    quiesce; the payload fingerprint covers every deterministic output.
     """
     from repro.apps.udp_server import UdpServerApp
+    from repro.faults.chaos import disarmed
     from repro.fleet.chaos import audit_fleet
     from repro.fleet.fleet import Fleet, FleetConfig, HostState
+    from repro.scenarios import fingerprint
     from repro.sim.units import MIB
     from repro.toolstack.config import DomainConfig, VifConfig
 
@@ -826,20 +787,17 @@ def run_migration_chaos(seed: int = 0xC10E, hosts: int = 4,
                          host_memory_bytes=host_memory_mb * MIB,
                          host_dom0_bytes=(host_memory_mb // 3) * MIB)
     fleet = Fleet(config, plan=plan)
-    report = MigrationChaosReport(seed=seed, hosts=hosts)
+    violations: list[str] = []
+    midstream_audits = 0
     rng = fleet.rng.fork("migration-chaos-workload")
 
-    if fleet.faults.enabled:
-        fleet.faults.active = False
-    families = []
-    for i in range(parents):
-        domain_config = DomainConfig(
-            name=f"fam{i}", memory_mb=4,
-            vifs=[VifConfig(ip=f"10.2.{i + 1}.1")], max_clones=1024)
-        fleet.create_family(domain_config, app_factory=UdpServerApp)
-        families.append(domain_config.name)
-    if fleet.faults.enabled:
-        fleet.faults.active = True
+    families = [f"fam{i}" for i in range(parents)]
+    with disarmed(fleet.faults):
+        for i, name in enumerate(families):
+            fleet.create_family(DomainConfig(
+                name=name, memory_mb=4,
+                vifs=[VifConfig(ip=f"10.2.{i + 1}.1")], max_clones=1024),
+                app_factory=UdpServerApp)
 
     for round_index in range(rounds):
         for name in families:
@@ -876,9 +834,9 @@ def run_migration_chaos(seed: int = 0xC10E, hosts: int = 4,
         for _ in range(3):
             fleet.tick()
             if any(r.active for r in fleet.migrations):
-                report.midstream_audits += 1
-                for violation in audit_fleet(fleet):
-                    report.violations.append(f"mid-stream: {violation}")
+                midstream_audits += 1
+                violations.extend(f"mid-stream: {violation}"
+                                  for violation in audit_fleet(fleet))
         # Return drained hosts to the pool — drained clean or drain
         # aborted by a fault, either way the host goes back to work so
         # later rounds have somewhere to migrate to.
@@ -901,86 +859,22 @@ def run_migration_chaos(seed: int = 0xC10E, hosts: int = 4,
             fleet.repair_host(host.name)
     fleet.shutdown()
 
-    report.migrations_planned = fleet.stats["migrations_planned"]
-    report.migrations_done = fleet.stats["migrations_done"]
-    report.migrations_failed = fleet.stats["migrations_failed"]
-    report.pages_streamed = fleet.stats["migration_pages_streamed"]
-    report.pages_aborted = fleet.stats["migration_pages_aborted"]
-    report.faults_fired = (fleet.faults.stats["injected"]
-                           if fleet.faults.enabled else 0)
-    report.violations.extend(audit_fleet(fleet))
-    report.records = [r.to_dict() for r in fleet.migrations]
-    report.fleet_stats = fleet.report()["stats"]
-    report.clock_ms = round(fleet.clock.now, 6)
-    payload = report.to_dict()
-    payload.pop("fingerprint")
-    report.fingerprint = hashlib.sha256(
-        json.dumps(payload, sort_keys=True).encode()).hexdigest()
+    stats = fleet.stats
+    report = {
+        "seed": seed,
+        "hosts": hosts,
+        "migrations_planned": stats["migrations_planned"],
+        "migrations_done": stats["migrations_done"],
+        "migrations_failed": stats["migrations_failed"],
+        "pages_streamed": stats["migration_pages_streamed"],
+        "pages_aborted": stats["migration_pages_aborted"],
+        "faults_fired": (fleet.faults.stats["injected"]
+                         if fleet.faults.enabled else 0),
+        "midstream_audits": midstream_audits,
+        "violations": violations + audit_fleet(fleet),
+        "records": [r.to_dict() for r in fleet.migrations],
+        "fleet_stats": fleet.report()["stats"],
+        "clock_ms": round(fleet.clock.now, 6),
+    }
+    report["fingerprint"] = fingerprint(report)
     return report
-
-
-def main(argv: list[str] | None = None) -> int:
-    """CLI: ``python -m repro.fleet.migration`` (migration-chaos-smoke).
-
-    Exits non-zero on any conservation/leak violation, on fingerprint
-    drift between same-seed runs, or if the storm never exercised a
-    migration (planned == 0 would make the smoke vacuous).
-    """
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        description="Run a deterministic migration chaos storm: drains "
-                    "and rebalances under migration/host faults, with "
-                    "the fleet-wide leak audit run mid-stream and after "
-                    "quiesce.")
-    parser.add_argument("--seed", type=lambda v: int(v, 0),
-                        default=0xC10E)
-    parser.add_argument("--hosts", type=int, default=4)
-    parser.add_argument("--faults", type=int, default=100)
-    parser.add_argument("--rounds", type=int, default=10)
-    parser.add_argument("--runs", type=int, default=1,
-                        help="repeat and require byte-identical "
-                             "fingerprints")
-    parser.add_argument("--json", action="store_true")
-    args = parser.parse_args(argv)
-
-    fingerprints = []
-    report = None
-    for _ in range(max(1, args.runs)):
-        report = run_migration_chaos(seed=args.seed, hosts=args.hosts,
-                                     faults=args.faults,
-                                     rounds=args.rounds)
-        fingerprints.append(report.fingerprint)
-    assert report is not None
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2))
-    else:
-        print(f"migration storm seed={args.seed:#x} hosts={args.hosts} "
-              f"faults={args.faults}")
-        print(f"  planned {report.migrations_planned}, done "
-              f"{report.migrations_done}, failed "
-              f"{report.migrations_failed}")
-        print(f"  pages streamed {report.pages_streamed}, aborted "
-              f"{report.pages_aborted}, mid-stream audits "
-              f"{report.midstream_audits}")
-        print(f"  violations: {len(report.violations)}")
-        for violation in report.violations:
-            print(f"    - {violation}")
-        print(f"  fingerprint: {report.fingerprint}")
-
-    failures = []
-    if report.violations:
-        failures.append(f"{len(report.violations)} audit violations")
-    if len(set(fingerprints)) > 1:
-        failures.append("fingerprint drift between same-seed runs")
-    if report.migrations_planned == 0:
-        failures.append("storm planned no migrations")
-    if failures:
-        print("FAIL: " + "; ".join(failures))
-        return 1
-    print("ok")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

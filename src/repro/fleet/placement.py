@@ -24,7 +24,8 @@ class PlacementError(ReproError):
 class PlacementPolicy:
     """Base class: pick one host from the filtered candidates."""
 
-    #: Registry key (``--policy`` on the CLI).
+    #: Registry key (``FleetConfig.policy``; ``fleet policies`` in the
+    #: shell lists them).
     name = "base"
 
     def choose(self, candidates: Sequence["FleetHost"]) -> "FleetHost":

@@ -9,7 +9,7 @@
   the headline experiment validates against.
 - :mod:`repro.frontdoor.resilience` — overload protection (admission
   control, brownout, retry budgets, circuit breakers) and the seeded
-  overload-storm smoke.
+  overload storm (``python -m repro.scenarios overload-storm``).
 - :mod:`repro.frontdoor.session` — ``FleetSession``, the multi-host
   counterpart of ``NepheleSession``.
 """
@@ -25,9 +25,7 @@ from repro.frontdoor.resilience import (
     CircuitBreaker,
     ResiliencePolicy,
     RetryBudget,
-    StormReport,
     TokenBucket,
-    format_storm_report,
     run_overload_storm,
     storm_policy,
 )
@@ -61,9 +59,7 @@ __all__ = [
     "ResiliencePolicy",
     "Response",
     "RetryBudget",
-    "StormReport",
     "TokenBucket",
-    "format_storm_report",
     "run_overload_storm",
     "storm_policy",
 ]

@@ -38,8 +38,6 @@ checked by :func:`repro.fleet.chaos.audit_frontdoor`.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from collections import deque
 from dataclasses import dataclass, fields
 from typing import Any
@@ -426,11 +424,11 @@ class ResilienceState:
 
 
 # ----------------------------------------------------------------------
-# The overload-storm smoke (python -m repro.frontdoor --overload-storm)
+# The overload storm
 # ----------------------------------------------------------------------
 
-#: Policy the storm smoke runs under: admission + brownout + budgeted
-#: retries + breakers, all enabled, tuned for the small smoke fleet.
+#: Policy the overload storm runs under: admission + brownout + budgeted
+#: retries + breakers, all enabled, tuned for the storm's small fleet.
 def storm_policy() -> ResiliencePolicy:
     """The protected configuration the overload storm runs under."""
     return ResiliencePolicy(
@@ -447,33 +445,12 @@ def storm_policy() -> ResiliencePolicy:
     )
 
 
-@dataclass
-class StormReport:
-    """Outcome of one overload-storm smoke run."""
-
-    seed: int
-    waves: list[dict]
-    stats: dict
-    resilience: dict
-    faults: dict
-    violations: list[str]
-    fingerprint: str = ""
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-ready representation, the fingerprint payload."""
-        return {
-            "seed": self.seed, "waves": self.waves, "stats": self.stats,
-            "resilience": self.resilience, "faults": self.faults,
-            "violations": self.violations, "fingerprint": self.fingerprint,
-        }
-
-
 def run_overload_storm(seed: int = 0xC10E, *, hosts: int = 2,
                        replicas: int = 6, requests: int = 3000,
                        waves: int = 3, faults: int = 30,
                        utilization: float = 0.85,
                        clone_factor: int = 4,
-                       timeout_ms: float = 30.0) -> StormReport:
+                       timeout_ms: float = 30.0) -> dict[str, Any]:
     """Seeded chaos storm across the ``frontdoor.*`` fault sites.
 
     Drives an overloaded dispatch (past the effective-utilization
@@ -481,23 +458,24 @@ def run_overload_storm(seed: int = 0xC10E, *, hosts: int = 2,
     randomized :class:`~repro.faults.plan.FaultPlan` fires admission
     drops, replica stalls, and breaker flaps; runs the full fleet +
     front-door conservation audit *between* waves (mid-run, work in
-    flight) and once after quiesce. The report's sha256 fingerprint is
-    pinned by ``tests/test_resilience.py`` and compared across ``--runs``
-    repetitions by the CLI.
+    flight) and once after quiesce. The payload's sha256 fingerprint
+    is pinned in :data:`repro.scenarios.SCENARIOS`.
     """
     from repro.apps.traffic import FAAS_INVOKE
     from repro.faults.plan import FaultPlan
     from repro.faults.sites import frontdoor_sites
     from repro.fleet.chaos import audit_fleet
     from repro.frontdoor.session import FleetSession
+    from repro.scenarios import fingerprint
 
     plan = FaultPlan.randomized(seed, faults=faults,
                                 sites=frontdoor_sites())
     policy = storm_policy()
     session = FleetSession(seed=seed, hosts=hosts, plan=plan,
                            resilience=policy)
-    report = StormReport(seed=seed, waves=[], stats={}, resilience={},
-                         faults={}, violations=[])
+    report: dict[str, Any] = {"seed": seed, "waves": [], "stats": {},
+                              "resilience": {}, "faults": {},
+                              "violations": []}
     try:
         session.create_family("storm", ip="10.77.0.1")
         if replicas > 1:
@@ -512,9 +490,9 @@ def run_overload_storm(seed: int = 0xC10E, *, hosts: int = 2,
                 timeout_ms=timeout_ms, label=f"storm-w{wave}")
             # Mid-run audit: earlier waves' retries may still be in
             # flight inside the front door between dispatch calls.
-            report.violations.extend(
+            report["violations"].extend(
                 audit_fleet(session.fleet, session.frontdoor))
-            report.waves.append({
+            report["waves"].append({
                 "wave": wave,
                 "requests": result.requests,
                 "offered": result.offered,
@@ -526,42 +504,17 @@ def run_overload_storm(seed: int = 0xC10E, *, hosts: int = 2,
                 "fingerprint": result.fingerprint,
             })
         final = audit_fleet(session.fleet, session.frontdoor)
-        report.violations.extend(v for v in final
-                                 if v not in report.violations)
+        report["violations"].extend(v for v in final
+                                    if v not in report["violations"])
         stats = session.frontdoor.stats
-        report.stats = {k: round(v, 6) if isinstance(v, float) else v
-                        for k, v in sorted(stats.items())}
-        report.resilience = session.frontdoor.resilience_report() or {}
+        report["stats"] = {k: round(v, 6) if isinstance(v, float) else v
+                           for k, v in sorted(stats.items())}
+        report["resilience"] = session.frontdoor.resilience_report() or {}
         injector = session.fleet.faults
         fired = getattr(injector, "by_site", {})
-        report.faults = {site: dict(counts)
-                         for site, counts in sorted(fired.items())}
+        report["faults"] = {site: dict(counts)
+                            for site, counts in sorted(fired.items())}
     finally:
         session.close(check=False)
-    payload = report.to_dict()
-    payload.pop("fingerprint")
-    blob = json.dumps(payload, sort_keys=True).encode()
-    report.fingerprint = hashlib.sha256(blob).hexdigest()
+    report["fingerprint"] = fingerprint(report)
     return report
-
-
-def format_storm_report(report: StormReport) -> str:
-    """Human-readable storm summary for the CLI."""
-    lines = [f"overload storm @ seed {report.seed:#x}"]
-    for wave in report.waves:
-        lines.append(
-            "  wave {wave}: offered={offered} completed={completed} "
-            "timed_out={timed_out} shed={shed} retries={retries}".format(
-                **wave))
-    stats = report.stats
-    lines.append(
-        f"  totals: offered={stats.get('offered', 0)} "
-        f"shed={stats.get('shed', 0)} retries={stats.get('retries', 0)} "
-        f"breaker_trips={stats.get('breaker_trips', 0)}")
-    fired = sum(sum(c.values()) for c in report.faults.values())
-    lines.append(f"  faults fired: {fired} across {len(report.faults)} sites")
-    lines.append(f"  violations: {len(report.violations)}")
-    for violation in report.violations:
-        lines.append(f"    - {violation}")
-    lines.append(f"  fingerprint: {report.fingerprint}")
-    return "\n".join(lines)

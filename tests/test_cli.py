@@ -5,6 +5,7 @@ import io
 import pytest
 
 from repro.cli import CliError, XlShell
+from repro.scenarios import SCENARIOS
 
 
 @pytest.fixture
@@ -252,11 +253,12 @@ def test_fleet_policies(shell):
 def test_fleet_storm_runs_clean(shell, cfg_file):
     shell.execute(f"create {cfg_file}")
     before = shell.platform.guest_count()
-    shell.execute("fleet storm 3 1")
+    shell.execute("storm fleet-chaos")
     text = output_of(shell)
-    assert "hosts=3" in text
-    assert "hosts killed: 1" in text
-    assert "leak audit: clean (fleet-wide)" in text
+    assert "hosts: 4" in text
+    assert "hosts_killed: 2" in text
+    assert "violations: 0" in text
+    assert f"fingerprint: {SCENARIOS['fleet-chaos'].pin}" in text
     # The storm is self-contained: the shell's platform is untouched.
     assert shell.platform.guest_count() == before
 
@@ -265,11 +267,16 @@ def test_fleet_bad_args(shell):
     with pytest.raises(CliError):
         shell.execute("fleet bogus")
     with pytest.raises(CliError):
-        shell.execute("fleet storm three")
+        shell.execute("fleet")
     with pytest.raises(CliError):
-        shell.execute("fleet storm 3 1 extra")
+        shell.execute("fleet policies extra")
+    with pytest.raises(CliError):
+        shell.execute("storm")
+    with pytest.raises(CliError):
+        shell.execute("storm bogus")
 
 
 def test_fleet_in_help(shell):
     shell.execute("help")
-    assert "fleet storm" in output_of(shell)
+    assert "fleet policies" in output_of(shell)
+    assert "storm <name>" in output_of(shell)

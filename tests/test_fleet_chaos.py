@@ -29,29 +29,37 @@ def test_kill_plan_is_deterministic_and_bounded():
 def test_kill_plan_refuses_more_kills_than_hosts():
     with pytest.raises(ReproError):
         kill_plan(SMOKE_SEED, hosts=3, kills=4)
-    # kills == hosts is the legal total-loss storm (the `fleet storm
-    # N N` regression): it must build a plan (one spec per kill plus
-    # the degrade spec), not raise.
+    # kills == hosts is the legal total-loss storm: it must build a
+    # plan (one spec per kill plus the degrade spec), not raise.
     assert len(kill_plan(SMOKE_SEED, hosts=3, kills=3).specs) == 4
 
 
 def test_smoke_storm_fingerprint_is_byte_identical():
     first = run_fleet_chaos(seed=SMOKE_SEED, hosts=4, kills=2)
     second = run_fleet_chaos(seed=SMOKE_SEED, hosts=4, kills=2)
-    assert first.violations == []
-    assert first.hosts_killed == 2
-    assert first.replacements >= 1
-    assert first.clones_requested == first.clones_placed \
-        + first.clones_failed
-    assert first.fingerprint == second.fingerprint
-    assert first.to_dict() == second.to_dict()
+    assert first["violations"] == []
+    assert first["hosts_killed"] == 2
+    assert first["replacements"] >= 1
+    assert first["clones_requested"] == first["clones_placed"] \
+        + first["clones_failed"]
+    assert first == second
+
+
+def test_total_loss_storm_still_fingerprints():
+    # Killing every host used to raise before the report existed; a
+    # total-loss storm must run to completion, stay leak-free and
+    # fingerprint its (all-failures) outcome.
+    report = run_fleet_chaos(hosts=2, kills=2)
+    assert report["violations"] == []
+    assert report["hosts_killed"] == 2
+    assert len(report["fingerprint"]) == 64
 
 
 def test_policies_diverge_but_stay_clean():
     rr = run_fleet_chaos(seed=SMOKE_SEED, policy="round-robin")
     ll = run_fleet_chaos(seed=SMOKE_SEED, policy="least-loaded")
-    assert rr.violations == [] and ll.violations == []
-    assert rr.fingerprint != ll.fingerprint
+    assert rr["violations"] == [] and ll["violations"] == []
+    assert rr["fingerprint"] != ll["fingerprint"]
 
 
 @settings(max_examples=10, deadline=None,
@@ -67,7 +75,7 @@ def test_storms_never_leak_fleet_wide(seed, hosts, kills, batch):
     # every armed kill actually triggers.
     report = run_fleet_chaos(seed=seed, hosts=hosts, kills=kills,
                              parents=1, batch=batch)
-    assert report.violations == []
-    assert report.hosts_killed == kills
-    assert report.clones_requested == report.clones_placed \
-        + report.clones_failed
+    assert report["violations"] == []
+    assert report["hosts_killed"] == kills
+    assert report["clones_requested"] == report["clones_placed"] \
+        + report["clones_failed"]

@@ -1,12 +1,13 @@
-"""Tests: ``python -m repro.frontdoor`` and the shell front-door verbs."""
+"""Tests: the shell's front-door verb, the total-loss storm through the
+shell and ``python -m repro.scenarios``, and the kill-plan bounds."""
 
 import io
-import json
 
 import pytest
 
+from repro import scenarios
 from repro.cli import CliError, XlShell
-from repro.frontdoor.cli import main
+from repro.scenarios import PIN_SEED, Scenario, fingerprint, main
 
 
 @pytest.fixture
@@ -16,50 +17,6 @@ def shell():
 
 def output_of(shell: XlShell) -> str:
     return shell.out.getvalue()
-
-
-# ----------------------------------------------------------------------
-# the module CLI (the frontdoor-smoke CI contract)
-# ----------------------------------------------------------------------
-
-def test_smoke_contract_passes(capsys):
-    # The exact invocation the frontdoor-smoke CI job pins, at reduced
-    # request count: two runs must agree byte-for-byte and leak nothing.
-    assert main(["--seed", "0xC10E", "--requests", "600",
-                 "--clone-factors", "1,2", "--runs", "2"]) == 0
-    out = capsys.readouterr().out
-    assert "conservation audit: clean (zero leaks)" in out
-    assert out.count("fingerprint:") == 2  # one per clone factor
-
-
-def test_json_report_shape(capsys):
-    assert main(["--requests", "400", "--clone-factors", "2",
-                 "--json"]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["violations"] == []
-    (result,) = report["results"]
-    assert result["clone_factor"] == 2
-    assert result["requests"] == 400
-    assert result["completed"] + result["failed"] \
-        + result["timed_out"] == 400
-    assert result["fingerprint"]
-
-
-def test_parallel_sweep_prints_the_serial_json(capsys):
-    # --parallel fans the clone factors out to forked workers; each
-    # factor is its own seeded simulation, so the report must not move.
-    argv = ["--requests", "600", "--clone-factors", "1,2", "--json"]
-    assert main(argv) == 0
-    serial = capsys.readouterr().out
-    assert main(argv + ["--parallel", "2"]) == 0
-    assert capsys.readouterr().out == serial
-    assert len(json.loads(serial)["results"]) == 2
-
-
-def test_workload_choices_cover_the_request_shapes(capsys):
-    assert main(["--requests", "200", "--clone-factors", "1",
-                 "--workload", "nginx"]) == 0
-    assert "workload=nginx" in capsys.readouterr().out
 
 
 # ----------------------------------------------------------------------
@@ -84,27 +41,39 @@ def test_shell_frontdoor_defaults_and_bad_args(shell):
 
 
 # ----------------------------------------------------------------------
-# regression: `fleet storm` must fingerprint even on total loss
+# the total-loss storm: every host killed
 # ----------------------------------------------------------------------
 
-def test_shell_storm_total_loss_still_fingerprints(shell):
+def _total_loss(seed: int) -> dict:
+    from repro.fleet.chaos import run_fleet_chaos
+
+    return run_fleet_chaos(seed=seed, hosts=2, kills=2)
+
+
+def test_shell_storm_total_loss_still_fingerprints(shell, monkeypatch):
     # Killing every host used to raise before the report existed; a
-    # total-loss storm must still run to completion and print the
-    # sha256 fingerprint of its (all-failures) outcome.
-    shell.execute("fleet storm 2 2")
+    # total-loss storm must still run to completion and the shell's
+    # storm verb must print the sha256 fingerprint of its (all-failures)
+    # outcome.
+    monkeypatch.setitem(scenarios.SCENARIOS, "total-loss",
+                        Scenario(_total_loss, pin=""))
+    shell.execute("storm total-loss")
     text = output_of(shell)
-    assert "hosts killed: 2" in text
-    assert "fingerprint: " in text
-    fingerprint = text.split("fingerprint: ")[1].split()[0]
-    assert len(fingerprint) == 64
+    assert "hosts_killed: 2" in text
+    assert "violations: 0" in text
+    digest = text.split("fingerprint: ")[1].split()[0]
+    assert len(digest) == 64
 
 
-def test_module_cli_total_loss_exits_zero(capsys):
-    from repro.fleet.cli import main as fleet_main
-
-    assert fleet_main(["--hosts", "2", "--kills", "2", "--runs", "2"]) == 0
+def test_module_cli_total_loss_exits_zero(monkeypatch, capsys):
+    # The pin is taken from a run, so only violations and drift between
+    # the CLI's two runs can fail it.
+    monkeypatch.setitem(scenarios.SCENARIOS, "total-loss",
+                        Scenario(_total_loss,
+                                 fingerprint(_total_loss(PIN_SEED))))
+    assert main(["total-loss"]) == 0
     out = capsys.readouterr().out
-    assert "hosts killed: 2" in out
+    assert "hosts_killed: 2" in out
     assert "fingerprint" in out
 
 

@@ -1,7 +1,8 @@
 """Tests: the overload-collapse-vs-protection headline experiment.
 
-CI runs the quick size and pins its fingerprint; the full size is the
-``frontdoor_overload`` perf-harness scenario (same pins in
+The quick size is pinned as the ``frontdoor-overload`` entry of
+:data:`repro.scenarios.SCENARIOS`; the full size is the
+``frontdoor_overload`` perf-harness scenario (its pin is in
 ``benchmarks/perf/harness.py``).
 """
 
@@ -12,20 +13,10 @@ import pytest
 
 from repro.experiments import frontdoor_overload
 
-#: The quick run's sha256, pinned byte-for-byte like the other
-#: headline experiments — it covers all three arms, the storm and the
-#: mid-run audits.
-QUICK_FINGERPRINT = (
-    "621953fe35aa704ea2f01d493a74d8eae36c47156e02d6d79cc7994e10aa77d1")
-
 
 @pytest.fixture(scope="module")
 def quick():
     return frontdoor_overload.run_quick(seed=0xC10E)
-
-
-def test_quick_run_is_deterministic_and_pinned(quick):
-    assert quick.fingerprint == QUICK_FINGERPRINT
 
 
 def _quick_payload() -> dict:

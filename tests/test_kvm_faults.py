@@ -102,11 +102,11 @@ def test_kvm_chaos_storm_is_clean_and_deterministic():
     # also exercises the post-storm steady state where clones succeed.
     first = run_kvm_chaos(seed=0xC10E, faults=40)
     second = run_kvm_chaos(seed=0xC10E, faults=40)
-    assert first.violations == []
-    assert first.fault_stats["stats"]["injected"] > 0
-    assert first.clone_errors > 0
-    assert first.clones_succeeded > 0
-    assert first.fingerprint == second.fingerprint
+    assert first["violations"] == []
+    assert first["fault_stats"]["stats"]["injected"] > 0
+    assert first["clone_errors"] > 0
+    assert first["clones_succeeded"] > 0
+    assert first["fingerprint"] == second["fingerprint"]
 
 
 def test_same_plan_shape_runs_on_both_backends():
@@ -114,5 +114,5 @@ def test_same_plan_shape_runs_on_both_backends():
     # for either platform (all sites are registry sites).
     plan = FaultPlan.randomized(3, faults=10, sites=list(KVM_SITES))
     report = run_kvm_chaos(seed=3, plan=plan, rounds=6)
-    assert report.plan_name == plan.name
-    assert report.violations == []
+    assert report["plan"] == plan.name
+    assert report["violations"] == []

@@ -13,14 +13,9 @@ from repro.fleet import (
     audit_fleet,
     run_migration_chaos,
 )
+from repro.scenarios import SCENARIOS
 from repro.sim.units import MIB
 from repro.toolstack.config import DomainConfig, VifConfig
-
-#: Golden pin for the CI smoke storm (``python -m repro.fleet.migration``
-#: at the default seed): any behavior drift in the migration tier, the
-#: fault injector or the fleet's failover paths moves this hash.
-STORM_FINGERPRINT = (
-    "29e2f33b7b084d99c39e1d828b5cc08b3a2395f6068c627fba3a656bce30b6d5")
 
 
 def build_fleet(plan: FaultPlan | None = None, hosts: int = 3,
@@ -149,16 +144,19 @@ def test_target_crash_during_cutover_leaves_source_intact():
 
 
 # ----------------------------------------------------------------------
-# the golden storm pin (same run CI executes)
+# the golden storm pin (the registry's migration-chaos scenario)
 # ----------------------------------------------------------------------
 def test_storm_fingerprint_is_pinned():
+    # Any behavior drift in the migration tier, the fault injector or
+    # the fleet's failover paths moves this hash.
     report = run_migration_chaos(seed=0xC10E)
-    assert report.violations == []
-    assert report.migrations_planned > 0
-    assert report.migrations_done > 0
-    assert report.migrations_failed > 0
-    assert report.fingerprint == STORM_FINGERPRINT, (
+    assert report["violations"] == []
+    assert report["migrations_planned"] > 0
+    assert report["migrations_done"] > 0
+    assert report["migrations_failed"] > 0
+    assert report["fingerprint"] == SCENARIOS["migration-chaos"].pin, (
         "migration storm drifted: planned "
-        f"{report.migrations_planned}, done {report.migrations_done}, "
-        f"failed {report.migrations_failed}, streamed "
-        f"{report.pages_streamed}, aborted {report.pages_aborted}")
+        f"{report['migrations_planned']}, done "
+        f"{report['migrations_done']}, failed "
+        f"{report['migrations_failed']}, streamed "
+        f"{report['pages_streamed']}, aborted {report['pages_aborted']}")

@@ -24,14 +24,8 @@ from repro.frontdoor.resilience import (
     storm_policy,
 )
 from repro.frontdoor.results import FrontDoorError
+from repro.scenarios import SCENARIOS
 from repro.sim.rng import DeterministicRNG
-
-#: The default overload storm's sha256 fingerprint, pinned like the
-#: migration storm's: the overload-chaos-smoke CI job runs the same
-#: storm twice and any behavior drift in admission, retries, breakers
-#: or the fault sites shows up here first.
-STORM_FINGERPRINT = (
-    "38264aafce8b19a6e615812100e7310df0dc91960474143c51bb2850d5daebbb")
 
 
 # ----------------------------------------------------------------------
@@ -382,15 +376,20 @@ def test_fault_sites_are_inert_without_a_policy():
 # ----------------------------------------------------------------------
 
 def test_overload_storm_is_deterministic_and_pinned():
+    # Any behavior drift in admission, retries, breakers or the fault
+    # sites moves the registry pin.
     report = run_overload_storm()
     again = run_overload_storm()
-    assert report.fingerprint == again.fingerprint == STORM_FINGERPRINT
-    assert report.violations == []
-    assert report.stats["shed"] > 0 and report.stats["retries"] > 0
-    assert report.stats["breaker_trips"] > 0
-    fired = sum(sum(c.values()) for c in report.faults.values())
+    pin = SCENARIOS["overload-storm"].pin
+    assert report["fingerprint"] == again["fingerprint"] == pin
+    assert report["violations"] == []
+    stats = report["stats"]
+    assert stats["shed"] > 0 and stats["retries"] > 0
+    assert stats["breaker_trips"] > 0
+    fired = sum(sum(c.values()) for c in report["faults"].values())
     assert fired > 0
 
 
 def test_overload_storm_seed_changes_the_fingerprint():
-    assert run_overload_storm(seed=1).fingerprint != STORM_FINGERPRINT
+    assert (run_overload_storm(seed=1)["fingerprint"]
+            != SCENARIOS["overload-storm"].pin)
