@@ -64,13 +64,14 @@ BASELINES: dict[str, dict[str, tuple[float, int]]] = {
 #: Full-scale result fingerprints the pinned experiment scenarios must
 #: reproduce byte for byte inside their timed region: a faster path
 #: that perturbs a single latency by an ulp, or leaks a page, is a
-#: correctness regression, not a win. The frontdoor_p99 pin was
-#: captured from the pre-rewrite per-job-decrement dispatcher. The
-#: quick-scale pins live in :data:`repro.scenarios.SCENARIOS`.
+#: correctness regression, not a win. The three pins were captured
+#: from the virtual-time dispatcher (one remaining-work formula, one
+#: ``(time, seq)`` tie order). The quick-scale pins live in
+#: :data:`repro.scenarios.SCENARIOS`.
 FULL_PINS = {
-    "frontdoor_p99": "6d55565467eb66bea7d4c3b7edfa7e17596dcd4589e4e2c54630525895cef474",
-    "fleet_migration": "32ced3de2043b36a20f8da1e4d5652db82eb9e88057ffab42a09257d9035bca8",
-    "frontdoor_overload": "e101f6c782e7eca1afea720c5f6931f9deef4155d912cf911e1354b615c8993a",
+    "frontdoor_p99": "669e5caf6a0f3f26219b9b9517fcf0945778a2a204730a1f2f4d2b078ab64a5d",
+    "fleet_migration": "5edd5d2f46ea7bb1aff87165770e9b3fafd8b8816ca755930cfad2938cdaa397",
+    "frontdoor_overload": "593cfed155f4219aebabb511debbfebcd034f2534d1251bd45dfd9fba7ce3459",
 }
 
 #: Per-scenario regression floors, enforced by the perf gate.
@@ -105,8 +106,9 @@ FLOORS: dict[str, dict[str, dict[str, float]]] = {
         "quick": {"speedup": 4.0, "work_reduction": 3.5}},
     # The issue's megascale target is >= 3x wall clock; the full run
     # robustly measures 3.4-3.6x so the floor pins the target itself.
-    # Full-scale profiled calls measure 154.6M vs the 877.8M baseline
-    # (5.68x, bit-stable) — the floor sits just under the measurement.
+    # Full-scale profiled calls measure 144.0M vs the 877.8M baseline
+    # (6.09x, bit-stable) with the one-formula dispatcher; the 5.5x
+    # floor was set under the earlier 154.6M (5.68x).
     # The quick sweep is too small for a meaningful wall-clock floor
     # (sub-second, noise-dominated): its speedup floor only catches a
     # return to the seed, while the call-count floor is tight.

@@ -22,29 +22,26 @@ analytic curves.
 
 The PS servers use **virtual-time (attained-service) accounting**: each
 server keeps a virtual clock ``V`` that advances by ``rate / n`` per
-wall millisecond with ``n`` jobs in service, each copy records its
-finish virtual time ``V_admit + demand`` once at admission, and
-departures come from a per-server min-heap keyed on finish-V — so
-advancing the server is O(1) in the number of resident jobs and finding
-the next departure is a heap peek, instead of the O(n) decrement/scan
-of the naive formulation. Because float subtraction is not associative,
-the heap keys are treated as *hints* only: every remaining-work value
-that feeds a simulation decision is reproduced by lazily replaying the
-server's exact per-advance share history against the copy (see
-``ReplicaServer.exact_remaining``), which keeps the latency series
-byte-identical to the sequential per-job-decrement formulation the
-equivalence suite keeps as an oracle.
+wall millisecond with ``n`` jobs in service. A copy admitted at
+``V_admit`` with demand ``D`` has ``D − (V − V_admit)`` work left — one
+O(1) formula however long the copy has been resident — and a
+per-server min-heap keyed on the finish virtual time ``V_admit + D``
+names the soonest departure. Advance, admit and cancel are O(1) in the
+number of resident jobs and the next departure is a heap peek, instead
+of the O(n) decrement/scan of the naive formulation. The formula
+agrees with the naive per-job decrement to within float rounding (the
+equivalence suite holds it to ``EPS``), and a fresh job on an idle
+server departs at exactly ``now + D / rate``.
 
-One drive loop runs every dispatch. It merges four sources: the
+One drive loop runs every dispatch. It merges three sources: the
 pre-generated arrival array, read through the loop's own arrival
 cursor; the front door's :class:`~repro.sim.engine.Engine` queue,
 which holds only timeouts, retries and the periodic heartbeat /
-autoscale callbacks; and the departure-hint heap. Arrivals and
-departures never become engine events. The loop runs the source with
-the least ``(time, seq)`` key. Runs with periodic callbacks mint every
-seq from the engine's one counter, so equal times break in scheduling
-order; runs without them let an arrival beat an engine event beat a
-hint. Both orders are pinned by fingerprints (see DESIGN.md).
+autoscale callbacks; and the departure-hint heap, which holds every
+busy server's exact next departure. Arrivals and departures never
+become engine events. Each source's head carries a ``(time, seq)``
+key, every seq drawn from the engine's one counter, and the least key
+runs next — one order, as if every source were an engine event.
 
 Determinism: arrivals, demands and routing each draw from their own
 forked RNG stream keyed by (family, shape, label), every source runs on
@@ -104,36 +101,28 @@ _ACTIVE, _WON, _CANCELLED, _LOST, _TIMED_OUT = range(5)
 #: is cheaper than rebuilding.
 _HEAP_COMPACT_MIN = 64
 
-#: Share-history length at which the server considers dropping the
-#: prefix every resident job has already replayed.
-_HIST_COMPACT = 4096
-
 
 class _Copy:
     """One clone copy of a request, in service at one replica.
 
-    ``remaining_ms`` is exact *as of* ``sync_idx`` advances of the
-    server's share history; ``ReplicaServer.exact_remaining`` replays
-    the missed shares in order before the value is trusted. ``vkey``
-    (finish virtual time) is the departure-heap hint and is never used
-    for a simulation decision directly.
+    ``v_admit`` is the server's virtual clock at admission, so the
+    copy's remaining work is ``demand − (vclock − v_admit)``
+    (:meth:`ReplicaServer.remaining`). ``vkey`` (finish virtual time)
+    only orders the server's departure heap.
     """
 
-    __slots__ = ("request", "server", "remaining_ms", "consumed_ms",
-                 "state", "in_service", "seq", "vkey", "v_admit",
-                 "sync_idx", "job_idx")
+    __slots__ = ("request", "server", "consumed_ms", "state", "in_service",
+                 "seq", "vkey", "v_admit", "job_idx")
 
     def __init__(self, request: "_Request", server: "ReplicaServer") -> None:
         self.request = request
         self.server = server
-        self.remaining_ms = request.demand_ms
         self.consumed_ms = 0.0
         self.state = _ACTIVE
         self.in_service = False
         self.seq = 0
         self.vkey = 0.0
         self.v_admit = 0.0
-        self.sync_idx = 0
         self.job_idx = -1
 
 
@@ -166,17 +155,14 @@ class ReplicaServer:
     over its current jobs; ``work_done_ms`` accounts every delivered
     work-ms exactly once (the conservation law ``audit_fleet`` checks).
 
-    Accounting is virtual-time: ``advance`` appends one share to the
-    history and bumps ``vclock`` — O(1) — while each copy's exact
-    remaining work is recovered on demand by replaying the shares it
-    has not yet seen, in order, reproducing the naive formulation's
-    float subtraction chain bit for bit.
+    Accounting is virtual-time: ``advance`` bumps ``vclock`` by the
+    per-job share — O(1) — and a copy's remaining work is
+    ``demand − (vclock − v_admit)``, read on demand.
     """
 
     __slots__ = ("host", "domid", "rate", "jobs", "last_ms",
                  "work_done_ms", "alive", "draining", "vclock",
-                 "hint_seq", "_hist", "_hist_base", "_heap", "_heap_dead",
-                 "_seq", "_compact_at")
+                 "hint_seq", "_heap", "_heap_dead", "_seq")
 
     def __init__(self, host: str, domid: int, now_ms: float) -> None:
         self.host = host
@@ -196,14 +182,10 @@ class ReplicaServer:
         #: all earlier hints for the server — a popped entry whose
         #: token no longer matches is dead and drops for free.
         self.hint_seq = 0
-        #: Exact share of each advance since ``_hist_base``.
-        self._hist: list[float] = []
-        self._hist_base = 0
-        #: Departure heap of (finish-V hint, admission seq, copy).
+        #: Departure heap of (finish virtual time, admission seq, copy).
         self._heap: list[tuple[float, int, _Copy]] = []
         self._heap_dead = 0
         self._seq = 0
-        self._compact_at = _HIST_COMPACT
 
     @property
     def key(self) -> tuple[str, int]:
@@ -214,8 +196,6 @@ class ReplicaServer:
         copy.seq = self._seq
         self._seq += 1
         copy.v_admit = self.vclock
-        copy.sync_idx = self._hist_base + len(self._hist)
-        copy.remaining_ms = copy.request.demand_ms
         copy.vkey = self.vclock + copy.request.demand_ms
         copy.in_service = True
         copy.job_idx = len(self.jobs)
@@ -229,112 +209,29 @@ class ReplicaServer:
         jobs = self.jobs
         if dt <= 0.0 or not jobs:
             return
-        share = dt * self.rate / len(jobs)
-        hist = self._hist
-        hist.append(share)
-        self.vclock += share
+        self.vclock += dt * self.rate / len(jobs)
         self.work_done_ms += dt * self.rate
-        if len(hist) >= self._compact_at:
-            self._compact_history()
 
-    def _compact_history(self) -> None:
-        """Drop the share prefix every resident job has replayed."""
-        floor = min(copy.sync_idx for copy in self.jobs)
-        cut = floor - self._hist_base
-        if cut > 0:
-            del self._hist[:cut]
-            self._hist_base = floor
-        self._compact_at = len(self._hist) + _HIST_COMPACT
+    def remaining(self, copy: _Copy) -> float:
+        """Work ``copy`` still needs (as of the last advance).
 
-    def exact_remaining(self, copy: _Copy) -> float:
-        """Remaining work of ``copy``, bit-identical to the naive chain.
-
-        Replays the shares appended since the copy's last sync, in
-        order — the same sequence of float subtractions the per-job
-        decrement formulation would have applied.
+        ``demand − (vclock − v_admit)`` rather than ``vkey − vclock``:
+        a fresh copy's service so far is exactly zero, so its
+        remaining work is exactly its demand.
         """
-        start = copy.sync_idx - self._hist_base
-        hist = self._hist
-        end = len(hist)
-        if start < end:
-            remaining = copy.remaining_ms
-            for share in hist[start:end]:
-                remaining -= share
-            copy.remaining_ms = remaining
-            copy.sync_idx = self._hist_base + end
-        return copy.remaining_ms
+        return copy.request.demand_ms - (self.vclock - copy.v_admit)
 
     def consumed_of(self, copy: _Copy) -> float:
         """Service delivered to ``copy`` so far (as of the last advance)."""
         return self.vclock - copy.v_admit
 
-    def _margin(self) -> float:
-        """Bound on |heap hint − exact remaining| float drift.
-
-        Each replayed share perturbs the exact chain by at most an ulp;
-        the hint ``vkey − vclock`` accumulates the same scale of error.
-        Jobs resident for the entire megascale run see ~1e4 shares of
-        magnitude ≤ vclock, so 1e-9 · vclock (plus an absolute floor)
-        over-covers the worst case by several orders of magnitude.
-        """
-        return 1e-6 + 1e-9 * self.vclock
-
-    def _prune_heap(self) -> None:
-        heap = self._heap
-        pop = heapq.heappop
-        while heap and not heap[0][2].in_service:
-            pop(heap)
-            self._heap_dead -= 1
-
-    def soonest_remaining(self) -> float:
-        """Exact minimum remaining work over resident jobs.
-
-        The heap orders jobs by finish-V hint; every live entry within
-        the drift margin of the top is synced exactly and the exact
-        minimum taken, so the result equals the naive ``min()`` scan
-        bit for bit while touching O(candidates) jobs instead of all.
-        """
-        self._prune_heap()
-        heap = self._heap
-        top = heap[0]
-        limit = top[0] + self._margin()
-        n = len(heap)
-        if n > 1:
-            second = heap[1][0]
-            if n > 2 and heap[2][0] < second:
-                second = heap[2][0]
-            if second <= limit:
-                return self._soonest_among(limit)
-        return self.exact_remaining(top[2])
-
-    def _soonest_among(self, limit: float) -> float:
-        """Exact min over the (rare) multi-candidate margin window."""
-        heap = self._heap
-        pop = heapq.heappop
-        push = heapq.heappush
-        popped = []
-        best = None
-        while heap and heap[0][0] <= limit:
-            entry = pop(heap)
-            copy = entry[2]
-            if not copy.in_service:
-                self._heap_dead -= 1
-                continue
-            popped.append(entry)
-            remaining = self.exact_remaining(copy)
-            if best is None or remaining < best:
-                best = remaining
-        for entry in popped:
-            push(heap, entry)
-        return best
-
     def next_departure_ms(self) -> float:
         """Absolute time the soonest job finishes, given no changes.
 
-        Flattened :meth:`soonest_remaining`: this runs once per admit,
-        cancel and departure — the single hottest call in a megascale
-        dispatch — so the prune / margin-check / history-sync steps are
-        inlined for the overwhelmingly common single-candidate case.
+        The heap top (least finish virtual time) is the soonest job;
+        its :meth:`remaining` work drains at ``rate / len(jobs)``. One
+        flat method — dead heap heads are pruned inline — because it
+        runs on every reschedule.
         """
         heap = self._heap
         entry = heap[0]
@@ -348,83 +245,36 @@ class ReplicaServer:
                 if entry[2].in_service:
                     break
             self._heap_dead = dead
-        limit = entry[0] + 1e-6 + 1e-9 * self.vclock
-        n = len(heap)
-        if n > 1:
-            second = heap[1][0]
-            if n > 2 and heap[2][0] < second:
-                second = heap[2][0]
-            if second <= limit:
-                soonest = self._soonest_among(limit)
-                if soonest < 0.0:
-                    soonest = 0.0
-                return self.last_ms + soonest * len(self.jobs) / self.rate
         copy = entry[2]
-        start = copy.sync_idx - self._hist_base
-        hist = self._hist
-        end = len(hist)
-        remaining = copy.remaining_ms
-        if start < end:
-            for share in hist[start:end]:
-                remaining -= share
-            copy.remaining_ms = remaining
-            copy.sync_idx = self._hist_base + end
-        if remaining < 0.0:
-            remaining = 0.0
-        return self.last_ms + remaining * len(self.jobs) / self.rate
-
-    def bound_departure_ms(self) -> float:
-        """Cheap lower bound on :meth:`next_departure_ms`.
-
-        The heap-top finish-V hint understates the exact minimum
-        remaining work by at most the drift margin, so subtracting the
-        margin gives a sound early bound without replaying any share
-        history. Departure hints pushed at this time pop just before
-        the true departure and recompute it exactly, once — the eager
-        exact computation on every reschedule was mostly wasted work,
-        since under load the hint goes stale before it ever pops.
-        """
-        heap = self._heap
-        entry = heap[0]
-        if not entry[2].in_service:
-            pop = heapq.heappop
-            dead = self._heap_dead
-            while True:
-                pop(heap)
-                dead -= 1
-                entry = heap[0]
-                if entry[2].in_service:
-                    break
-            self._heap_dead = dead
-        remaining = entry[0] - self.vclock - (1e-6 + 1e-9 * self.vclock)
+        remaining = copy.request.demand_ms - (self.vclock - copy.v_admit)
         if remaining < 0.0:
             remaining = 0.0
         return self.last_ms + remaining * len(self.jobs) / self.rate
 
     def finished_jobs(self) -> list[_Copy]:
-        """Jobs whose exact remaining work is ≤ EPS, in admission order."""
-        self._prune_heap()
+        """Jobs whose remaining work is ≤ EPS, in admission order.
+
+        Walks the heap in finish-V order and stops at the first job
+        with work left; the walked entries go back on the heap (the
+        caller removes the finished copies).
+        """
         heap = self._heap
-        if not heap:
-            return []
-        limit = self.vclock + EPS + self._margin()
-        if heap[0][0] > limit:
-            return []
         pop = heapq.heappop
-        push = heapq.heappush
+        vclock = self.vclock
         popped = []
         finished: list[_Copy] = []
-        while heap and heap[0][0] <= limit:
-            entry = pop(heap)
-            copy = entry[2]
+        while heap:
+            copy = heap[0][2]
             if not copy.in_service:
+                pop(heap)
                 self._heap_dead -= 1
                 continue
-            popped.append(entry)
-            if self.exact_remaining(copy) <= EPS:
-                finished.append(copy)
+            if copy.request.demand_ms - (vclock - copy.v_admit) > EPS:
+                break
+            popped.append(pop(heap))
+            finished.append(copy)
         for entry in popped:
-            push(heap, entry)
+            heapq.heappush(heap, entry)
         if len(finished) > 1:
             finished.sort(key=lambda c: c.seq)
         return finished
@@ -456,10 +306,6 @@ class ReplicaServer:
             heapq.heapify(rebuilt)
             self._heap = rebuilt
             self._heap_dead = 0
-        if not self.jobs and self._hist:
-            self._hist_base += len(self._hist)
-            self._hist.clear()
-            self._compact_at = _HIST_COMPACT
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"ReplicaServer({self.host}/{self.domid}, "
@@ -556,16 +402,12 @@ class FrontDoor:
         #: The in-progress ``run_workload`` bookkeeping (None between runs).
         self._run: _Run | None = None
         self._hist = None
-        #: Departure-hint heap of ``(when, seq, token, exact, server)``
-        #: (None outside a run), with ``seq`` drawn from the engine's
-        #: counter. Each server owns one *live* hint: every
-        #: state-changing push bumps its ``hint_seq`` token,
+        #: Departure-hint heap of ``(when, seq, token, server)`` (None
+        #: outside a run), with ``seq`` drawn from the engine's counter.
+        #: Each server owns one *live* hint, its exact next departure:
+        #: every state-changing push bumps its ``hint_seq`` token,
         #: superseding earlier entries, which then drop for free at
-        #: peek. A live entry's ``when`` is a valid lower bound on the
-        #: server's next departure; ``exact`` marks bounds already
-        #: settled by ``next_departure_ms`` — those fire directly,
-        #: while a popped bound converts with exactly one exact
-        #: recompute.
+        #: peek.
         self._dep_heap: list | None = None
         self.stats: dict[str, Any] = {
             "requests": 0,
@@ -657,7 +499,7 @@ class FrontDoor:
             self._end_copy(copy)
             request = copy.request
             if not request.resolved and not request.active_copies():
-                self._fail(request)
+                self._fail(request, self._run)
 
     # ------------------------------------------------------------------
     # workload runs
@@ -758,15 +600,11 @@ class FrontDoor:
                 autoscale.check_interval_ms, check_scale))
 
         # The one drive loop (module docstring), bounded by a drain
-        # guard: the least ``(time, seq)`` key among the arrival cursor
-        # ``rid``, the engine queue and the hint heap runs next. With
-        # periodic callbacks armed, keys reproduce one engine queue
-        # that also holds arrivals and departures: an arrival's key is
-        # its time clamped to the clock after the previous admit, with
-        # a seq drawn right after that admit, and a converted bound
-        # keeps its seq. Otherwise an arrival beats an engine event
-        # beats a hint at equal times. DESIGN.md says why both remain.
-        engine_order = bool(periodic)
+        # guard: the least ``(time, seq)`` key among the next arrival,
+        # the engine queue head and the hint heap head runs next. Seqs
+        # are unique, so heads compare as plain tuples. An arrival's
+        # key is its time clamped to the clock after the previous
+        # admit, with a seq drawn right after that admit.
         guard = 60 * requests + 100_000
         steps = 0
         engine = self.engine
@@ -778,18 +616,16 @@ class FrontDoor:
         admit = self._admit
         depart = self._depart
         heappop = heapq.heappop
-        heappush = heapq.heappush
         self._dep_heap = dep = []
         rid = 0
-        t_arrive = arrivals[0]
-        s_arrive = mint() if engine_order else -1
+        arrival = (arrivals[0], mint())
         try:
             while run.resolved < requests:
                 # Earliest live departure hint (dead servers and
-                # drained hints are dropped on the way).
+                # superseded hints are dropped on the way).
                 while dep:
                     head = dep[0]
-                    hint_server = head[4]
+                    hint_server = head[3]
                     if (head[2] == hint_server.hint_seq
                             and hint_server.jobs
                             and hint_server.alive):
@@ -801,24 +637,14 @@ class FrontDoor:
                 source = 0
                 if rid < requests:
                     source = 1
-                    t_next = t_arrive
-                    s_next = s_arrive
-                if queue:
+                    head = arrival
+                if queue and (not source or queue[0] < head):
+                    source = 2
                     head = queue[0]
-                    t_head = head[0]
-                    if (not source or t_head < t_next
-                            or (t_head == t_next and head[1] < s_next)):
-                        source = 2
-                        t_next = t_head
-                        s_next = head[1]
-                if dep:
-                    head = dep[0]
-                    t_head = head[0]
-                    if (not source or t_head < t_next
-                            or (engine_order and t_head == t_next
-                                and head[1] < s_next)):
-                        source = 3
+                if dep and (not source or dep[0] < head):
+                    source = 3
                 if source == 1:
+                    t_arrive = arrival[0]
                     if t_arrive > clock._now:
                         clock._now = t_arrive
                     admit(run, rid, demands[rid], family, clone_factor,
@@ -826,35 +652,13 @@ class FrontDoor:
                     rid += 1
                     if rid < requests:
                         t_arrive = arrivals[rid]
-                        if engine_order:
-                            if t_arrive < clock._now:
-                                t_arrive = clock._now
-                            s_arrive = mint()
+                        if t_arrive < clock._now:
+                            t_arrive = clock._now
+                        arrival = (t_arrive, mint())
                 elif source == 2:
                     step()
                 elif source == 3:
-                    when, seq, token, exact, server = heappop(dep)
-                    if not exact:
-                        # A live bound: the server saw no admits or
-                        # removals since the push, so one exact
-                        # recompute settles its true departure. If the
-                        # bound was already tight, fire now; otherwise
-                        # convert it to an exact hint and let the heap
-                        # re-order it.
-                        true_when = server.next_departure_ms()
-                        if true_when != when:
-                            if engine_order:
-                                if true_when < when:
-                                    true_when = when
-                            else:
-                                if true_when < clock._now:
-                                    true_when = clock._now
-                                seq = mint()
-                            server.hint_seq = token = token + 1
-                            heappush(dep, (true_when, seq, token, True,
-                                           server))
-                            steps += 1
-                            continue
+                    when, _, _, server = heappop(dep)
                     if when > clock._now:
                         clock._now = when
                     depart(server)
@@ -924,10 +728,7 @@ class FrontDoor:
     def _admit(self, run: _Run, rid: int, demand_ms: float, family: str,
                clone_factor: int, route_rng, timeout_ms: float | None) -> None:
         now = self.fleet.clock.now
-        pool = self._pool_lists.get(family)
-        if pool is None:
-            pool = self._pool_lists[family] = list(
-                self._pools.get(family, {}).values())
+        pool = self._pool_lists[family]
         run.offered += 1
         res = self._active_res
         if res is not None:
@@ -939,48 +740,69 @@ class FrontDoor:
             res.budget.note_first_try()
         run.admitted += 1
         request = _Request(rid, now, demand_ms)
-        placed: list[ReplicaServer] = []
-        npool = len(pool)
-        if npool:
-            want = clone_factor if clone_factor < npool else npool
-            # randint(0, n-1) is exactly Random._randbelow(n) in CPython
-            # (randrange with zero start and unit step), and _randbelow
-            # is a rejection loop over getrandbits(n.bit_length()) —
-            # inlined here so each draw costs one C call instead of
-            # three Python frames, while consuming the identical bit
-            # stream and producing the identical index sequence.
-            getrandbits = route_rng._random.getrandbits
-            nbits = npool.bit_length()
-            cap = self.max_jobs_per_server
-            found = 0
-            tried_mask = 0
-            tried = 0
-            while found < want and tried < npool:
-                index = getrandbits(nbits)
-                while index >= npool:
-                    index = getrandbits(nbits)
-                bit = 1 << index
-                if tried_mask & bit:
-                    continue
-                tried_mask |= bit
-                tried += 1
-                server = pool[index]
-                if len(server.jobs) >= cap:
-                    continue
-                if res is not None and not self._routable(res, server, now):
-                    continue
-                placed.append(server)
-                found += 1
-            if res is not None and not placed:
-                self._fallback_place(res, pool, placed, want, cap, now)
+        placed = self._route(pool, clone_factor, route_rng, res, now)
         if not placed:
             run.rejected += 1
             self._fail(request, run)
-            return
+        elif not self._place(request, placed, run, res, now, timeout_ms):
+            self._fail(request, run)
+
+    def _route(self, pool: list[ReplicaServer], want: int, rng,
+               res: "ResilienceState | None",
+               now: float) -> list[ReplicaServer]:
+        """Pick up to ``want`` distinct replicas for one attempt.
+
+        Samples pool indexes without replacement, skipping full
+        replicas and, under a policy, unroutable ones; a resilient
+        attempt that found none falls back to a pool-order pass.
+        ``randint(0, n-1)`` is exactly ``Random._randbelow(n)`` in
+        CPython (randrange with zero start and unit step), and
+        ``_randbelow`` is a rejection loop over
+        ``getrandbits(n.bit_length())`` — inlined here so each draw
+        costs one C call instead of three Python frames, while
+        consuming the identical bit stream.
+        """
+        placed: list[ReplicaServer] = []
+        npool = len(pool)
+        if not npool:
+            return placed
+        if want > npool:
+            want = npool
+        getrandbits = rng._random.getrandbits
+        nbits = npool.bit_length()
+        cap = self.max_jobs_per_server
+        found = 0
+        tried_mask = 0
+        tried = 0
+        while found < want and tried < npool:
+            index = getrandbits(nbits)
+            while index >= npool:
+                index = getrandbits(nbits)
+            bit = 1 << index
+            if tried_mask & bit:
+                continue
+            tried_mask |= bit
+            tried += 1
+            server = pool[index]
+            if len(server.jobs) >= cap:
+                continue
+            if res is not None and not self._routable(res, server, now):
+                continue
+            placed.append(server)
+            found += 1
+        if res is not None and not placed:
+            self._fallback_place(res, pool, placed, want, cap, now)
+        return placed
+
+    def _place(self, request: _Request, placed: list[ReplicaServer],
+               run: _Run, res: "ResilienceState | None", now: float,
+               timeout_ms: float | None) -> bool:
+        """Put one attempt's copies in service and arm its timeout.
+
+        Returns ``False`` when every copy stalled, leaving retry or
+        failure to the caller.
+        """
         copies = request.copies
-        dep = self._dep_heap
-        mint = self.engine.next_seq
-        heappush = heapq.heappush
         inj = self._inj
         stalled = 0
         for server in placed:
@@ -997,51 +819,13 @@ class FrontDoor:
                 self._breaker_failure(res, server.key, now)
                 stalled += 1
                 continue
-            # Inlined ReplicaServer.advance(now) — the single hottest
-            # call site (one per admitted copy), worth the frame.
-            dt = now - server.last_ms
-            server.last_ms = now
-            jobs = server.jobs
-            if dt > 0.0 and jobs:
-                rate = server.rate
-                share = dt * rate / len(jobs)
-                hist = server._hist
-                hist.append(share)
-                server.vclock += share
-                server.work_done_ms += dt * rate
-                if len(hist) >= server._compact_at:
-                    server._compact_history()
-            # Inlined ReplicaServer.admit(copy).
-            copy.seq = cseq = server._seq
-            server._seq = cseq + 1
-            copy.v_admit = vclock = server.vclock
-            copy.sync_idx = server._hist_base + len(server._hist)
-            copy.remaining_ms = demand_ms
-            copy.vkey = vkey = vclock + demand_ms
-            copy.in_service = True
-            copy.job_idx = len(jobs)
-            jobs.append(copy)
-            heappush(server._heap, (vkey, cseq, copy))
-            # An admit never needs the exact departure time up front —
-            # except for an empty server, whose sole fresh job departs
-            # at exactly now + demand/rate: that hint is exact and
-            # fires without any recompute (the common case at light
-            # load). Busy servers get the cheap bound, converted to
-            # exact only when it pops.
-            server.hint_seq = token = server.hint_seq + 1
-            if len(jobs) == 1:
-                heappush(dep, (now + demand_ms / server.rate, mint(),
-                               token, True, server))
-            else:
-                bound = server.bound_departure_ms()
-                if bound < now:
-                    bound = now
-                heappush(dep, (bound, mint(), token, False, server))
+            server.advance(now)
+            server.admit(copy)
+            self._reschedule(server, now)
         run.copies += len(placed)
+        if stalled == len(placed):
+            return False
         if res is not None:
-            if stalled == len(placed):
-                self._fail(request, run)
-                return
             deadline = res.policy.deadline_ms
             if deadline is not None:
                 # Deadline propagation: the attempt's timeout never
@@ -1053,6 +837,7 @@ class FrontDoor:
         if timeout_ms is not None:
             request.timeout_event = self.engine.schedule_at(
                 now + timeout_ms, lambda: self._expire(request, run))
+        return True
 
     # ------------------------------------------------------------------
     # resilience internals (only reached when a policy is active)
@@ -1194,96 +979,35 @@ class FrontDoor:
             run.timed_out += 1
             run.resolved += 1
             return
-        pool = self._pool_lists.get(run.family)
-        if pool is None:
-            pool = self._pool_lists[run.family] = list(
-                self._pools.get(run.family, {}).values())
+        pool = self._pool_lists[run.family]
         placed: list[ReplicaServer] = []
-        npool = len(pool)
-        cap = self.max_jobs_per_server
-        if npool:
+        if pool:
             jobs = 0
             for server in pool:
                 jobs += len(server.jobs)
-            d = res.effective_clone_factor(run.clone_factor, jobs / npool)
-            want = d if d < npool else npool
-            rng = res.rng
-            tried_mask = 0
-            tried = 0
-            while len(placed) < want and tried < npool:
-                index = rng.randint(0, npool - 1)
-                bit = 1 << index
-                if tried_mask & bit:
-                    continue
-                tried_mask |= bit
-                tried += 1
-                server = pool[index]
-                if len(server.jobs) >= cap:
-                    continue
-                if not self._routable(res, server, now):
-                    continue
-                placed.append(server)
-            if not placed:
-                self._fallback_place(res, pool, placed, want, cap, now)
+            d = res.effective_clone_factor(run.clone_factor,
+                                           jobs / len(pool))
+            placed = self._route(pool, d, res.rng, res, now)
         if not placed:
             run.rejected += 1
-            if not self._retry(request, run, res, now):
-                self._resolve_failed(request, run)
-            return
-        inj = self._inj
-        stalled = 0
-        for server in placed:
-            copy = _Copy(request, server)
-            request.copies.append(copy)
-            if inj is not None and inj.event(
-                    "frontdoor.replica_stall", op="route",
-                    host=server.host, domid=server.domid):
-                copy.state = _LOST
-                self._end_copy(copy)
-                self._breaker_failure(res, server.key, now)
-                stalled += 1
-                continue
-            server.advance(now)
-            server.admit(copy)
-            self._reschedule(server, now)
-        run.copies += len(placed)
-        if stalled == len(placed):
-            if not self._retry(request, run, res, now):
-                self._resolve_failed(request, run)
-            return
-        timeout = run.timeout_ms
-        if deadline is not None:
-            slack = request.t_arrive_ms + deadline - now
-            if timeout is None or slack < timeout:
-                timeout = slack
-        if timeout is not None:
-            request.timeout_event = self.engine.schedule_at(
-                now + timeout, lambda: self._expire(request, run))
-
-    def _resolve_failed(self, request: _Request, run: _Run) -> None:
-        """Terminal failure of a retried request (no further gates)."""
-        request.resolved = True
-        request.copies.clear()
-        run.failed += 1
-        run.resolved += 1
+            self._fail(request, run)
+        elif not self._place(request, placed, run, res, now, run.timeout_ms):
+            self._fail(request, run)
 
     def _reschedule(self, server: ReplicaServer, now: float) -> None:
-        """Push ``server``'s fresh departure hint (during a run only).
+        """Push ``server``'s exact departure hint (during a run only).
 
         The fresh token supersedes every earlier hint the server has in
         the heap (they drop for free at pop time), so each server owns
-        exactly one live hint. The hint is only a cheap lower bound —
-        computing the exact departure here would replay share history
-        that is almost always thrown away again before the hint pops.
+        exactly one live hint, keyed ``(departure, fresh seq)``.
         """
         dep = self._dep_heap
         if dep is not None and server.jobs:
-            bound = server.bound_departure_ms()
-            if bound < now:
-                bound = now
+            when = server.next_departure_ms()
+            if when < now:
+                when = now
             server.hint_seq = token = server.hint_seq + 1
-            heapq.heappush(dep, (bound, self.engine.next_seq(), token,
-                                 False, server))
+            heapq.heappush(dep, (when, self.engine.next_seq(), token, server))
 
     def _depart(self, server: ReplicaServer) -> None:
         """A replica's soonest job should now be done: complete winners."""
@@ -1297,79 +1021,39 @@ class FrontDoor:
 
     def _complete(self, request: _Request, winner: _Copy,
                   now_ms: float) -> None:
+        """``winner`` finished: cancel its siblings, resolve the request."""
         run = self._run
+        server = winner.server
         winner.state = _WON
-        # finished_jobs just synced the winner: demand − exact remaining
-        # is the service it actually received (remaining can sit an ulp
-        # below zero after the final share).
-        winner.consumed_ms = request.demand_ms - winner.remaining_ms
-        winner.server.remove(winner)
+        winner.consumed_ms = server.vclock - winner.v_admit
+        server.remove(winner)
         res = self._active_res
         if res is not None:
-            res.record_success(winner.server.key, now_ms)
-        if run is not None:
-            run.work_served += winner.consumed_ms
-            run.copies_won += 1
-            run.work_useful += request.demand_ms
-        else:
-            self.stats["work_served_ms"] += winner.consumed_ms
-            self.stats["copies_won"] += 1
-            self.stats["work_useful_ms"] += request.demand_ms
-        dep = self._dep_heap
-        mint = self.engine.next_seq
-        heappush = heapq.heappush
+            res.record_success(server.key, now_ms)
+        run.work_served += winner.consumed_ms
+        run.copies_won += 1
+        run.work_useful += request.demand_ms
         for copy in request.copies:
             if copy.state != _ACTIVE:
                 continue
-            server = copy.server
-            # Inlined ReplicaServer.advance(now_ms), work accounting
-            # and hint push — one sequence per cancelled sibling, the
-            # hottest stretch of the completion path.
-            dt = now_ms - server.last_ms
-            server.last_ms = now_ms
-            jobs = server.jobs
-            if dt > 0.0 and jobs:
-                rate = server.rate
-                share = dt * rate / len(jobs)
-                hist = server._hist
-                hist.append(share)
-                server.vclock += share
-                server.work_done_ms += dt * rate
-                if len(hist) >= server._compact_at:
-                    server._compact_history()
-            copy.consumed_ms = consumed = server.vclock - copy.v_admit
-            server.remove(copy)
+            sibling = copy.server
+            sibling.advance(now_ms)
+            copy.consumed_ms = sibling.vclock - copy.v_admit
+            sibling.remove(copy)
             copy.state = _CANCELLED
-            if run is not None:
-                run.work_served += consumed
-                run.copies_cancelled += 1
-            else:
-                self.stats["work_served_ms"] += consumed
-                self.stats["copies_cancelled"] += 1
-            if jobs:
-                bound = server.bound_departure_ms()
-                if bound < now_ms:
-                    bound = now_ms
-                server.hint_seq = token = server.hint_seq + 1
-                heappush(dep, (bound, mint(), token, False, server))
+            run.work_served += copy.consumed_ms
+            run.copies_cancelled += 1
+            self._reschedule(sibling, now_ms)
         if request.timeout_event is not None:
             request.timeout_event.cancel()
             request.timeout_event = None
         request.resolved = True
         request.copies.clear()
         latency = now_ms - request.t_arrive_ms + DISPATCH_RTT_MS
-        if run is not None:
-            run.completed += 1
-            run.resolved += 1
-            if 0 <= request.rid < run.requests:
-                run.latencies[request.rid] = latency
-            if self._hist is not None:
-                self._hist.observe(latency)
-        else:
-            self.stats["completed"] += 1
-            if self._hist is not None:
-                self._hist.observe(latency)
-            self.fleet.tracer.count("frontdoor.requests_completed")
+        run.completed += 1
+        run.resolved += 1
+        run.latencies[request.rid] = latency
+        self._hist.observe(latency)
 
     def _expire(self, request: _Request, run: _Run) -> None:
         if request.resolved:
@@ -1379,14 +1063,14 @@ class FrontDoor:
         res = self._active_res
         # Timeout/departure tie: a copy whose service is already
         # complete at the expiry instant departs *first* — the request
-        # resolves completed, deterministically, under either tie order
-        # (pinned by the tie regression tests).
+        # resolves completed, deterministically (pinned by the tie
+        # regression tests).
         for copy in request.copies:
             if copy.state != _ACTIVE:
                 continue
             server = copy.server
             server.advance(now)
-            if server.exact_remaining(copy) <= EPS:
+            if server.remaining(copy) <= EPS:
                 self._complete(request, copy, now)
                 self._reschedule(server, now)
                 return
@@ -1410,39 +1094,30 @@ class FrontDoor:
         run.timed_out += 1
         run.resolved += 1
 
-    def _fail(self, request: _Request, run: "_Run | None" = None) -> None:
+    def _fail(self, request: _Request, run: _Run) -> None:
+        """No copy of ``request`` can finish: retry it when the policy
+        grants one, else resolve it as failed."""
         if request.resolved:
             return
-        run = run if run is not None else self._run
         res = self._active_res
-        if (res is not None and run is not None
-                and self._retry(request, run, res, self.fleet.clock.now)):
-            if request.timeout_event is not None:
-                request.timeout_event.cancel()
-                request.timeout_event = None
-            return
-        request.resolved = True
-        request.copies.clear()
+        retried = (res is not None
+                   and self._retry(request, run, res, self.fleet.clock.now))
         if request.timeout_event is not None:
             request.timeout_event.cancel()
             request.timeout_event = None
-        if run is not None:
-            run.failed += 1
-            run.resolved += 1
-        else:
-            self.stats["failed"] += 1
+        if retried:
+            return
+        request.resolved = True
+        request.copies.clear()
+        run.failed += 1
+        run.resolved += 1
 
     def _end_copy(self, copy: _Copy) -> None:
         """Final work accounting for a copy leaving service."""
         run = self._run
-        if run is not None:
-            run.work_served += copy.consumed_ms
-            if copy.state == _LOST:
-                run.copies_lost += 1
-        else:
-            self.stats["work_served_ms"] += copy.consumed_ms
-            if copy.state == _LOST:
-                self.stats["copies_lost"] += 1
+        run.work_served += copy.consumed_ms
+        if copy.state == _LOST:
+            run.copies_lost += 1
 
     def _flush_run(self, run: _Run) -> None:
         """Fold the run's slotted counters into the shared ledgers."""

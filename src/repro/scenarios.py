@@ -82,16 +82,16 @@ SCENARIOS: dict[str, Scenario] = {
         "29e2f33b7b084d99c39e1d828b5cc08b3a2395f6068c627fba3a656bce30b6d5"),
     "overload-storm": Scenario(
         _lazy("repro.frontdoor.resilience:run_overload_storm"),
-        "38264aafce8b19a6e615812100e7310df0dc91960474143c51bb2850d5daebbb"),
+        "d47eeafcc02b9faf2d0377dac3987dd22772e917138cc713b1e9e63dc1c305d9"),
     "frontdoor-p99": Scenario(
         _lazy("repro.experiments.frontdoor_p99:run_quick"),
         "35c31ef94ab2eed3d717955da4aaf3752f4c1e948a5d8c1ee05b20d60ba19553"),
     "fleet-migration": Scenario(
         _lazy("repro.experiments.fleet_migration:run_quick"),
-        "a5ed03e3ecc4e5dc2e67f063d0d729f996bbf44e252e5e4d73e6bc7b78088b7a"),
+        "1f4ac8bc95ba83e7a59a68f3652513f1b84cb49c540229d809deb3fde426b27f"),
     "frontdoor-overload": Scenario(
         _lazy("repro.experiments.frontdoor_overload:run_quick"),
-        "621953fe35aa704ea2f01d493a74d8eae36c47156e02d6d79cc7994e10aa77d1"),
+        "73b37997986b0809c8d18c429f41dd433441057915722ed96f315ff589137dc8"),
 }
 
 

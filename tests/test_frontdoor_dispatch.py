@@ -50,8 +50,8 @@ def test_ps_server_splits_rate_equally():
     # Two jobs share the unit rate: the 4 ms job needs 8 wall ms.
     assert server.next_departure_ms() == pytest.approx(8.0)
     server.advance(8.0)
-    assert server.exact_remaining(a) == pytest.approx(0.0)
-    assert server.exact_remaining(b) == pytest.approx(4.0)
+    assert server.remaining(a) == pytest.approx(0.0)
+    assert server.remaining(b) == pytest.approx(4.0)
     assert server.work_done_ms == pytest.approx(8.0)
     server.remove(a)
     # Alone, the survivor finishes at full rate.
@@ -84,8 +84,8 @@ def test_ps_virtual_clock_tracks_per_job_service():
     assert server.vclock == pytest.approx(4.0)
     assert server.consumed_of(a) == pytest.approx(4.0)
     assert server.consumed_of(b) == pytest.approx(2.0)
-    assert server.exact_remaining(a) == pytest.approx(2.0)
-    assert server.exact_remaining(b) == pytest.approx(4.0)
+    assert server.remaining(a) == pytest.approx(2.0)
+    assert server.remaining(b) == pytest.approx(4.0)
     # Finish virtual times were fixed at admission.
     assert a.vkey == pytest.approx(6.0)
     assert b.vkey == pytest.approx(8.0)
@@ -418,8 +418,7 @@ def test_timeout_departure_tie_departure_wins_fast_path(constant_draws):
 def test_timeout_departure_tie_departure_wins_with_heartbeats(
         constant_draws):
     with _tie_session() as sess:
-        # A periodic heartbeat switches the loop to the engine's
-        # (time, seq) tie order.
+        # A periodic heartbeat puts engine events in the loop too.
         result = sess.dispatch("tie", "faas", requests=1,
                                arrival_rps=100.0, clone_factor=1,
                                timeout_ms=TIE_MS,
@@ -494,9 +493,8 @@ def test_heartbeat_dispatch_schedules_only_timeouts_and_retries(
         rejected = sess.frontdoor.stats["rejected_no_capacity"]
         assert audit_fleet(sess.fleet, sess.frontdoor) == []
     assert sess.frontdoor.stats["autoscale_events"] >= 1
-    timeouts = scheduled["FrontDoor._admit"] + scheduled["FrontDoor._readmit"]
-    assert set(scheduled) <= {"FrontDoor._admit", "FrontDoor._readmit",
-                              "FrontDoor._retry"}
+    timeouts = scheduled["FrontDoor._place"]
+    assert set(scheduled) <= {"FrontDoor._place", "FrontDoor._retry"}
     assert scheduled["FrontDoor._retry"] == result.retries
     if resilient:
         assert result.retries > 0
