@@ -6,17 +6,10 @@ discrete-event simulation. See DESIGN.md for the system inventory and
 EXPERIMENTS.md for paper-vs-measured results.
 """
 
+import importlib
+
 from repro.api import NepheleSession, SessionError
 from repro.errors import ReproError
-from repro.fleet.fleet import CloneResult, FamilyPlacement
-from repro.frontdoor.results import (
-    DispatchResult,
-    DispatchTimeout,
-    FrontDoorError,
-    HostInventory,
-    NoCapacity,
-)
-from repro.frontdoor.session import FleetSession
 from repro.guest.app import GuestApp
 from repro.platform import Platform, PlatformConfig
 from repro.sim import CostModel
@@ -45,3 +38,28 @@ __all__ = [
     "NoCapacity",
     "__version__",
 ]
+
+#: The fleet and front-door tiers, resolved on first use (PEP 562) so
+#: that importing the single-host clone path does not load them.
+_LAZY = {
+    "CloneResult": "repro.fleet.fleet",
+    "FamilyPlacement": "repro.fleet.fleet",
+    "DispatchResult": "repro.frontdoor.results",
+    "DispatchTimeout": "repro.frontdoor.results",
+    "FrontDoorError": "repro.frontdoor.results",
+    "HostInventory": "repro.frontdoor.results",
+    "NoCapacity": "repro.frontdoor.results",
+    "FleetSession": "repro.frontdoor.session",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(module), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

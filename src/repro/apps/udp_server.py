@@ -27,11 +27,14 @@ class UdpServerApp(GuestApp):
         self.listen_port = listen_port
         #: Filled in by whoever owns this instance after boot/clone.
         self.requests_served = 0
+        #: The guest API the echo handler replies through (set by
+        #: ``main``/``on_cloned``).
+        self._api: GuestAPI | None = None
 
     # ------------------------------------------------------------------
-    def _serve(self, api: GuestAPI, packet: Packet) -> None:
+    def _serve(self, packet: Packet) -> None:
         self.requests_served += 1
-        api.reply(packet, payload=packet.payload)
+        self._api.reply(packet, payload=packet.payload)
 
     def _ready(self, api: GuestAPI, port: int) -> None:
         api.udp_send(self.host_ip, self.notify_port,
@@ -39,7 +42,8 @@ class UdpServerApp(GuestApp):
 
     def main(self, api: GuestAPI) -> None:
         """Bind the echo port and notify the host we are ready."""
-        api.udp_bind(self.listen_port, lambda p: self._serve(api, p))
+        self._api = api
+        api.udp_bind(self.listen_port, self._serve)
         self._ready(api, self.listen_port)
 
     def clone_for_child(self) -> "UdpServerApp":
@@ -54,7 +58,8 @@ class UdpServerApp(GuestApp):
         parent_port = self.listen_port
         self.listen_port = unique_clone_port(api.domid)
         api.udp_unbind(parent_port)
-        api.udp_bind(self.listen_port, lambda p: self._serve(api, p))
+        self._api = api
+        api.udp_bind(self.listen_port, self._serve)
         self._ready(api, self.listen_port)
 
 

@@ -30,19 +30,19 @@ class ConsoleFrontend:
     device_class = "console"
 
     def __init__(self, domain: Domain) -> None:
-        self.domain = domain
+        self.domid = domain.domid
         # The ring lives in the domain's dedicated console page
         # (allocated with the domain's special pages).
         self.output: list[str] = []
-        #: Backend sink draining the ring (xenconsoled-style logging).
-        self.sink = None
+        #: Backend daemon draining the ring (xenconsoled-style logging).
+        self.sink: ConsoleBackendDaemon | None = None
         domain.frontends.setdefault("console", []).append(self)
 
     def write_line(self, line: str) -> None:
         """Guest prints a line: ring + xenconsoled sink."""
         self.output.append(line)
         if self.sink is not None:
-            self.sink(self.domain.domid, line)
+            self.sink._drain(self.domid, line)
 
     def clone_for(self, child: Domain) -> "ConsoleFrontend":
         """Fresh, empty console for the clone: the ring is not copied."""
@@ -103,7 +103,7 @@ class ConsoleBackendDaemon:
             return
         self.hostfs.create(self.log_path(domid))
         for console in domain.frontends.get("console", []):
-            console.sink = self._drain
+            console.sink = self
 
     def _drain(self, domid: int, line: str) -> None:
         if self.hostfs is not None:

@@ -186,7 +186,7 @@ class P9Frontend:
 
     def __init__(self, domain: Domain, tag: str, mount_point: str,
                  index: int = 0) -> None:
-        self.domain = domain
+        self.domid = domain.domid
         self.tag = tag
         self.mount_point = mount_point
         self.index = index
@@ -196,24 +196,24 @@ class P9Frontend:
     def _process(self) -> P9BackendProcess:
         if self.backend_process is None:
             raise P9Error(
-                f"9pfs {self.tag} of domain {self.domain.domid} not connected")
+                f"9pfs {self.tag} of domain {self.domid} not connected")
         return self.backend_process
 
     def open(self, path: str, mode: str = "rw", create: bool = False) -> int:
         """Open a file on the share; returns a fid."""
-        return self._process().open(self.domain.domid, path, mode, create)
+        return self._process().open(self.domid, path, mode, create)
 
     def write(self, fid: int, nbytes: int) -> int:
         """Write through the mount."""
-        return self._process().write(self.domain.domid, fid, nbytes)
+        return self._process().write(self.domid, fid, nbytes)
 
     def read(self, fid: int, nbytes: int) -> int:
         """Read through the mount."""
-        return self._process().read(self.domain.domid, fid, nbytes)
+        return self._process().read(self.domid, fid, nbytes)
 
     def close(self, fid: int) -> None:
         """Close a fid."""
-        self._process().clunk(self.domain.domid, fid)
+        self._process().clunk(self.domid, fid)
 
     def clone_for(self, child: Domain) -> "P9Frontend":
         """Child-side mount; the backend process is reattached by the

@@ -17,7 +17,15 @@ from repro.xen.frames import PageType
 
 
 class SharedRing:
-    """One shared ring: guest pages plus in-flight entries."""
+    """One shared ring: guest pages plus in-flight entries.
+
+    ``entries`` is an empty tuple until the first push and a deque from
+    then on: a deque reserves a 64-slot block even when empty, and a
+    clone fleet's rings are almost all idle.
+    """
+
+    __slots__ = ("domain", "npages", "label", "page_type", "extent",
+                 "entries")
 
     def __init__(self, domain: Domain, npages: int, label: str,
                  page_type: PageType = PageType.IO_RING) -> None:
@@ -26,15 +34,21 @@ class SharedRing:
         self.label = label
         self.page_type = page_type
         self.extent = domain.populate_ram(npages, page_type, label=label)
-        self.entries: deque[Any] = deque()
+        self.entries: deque[Any] | tuple = ()
 
     def push(self, entry: Any) -> None:
         """Producer side: enqueue an entry."""
-        self.entries.append(entry)
+        entries = self.entries
+        if entries.__class__ is tuple:
+            entries = self.entries = deque()
+        entries.append(entry)
 
     def pop(self) -> Any:
         """Consumer side: dequeue the oldest entry."""
-        return self.entries.popleft()
+        entries = self.entries
+        if not entries:
+            raise IndexError("pop from an empty ring")
+        return entries.popleft()
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -46,6 +60,6 @@ class SharedRing:
         rings); ``False`` yields an empty ring (console).
         """
         ring = SharedRing(child, self.npages, self.label, self.page_type)
-        if copy_contents:
+        if copy_contents and self.entries:
             ring.entries = deque(self.entries)
         return ring

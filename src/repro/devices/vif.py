@@ -14,7 +14,7 @@ connected, skipping negotiation.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Any, Callable
 
 from repro.devices.rings import SharedRing
 from repro.devices.udev import UdevBus, UdevEvent
@@ -33,8 +33,6 @@ TX_BUFFER_PAGES = 32
 #: One page per ring.
 RING_PAGES = 1
 
-PacketHandler = Callable[[Packet], None]
-
 
 def vif_frontend_path(domid: int, index: int) -> str:
     """Xenstore directory of a guest's vif frontend."""
@@ -52,7 +50,7 @@ class NetFrontend:
     device_class = "vif"
 
     def __init__(self, domain: Domain, index: int, mac: str, ip: str) -> None:
-        self.domain = domain
+        self.domid = domain.domid
         self.index = index
         self.mac = mac
         self.ip = ip
@@ -62,12 +60,13 @@ class NetFrontend:
             RX_BUFFER_PAGES, PageType.RX_BUFFER, label=f"vif{index}-rxbuf")
         self.tx_buffers = domain.populate_ram(
             TX_BUFFER_PAGES, PageType.IO_RING, label=f"vif{index}-txbuf")
-        self.rx_handler: PacketHandler | None = None
-        #: Optional cheap RX-interest predicate installed by the guest
-        #: kernel; switches flooding a packet consult it (through the
-        #: backend port's ``accepts``) before delivering, so no RX-ring
-        #: state is built for packets the guest would drop anyway.
-        self.rx_filter: Callable[[Packet], bool] | None = None
+        #: The guest kernel that consumes RX (installed by the guest):
+        #: packets go to ``guest.dispatch_packet``, and switches flooding
+        #: a packet consult ``guest.wants_packet`` (through the backend
+        #: port's ``accepts``) first, so no RX-ring state is built for
+        #: packets the guest would drop anyway. ``None`` queues RX on
+        #: the ring.
+        self.guest: Any = None
         self.backend: "NetBackend | None" = None
         self.tx_count = 0
         self.rx_count = 0
@@ -80,36 +79,45 @@ class NetFrontend:
                 + self.rx_buffers.npages + self.tx_buffers.npages)
 
     def transmit(self, packet: Packet) -> None:
-        """Guest TX: ring -> netback -> switch."""
-        if self.backend is None or not self.backend.connected:
+        """Guest TX: ring -> netback -> switch.
+
+        With no entries in flight the packet is handed over directly -
+        the ring round-trip is elided (same FIFO semantics, and an idle
+        ring never allocates entry storage).
+        """
+        backend = self.backend
+        if backend is None or not backend.connected:
             raise RuntimeError(
-                f"vif{self.domain.domid}.{self.index} transmit before connect")
-        self.tx_ring.push(packet)
+                f"vif{self.domid}.{self.index} transmit before connect")
         self.tx_count += 1
-        self.backend.from_guest(self.tx_ring.pop())
+        tx_ring = self.tx_ring
+        if tx_ring.entries:
+            tx_ring.push(packet)
+            packet = tx_ring.pop()
+        backend.from_guest(packet)
 
     def receive(self, packet: Packet) -> None:
         """Backend RX delivery into the guest.
 
-        With a handler attached and no preallocated entries in flight,
+        With a guest attached and no preallocated entries in flight,
         the packet is handed over directly - the ring round-trip is
-        elided (same FIFO semantics, no per-packet deque churn).
+        elided (same FIFO semantics, no per-packet ring churn).
         """
         self.rx_count += 1
-        handler = self.rx_handler
-        if handler is None:
-            self.rx_ring.push(packet)
+        guest = self.guest
+        rx_ring = self.rx_ring
+        if guest is None:
+            rx_ring.push(packet)
             return
-        if self.rx_ring.entries:
-            self.rx_ring.push(packet)
-            handler(self.rx_ring.pop())
-        else:
-            handler(packet)
+        if rx_ring.entries:
+            rx_ring.push(packet)
+            packet = rx_ring.pop()
+        guest.dispatch_packet(packet)
 
     def clone_for(self, child: Domain) -> "NetFrontend":
         """Child-side device state: rings and buffers copied (paper §4.2)."""
         clone = NetFrontend.__new__(NetFrontend)
-        clone.domain = child
+        clone.domid = child.domid
         clone.index = self.index
         clone.mac = self.mac  # identical MAC and IP (paper §5.2.1)
         clone.ip = self.ip
@@ -121,8 +129,7 @@ class NetFrontend:
         clone.tx_buffers = child.populate_ram(
             self.tx_buffers.npages, PageType.IO_RING,
             label=f"vif{self.index}-txbuf")
-        clone.rx_handler = None
-        clone.rx_filter = None
+        clone.guest = None
         clone.backend = None
         clone.tx_count = 0
         clone.rx_count = 0
@@ -130,8 +137,41 @@ class NetFrontend:
         return clone
 
 
-class NetBackend:
-    """Dom0-side vif state (netback)."""
+class _VifPort(Port):
+    """The vif as a switch port: what bridges, bonds and OVS groups call
+    to deliver into the connected frontend.
+
+    Kept apart from :class:`NetBackend`'s own API on purpose: the
+    per-layer tracer (``benchmarks/e2e/trace.py``) counts NetBackend's
+    public methods as devices-layer calls, while a switch delivery is
+    net-layer work that reaches the devices layer as
+    ``NetFrontend.receive``.
+    """
+
+    frontend: "NetFrontend | None"
+
+    def deliver(self, packet: Packet) -> None:
+        frontend = self.frontend
+        if frontend is not None:
+            frontend.receive(packet)
+
+    def accepts(self, packet: Packet) -> bool:
+        """Flood pre-filter: would delivering this packet have any
+        effect? False exactly when :meth:`deliver` would build RX
+        state only for the guest to drop the packet."""
+        frontend = self.frontend
+        if frontend is None:
+            return False
+        guest = frontend.guest
+        return guest is None or guest.wants_packet(packet)
+
+
+class NetBackend(_VifPort):
+    """Dom0-side vif state (netback); also the vif's switch port.
+
+    Being its own port, a vif stores no delivery callbacks; it does not
+    call :class:`Port`'s constructor, which is for callable ports.
+    """
 
     def __init__(self, domid: int, index: int, mac: str, ip: str) -> None:
         self.domid = domid
@@ -144,8 +184,11 @@ class NetBackend:
         #: The switch (bridge/bond/OVS) this vif hangs off, set by the
         #: hotplug/udev stage; must expose ``forward(packet, ingress)``.
         self.switch = None
-        self.port = Port(self.name, mac, self._to_guest,
-                         accepts=self._accepts)
+
+    @property
+    def port(self) -> "NetBackend":
+        """The vif's switch port: the backend itself."""
+        return self
 
     def attach_switch(self, switch) -> None:
         """Set the Dom0 switch used for outbound traffic."""
@@ -155,21 +198,7 @@ class NetBackend:
         """Forward a guest TX packet into the Dom0 fabric."""
         if self.switch is None:
             raise RuntimeError(f"{self.name} has no switch attached")
-        self.switch.forward(packet, ingress=self.port)
-
-    def _to_guest(self, packet: Packet) -> None:
-        if self.frontend is not None:
-            self.frontend.receive(packet)
-
-    def _accepts(self, packet: Packet) -> bool:
-        """Flood pre-filter: would delivering this packet have any
-        effect? False exactly when :meth:`_to_guest` would build RX
-        state only for the guest to drop the packet."""
-        frontend = self.frontend
-        if frontend is None:
-            return False
-        rx_filter = frontend.rx_filter
-        return rx_filter is None or rx_filter(packet)
+        self.switch.forward(packet, ingress=self)
 
 
 class NetBackendDriver:
@@ -259,7 +288,7 @@ class NetBackendDriver:
                 backend.frontend = frontend
                 # The port's acceptance just changed (no frontend ->
                 # guest filter): drop any cached switch decisions.
-                backend.port.touch()
+                backend.touch()
                 break
         self.udev.emit(UdevEvent(
             action="add", subsystem="net", name=backend.name,
@@ -278,12 +307,15 @@ class NetBackendDriver:
         for key in [k for k in self.backends if k[0] == domid]:
             backend = self.backends.pop(key)
             if backend.switch is not None and hasattr(backend.switch, "detach"):
-                backend.switch.detach(backend.port)
+                backend.switch.detach(backend)
             self.udev.emit(UdevEvent(
                 action="remove", subsystem="net", name=backend.name,
                 properties={"domid": domid, "index": backend.index,
-                            "ip": backend.ip, "port": backend.port},
+                            "ip": backend.ip, "port": backend},
             ))
+            # The dead guest's frontend and this backend point at each
+            # other; unlinking this side lets both die by refcount.
+            backend.frontend = None
 
 
 def write_vif_entries(handle: XsHandle, domid: int, index: int, mac: str,

@@ -16,12 +16,6 @@ semantics) is documented in ``docs/FAULTS.md``; a test keeps that
 document in sync with the registry.
 """
 
-from repro.faults.chaos import (
-    audit_kvm_platform,
-    audit_platform,
-    run_chaos,
-    run_kvm_chaos,
-)
 from repro.faults.injector import (
     NULL_INJECTOR,
     FaultInjector,
@@ -60,3 +54,21 @@ __all__ = [
     "run_kvm_chaos",
     "site_names",
 ]
+
+#: Chaos-harness names, resolved on first use (PEP 562): the clone path
+#: imports this package for the injector and must not load the harness.
+_CHAOS = ("audit_kvm_platform", "audit_platform", "run_chaos",
+          "run_kvm_chaos")
+
+
+def __getattr__(name: str):
+    if name not in _CHAOS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from repro.faults import chaos
+
+    value = globals()[name] = getattr(chaos, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

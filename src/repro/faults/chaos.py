@@ -10,9 +10,8 @@ return a JSON-ready payload whose fingerprint covers every
 deterministic output, so two runs at the same seed must produce
 byte-identical payloads; :data:`repro.scenarios.SCENARIOS` pins both.
 
-Platform construction is imported lazily: this module is re-exported
-by :mod:`repro.faults`, which the hypervisor imports, so a module-level
-platform import would cycle.
+Platform construction is imported inside the runners, so importing
+the audits does not pull in a platform stack.
 """
 
 from __future__ import annotations

@@ -35,12 +35,20 @@ PacketHandler = Callable[[Packet], None]
 
 
 class GuestAPI:
-    """Per-guest handle passed to application code."""
+    """Per-guest handle passed to application code.
+
+    It reaches its kernel through ``domain.guest`` rather than holding
+    it: the guest caches this handle, and destroying the domain unlinks
+    ``domain.guest``, so the pair dies by refcount.
+    """
 
     def __init__(self, vm: "UnikernelVM") -> None:
-        self._vm = vm
         self.platform = vm.platform
         self.domain = vm.domain
+
+    @property
+    def _vm(self) -> "UnikernelVM":
+        return self.domain.guest
 
     # ------------------------------------------------------------------
     # identity / time

@@ -79,8 +79,7 @@ class UnikernelVM:
             for index, vif_config in enumerate(config.vifs):
                 mac = vif_config.mac or default_mac(self.domain.domid, index)
                 frontend = NetFrontend(self.domain, index, mac, vif_config.ip)
-                frontend.rx_handler = self._dispatch_packet
-                frontend.rx_filter = self._wants_packet
+                frontend.guest = self
         # 9pfs frontends are created by the toolstack's P9 service.
         # The rest of the RAM budget becomes the tinyalloc heap: a PV
         # guest owns its whole allocation from boot.
@@ -105,13 +104,14 @@ class UnikernelVM:
     # ------------------------------------------------------------------
     # packet dispatch
     # ------------------------------------------------------------------
-    def _dispatch_packet(self, packet: Packet) -> None:
+    def dispatch_packet(self, packet: Packet) -> None:
+        """netfront RX: hand a packet to the bound UDP socket."""
         handler = self.udp_handlers.get(packet.flow.dst_port)
         if handler is not None:
             handler(packet)
 
-    def _wants_packet(self, packet: Packet) -> bool:
-        """RX interest pre-filter: mirrors :meth:`_dispatch_packet`'s
+    def wants_packet(self, packet: Packet) -> bool:
+        """RX interest pre-filter: mirrors :meth:`dispatch_packet`'s
         drop condition so switches can skip pointless flood deliveries."""
         return packet.flow.dst_port in self.udp_handlers
 
@@ -121,7 +121,7 @@ class UnikernelVM:
         for vif in self.domain.frontends.get("vif", []):
             backend = vif.backend
             if backend is not None:
-                backend.port.touch()
+                backend.touch()
 
     # ------------------------------------------------------------------
     # cloning hooks (called by the Nephele first stage)
@@ -140,9 +140,7 @@ class UnikernelVM:
         for console in self.domain.frontends.get("console", []):
             console.clone_for(child)
         for vif in self.domain.frontends.get("vif", []):
-            vif_clone = vif.clone_for(child)
-            vif_clone.rx_handler = child_vm._dispatch_packet
-            vif_clone.rx_filter = child_vm._wants_packet
+            vif.clone_for(child).guest = child_vm
             copied_pages += vif.private_pages
         for mount in self.domain.frontends.get("9pfs", []):
             mount.clone_for(child)

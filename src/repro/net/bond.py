@@ -54,10 +54,11 @@ class BondInterface:
         self.tx_per_slave.setdefault(port.name, 0)
 
     def release(self, port: Port) -> None:
-        """Remove a slave."""
+        """Remove a slave and its transmit counter."""
         if port in self._slaves:
             del self._slaves[port]
             self._selection = None
+            self.tx_per_slave.pop(port.name, None)
 
     def select_slave(self, flow: Flow) -> Port:
         """balance-xor: pick the slave by the layer3+4 hash."""

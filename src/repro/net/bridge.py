@@ -39,7 +39,7 @@ class Bridge:
         self.ports[port] = None
         self._mac_table[port.mac] = port
         if self not in port.switches:
-            port.switches.append(self)
+            port.switches = (*port.switches, self)
         for probe, accepting in self._flood_cache.values():
             accepts = port.accepts
             if accepts is None or accepts(probe):
@@ -52,7 +52,8 @@ class Bridge:
         if self._mac_table.get(port.mac) is port:
             del self._mac_table[port.mac]
         if self in port.switches:
-            port.switches.remove(self)
+            port.switches = tuple(
+                switch for switch in port.switches if switch is not self)
         for _probe, accepting in self._flood_cache.values():
             if port in accepting:
                 accepting.remove(port)

@@ -44,10 +44,11 @@ class OvsGroup:
         self.tx_per_bucket.setdefault(port.name, 0)
 
     def remove_bucket(self, port: Port) -> None:
-        """Remove a bucket and unpin its flows."""
+        """Remove a bucket, its transmit counter and its pinned flows."""
         if port in self._buckets:
             del self._buckets[port]
             self._selection = None
+            self.tx_per_bucket.pop(port.name, None)
         if self.flow_table:
             self.flow_table = {
                 flow: bucket for flow, bucket in self.flow_table.items()

@@ -35,7 +35,12 @@ class Packet:
 
 
 class Port:
-    """A switch port: anything with a ``deliver(packet)`` method and a MAC.
+    """A switch port: a name, a MAC, ``deliver(packet)`` and ``accepts``.
+
+    Build one from plain callables, ``Port(name, mac, deliver,
+    accepts)``, or subclass it in an endpoint that is its own port and
+    implements ``deliver`` and ``accepts`` as methods (netback's vif
+    does, so a clone's port stores no callback objects).
 
     ``accepts`` is an optional cheap pre-filter: switches flooding a
     packet may skip ``deliver`` entirely when ``accepts(packet)`` is
@@ -48,14 +53,16 @@ class Port:
     rely on this to cache flood-acceptance decisions per destination.
     """
 
+    #: Switches this port is attached to that cache acceptance
+    #: decisions (replaced, never mutated, by their attach/detach): an
+    #: empty tuple until one attaches.
+    switches: tuple = ()
+
     def __init__(self, name: str, mac: str, deliver, accepts=None) -> None:
         self.name = name
         self.mac = mac
         self.deliver = deliver
         self.accepts = accepts
-        #: Switches this port is attached to that cache acceptance
-        #: decisions (maintained by their attach/detach).
-        self.switches: list = []
 
     def touch(self) -> None:
         """Signal that this port's ``accepts`` inputs changed (a socket

@@ -13,7 +13,6 @@ child-side send notifies the parent.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -78,13 +77,14 @@ class EventChannelTable:
     def __init__(self, domid: int) -> None:
         self.domid = domid
         self.ports: dict[int, EventChannel] = {}
-        self._next_port = itertools.count(1)
+        self._next_port = 1
 
     def __len__(self) -> int:
         return len(self.ports)
 
     def _new_channel(self) -> EventChannel:
-        port = next(self._next_port)
+        port = self._next_port
+        self._next_port = port + 1
         channel = EventChannel(port=port, owner=self.domid)
         self.ports[port] = channel
         _TOPOLOGY_EPOCH[0] += 1
@@ -167,7 +167,7 @@ class EventChannelTable:
             ports[port] = copy
             if port > top:
                 top = port
-        child._next_port = itertools.count(top + 1)
+        child._next_port = top + 1
         # One bump for the whole bulk copy (not one per port): the new
         # table changes the topology once, when it is attached.
         _TOPOLOGY_EPOCH[0] += 1

@@ -10,7 +10,6 @@ parent's grant table to each child (paper §5, step 1.1).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from repro.xen.domid import DOMID_CHILD
@@ -57,7 +56,7 @@ class GrantTable:
         #: changes after publication, and mappings are not inherited),
         #: so holding references is safe.
         self._source_items: list[GrantEntry] | None = None
-        self._next_gref = itertools.count(1)
+        self._next_gref = 1
 
     @property
     def entries(self) -> dict[int, GrantEntry]:
@@ -86,7 +85,8 @@ class GrantTable:
             raise XenInvalidError(f"negative pfn: {pfn}")
         if grantee == self.domid:
             raise XenInvalidError("cannot grant a page to oneself")
-        gref = next(self._next_gref)
+        gref = self._next_gref
+        self._next_gref = gref + 1
         self.entries[gref] = GrantEntry(
             gref=gref, granter=self.domid, grantee=grantee, pfn=pfn,
             readonly=readonly,
@@ -144,7 +144,7 @@ class GrantTable:
         if entries:
             child._source_items = list(entries.values())
             # Keep allocating above the highest inherited gref.
-            child._next_gref = itertools.count(max(entries) + 1)
+            child._next_gref = max(entries) + 1
         return child
 
     def child_wildcard_grants(self) -> list[GrantEntry]:

@@ -117,13 +117,13 @@ class Hypervisor:
         overhead = (costs.hyp_per_domain_overhead_pages
                     if overhead_pages is None else overhead_pages)
         try:
+            # Labels name the kind only; nothing reads a per-domid
+            # label, and each would be one more string per domain.
             domain.overhead_extent = self.frames.alloc(
-                XEN_OWNER, overhead, PageType.NORMAL,
-                label=f"xen-overhead:{domid}")
+                XEN_OWNER, overhead, PageType.NORMAL, label="xen-overhead")
             for name_, page_type in SPECIAL_PAGES:
                 domain.special[name_] = self.frames.alloc(
-                    domid, 1, page_type, label=f"{name_}:{domid}"
-                )
+                    domid, 1, page_type, label=name_)
                 self.clock.charge(costs.page_alloc)
 
             ram_pages = domain.ram_budget_pages
@@ -219,6 +219,11 @@ class Hypervisor:
         del self.domains[domid]
         self.guest_count -= 1
         _TOPOLOGY_EPOCH[0] += 1
+        # The guest kernel and device frontends that higher layers hang
+        # off the domain point back at it, and at each other through
+        # it. Dropping the domain's side lets refcounting free them.
+        domain.frontends.clear()
+        domain.guest = None
 
     def pause_domain(self, domid: int) -> None:
         """Stop scheduling the domain's vCPUs."""

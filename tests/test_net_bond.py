@@ -86,3 +86,28 @@ def test_forward_delivers_to_selected_slave():
     packet = Packet("m", "ff", flow(4242), size=64)
     bond.forward(packet)
     assert len(rx0) + len(rx1) == 1
+
+
+def test_release_drops_the_slave_counter():
+    bond = BondInterface()
+    port = make_port("vif0", [])
+    bond.enslave(port)
+    bond.enslave(make_port("vif1", []))
+    for src_port in range(100):
+        bond.forward(Packet("m", "ff", flow(src_port), size=64))
+    bond.release(port)
+    assert set(bond.distribution()) == {"vif1"}
+
+
+def test_clone_churn_keeps_the_family_bond_counters_bounded(platform):
+    """Destroyed clones leave no counter behind in their family bond."""
+    from repro.apps.udp_server import UdpServerApp
+    from tests.conftest import udp_config
+
+    parent = platform.xl.create(udp_config("p", max_clones=1000),
+                                app=UdpServerApp())
+    for _ in range(5):
+        for child in platform.cloneop.clone(parent.domid, count=4):
+            platform.xl.destroy(child)
+    bond = platform.dom0.family_bond("10.0.1.1")
+    assert set(bond.distribution()) == {f"vif{parent.domid}.0"}

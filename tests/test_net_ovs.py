@@ -68,3 +68,14 @@ def test_sticky_selector_spreads_new_flows():
     group.add_bucket(port("b"))
     names = {group.select_bucket(flow(p)).name for p in range(200)}
     assert names == {"a", "b"}
+
+
+def test_remove_bucket_drops_its_counter():
+    group = OvsGroup()
+    a, b = port("a"), port("b")
+    group.add_bucket(a)
+    group.add_bucket(b)
+    for p in range(50):
+        group.forward(Packet("m", "ff", flow(p)))
+    group.remove_bucket(a)
+    assert set(group.tx_per_bucket) == {"b"}
