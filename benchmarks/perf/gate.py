@@ -13,9 +13,10 @@ exits non-zero when:
 - any golden figure series (or the KVM clone burst) drifts at the
   pinned seed.
 
-Scenarios that pin a result fingerprint (``frontdoor_p99``,
-``fleet_migration``, ``frontdoor_overload``) assert it inside their
-own timed run, so drift there aborts the gate before any row prints.
+The experiment scenarios (``frontdoor_p99``, ``fleet_migration``,
+``frontdoor_overload``) assert their run's pin from
+:data:`repro.scenarios.SCENARIOS` and clean audits inside their own
+timed run, so drift there aborts the gate before any row prints.
 
 Usage::
 

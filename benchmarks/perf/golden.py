@@ -18,7 +18,6 @@ Regenerate (only when a change intentionally moves virtual time)::
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 from pathlib import Path
 
@@ -74,9 +73,11 @@ def jsonify(value):
 
 
 def fingerprint(result) -> str:
-    """sha256 over the canonical JSON of one figure result."""
-    payload = json.dumps(jsonify(result), sort_keys=True, allow_nan=False)
-    return hashlib.sha256(payload.encode()).hexdigest()
+    """The :func:`repro.scenarios.fingerprint` of one figure result's
+    canonical JSON."""
+    from repro.scenarios import fingerprint as payload_fingerprint
+
+    return payload_fingerprint(jsonify(result))
 
 
 def compute_fingerprints(only: set[str] | None = None) -> dict[str, str]:

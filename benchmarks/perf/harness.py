@@ -28,7 +28,6 @@ from __future__ import annotations
 import argparse
 import cProfile
 import gc
-import importlib
 import json
 import os
 import platform as host_platform
@@ -61,19 +60,6 @@ BASELINES: dict[str, dict[str, tuple[float, int]]] = {
                       "quick": (0.269, 1_415_983)},
 }
 
-#: Full-scale result fingerprints the pinned experiment scenarios must
-#: reproduce byte for byte inside their timed region: a faster path
-#: that perturbs a single latency by an ulp, or leaks a page, is a
-#: correctness regression, not a win. The three pins were captured
-#: from the virtual-time dispatcher (one remaining-work formula, one
-#: ``(time, seq)`` tie order). The quick-scale pins live in
-#: :data:`repro.scenarios.SCENARIOS`.
-FULL_PINS = {
-    "frontdoor_p99": "669e5caf6a0f3f26219b9b9517fcf0945778a2a204730a1f2f4d2b078ab64a5d",
-    "fleet_migration": "5edd5d2f46ea7bb1aff87165770e9b3fafd8b8816ca755930cfad2938cdaa397",
-    "frontdoor_overload": "593cfed155f4219aebabb511debbfebcd034f2534d1251bd45dfd9fba7ce3459",
-}
-
 #: Per-scenario regression floors, enforced by the perf gate.
 #:
 #: ``work_reduction`` floors are tight: the profiled call count is
@@ -87,7 +73,7 @@ FULL_PINS = {
 #:
 #: ``kvm_clone_burst`` is gated on same-seed determinism next to the
 #: Xen golden guard; ``fleet_migration`` and ``frontdoor_overload``
-#: carry no floors yet and are gated only on the fingerprints they
+#: carry no floors yet and are gated only on the registry pins they
 #: assert in their own timed region.
 #: Floors are per scale: the wins scale with event count, so quick
 #: runs (CI smoke) sit much closer to the seed than full runs.
@@ -210,31 +196,32 @@ def _xenstore_deep_clone(quick: bool):
 
 
 def _pinned_experiment(name: str):
-    """Scenario factory for the experiment ``repro.experiments.<name>``.
+    """Scenario factory for the experiment entry ``name`` of
+    :data:`repro.scenarios.SCENARIOS`.
 
-    Times one ``run()`` (full) or ``run_quick()`` (quick): the P99-vs-d
-    sweep plus its composed chaos run (``frontdoor_p99``, full scale is
+    Times the entry's quick run or its ``full`` run: the P99-vs-d
+    sweep plus its composed chaos run (``frontdoor-p99``, full scale is
     the 1,071,875-request megascale sweep), or an ablation's three
-    arms plus its storm (``fleet_migration``, ``frontdoor_overload``).
-    The fingerprint (:data:`FULL_PINS`, or the quick run's registry
-    pin) and clean audits are asserted inside the timed region.
+    arms plus its storm (``fleet-migration``, ``frontdoor-overload``).
+    A fingerprint that misses that scale's pin, or any violation,
+    raises inside the timed region: a faster path that perturbs a
+    single latency by an ulp, or leaks a page, is a correctness
+    regression, not a win.
     """
     def factory(quick: bool):
-        from repro.scenarios import SCENARIOS
+        from repro.scenarios import PIN_SEED, SCENARIOS
 
-        module = importlib.import_module(f"repro.experiments.{name}")
-        expected = (SCENARIOS[name.replace("_", "-")].pin if quick
-                    else FULL_PINS[name])
+        entry = SCENARIOS[name] if quick else SCENARIOS[name].full
 
         def scenario():
-            result = module.run_quick() if quick else module.run()
-            if result.fingerprint != expected:
+            payload = entry.runner(PIN_SEED)
+            if payload["fingerprint"] != entry.pin:
                 raise AssertionError(
                     f"{name} fingerprint drift: "
-                    f"{result.fingerprint} != {expected}")
-            if result.violations:
+                    f"{payload['fingerprint']} != {entry.pin}")
+            if payload["violations"]:
                 raise AssertionError(
-                    f"{name} violations: {result.violations}")
+                    f"{name} violations: {payload['violations']}")
 
         return scenario
 
@@ -267,15 +254,15 @@ def _kvm_clone_burst(quick: bool):
 
 
 def kvm_fingerprint() -> str:
-    """sha256 over the deterministic observables of one KVM burst.
+    """The :func:`repro.scenarios.fingerprint` of the deterministic
+    observables of one KVM burst.
 
     Covers the virtual clock, the per-kind span aggregates (count and
     total virtual ms) and the surviving-VM census — everything the
     clone path touches. Two same-seed runs must agree byte-for-byte.
     """
-    import hashlib
-
     from repro.kvm import KvmPlatform
+    from repro.scenarios import fingerprint
 
     platform = KvmPlatform(trace=True)
     parent = platform.create_vm("det-kvm", memory_bytes=8 << 20,
@@ -288,8 +275,7 @@ def kvm_fingerprint() -> str:
         "spans": {kind: [entry["count"], round(entry["total_ms"], 9)]
                   for kind, entry in platform.tracer.summary().items()},
     }
-    payload = json.dumps(observables, sort_keys=True).encode()
-    return hashlib.sha256(payload).hexdigest()
+    return fingerprint(observables)
 
 
 SCENARIOS = {
@@ -298,9 +284,9 @@ SCENARIOS = {
     "clone_fleet": _clone_fleet,
     "xenstore_deep_clone": _xenstore_deep_clone,
     "kvm_clone_burst": _kvm_clone_burst,
-    "frontdoor_p99": _pinned_experiment("frontdoor_p99"),
-    "fleet_migration": _pinned_experiment("fleet_migration"),
-    "frontdoor_overload": _pinned_experiment("frontdoor_overload"),
+    "frontdoor_p99": _pinned_experiment("frontdoor-p99"),
+    "fleet_migration": _pinned_experiment("fleet-migration"),
+    "frontdoor_overload": _pinned_experiment("frontdoor-overload"),
 }
 
 

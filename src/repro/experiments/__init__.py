@@ -1,9 +1,15 @@
-"""Experiment runners: one module per figure of the paper's evaluation.
+"""Experiment runners: one module per figure of the paper's evaluation,
+plus the fleet tier's headline experiments.
 
-Each module exposes a ``run_*`` function returning a structured result
-plus a ``format_*`` helper that prints the same series the paper plots.
-The benchmarks under ``benchmarks/`` and ``examples/reproduce_figures.py``
-are thin wrappers over these.
+Each figure module exposes a ``run`` function returning a result
+dataclass plus a ``format_result`` helper that prints the same series
+the paper plots. The benchmarks under ``benchmarks/`` and
+``examples/reproduce_figures.py`` are thin wrappers over these.
+
+The fleet experiments (``frontdoor_p99``, ``fleet_migration``,
+``frontdoor_overload``) return the fingerprinted payload dict of the
+:data:`repro.scenarios.SCENARIOS` entry that pins them, from ``run``
+(full scale) and ``run_quick``; their ``format_result`` reads it.
 """
 
 from repro.experiments import (  # noqa: F401

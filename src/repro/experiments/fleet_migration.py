@@ -35,7 +35,6 @@ with pages in flight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any
 
 from repro.experiments.report import format_table
@@ -136,42 +135,13 @@ def _run_arm(kind: str, seed: int, params: dict[str, Any]
     }
 
 
-@dataclass
-class FleetMigrationResult:
-    """The ablation table plus the storm unit."""
-
-    seed: int
-    hosts: int
-    instances: int
-    requests: int
-    arrival_rps: float
-    arms: dict[str, dict[str, Any]] = field(default_factory=dict)
-    storm: dict[str, Any] = field(default_factory=dict)
-    violations: list[str] = field(default_factory=list)
-    fingerprint: str = ""
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-ready representation, the fingerprint payload."""
-        return {
-            "seed": self.seed,
-            "hosts": self.hosts,
-            "instances": self.instances,
-            "requests": self.requests,
-            "arrival_rps": round(self.arrival_rps, 6),
-            "arms": {name: dict(arm)
-                     for name, arm in sorted(self.arms.items())},
-            "storm": dict(self.storm),
-            "violations": list(self.violations),
-            "fingerprint": self.fingerprint,
-        }
-
-
 def run(seed: int = 0xC10E, *, hosts: int = 3, clones_origin: int = 6,
         clones_spill: int = 2, requests: int = 12_000,
         arrival_rps: float = 1500.0, heartbeat_every_ms: float = 50.0,
         kill_tick: int | None = None, storm_faults: int = 100,
-        storm_rounds: int = 10) -> FleetMigrationResult:
-    """The drain-vs-kill ablation at one operating point.
+        storm_rounds: int = 10) -> dict[str, Any]:
+    """The drain-vs-kill ablation at one operating point; returns the
+    fingerprinted payload (``arms`` by name, plus the ``storm`` unit).
 
     The arrival rate deliberately exceeds what the spill host's
     survivors can serve alone (the kill arm's overload window is the
@@ -190,57 +160,65 @@ def run(seed: int = 0xC10E, *, hosts: int = 3, clones_origin: int = 6,
         "kill_tick": kill_tick, "faults": storm_faults,
         "storm_rounds": storm_rounds,
     }
-    result = FleetMigrationResult(
-        seed=seed, hosts=hosts,
-        instances=2 + clones_origin + clones_spill,
-        requests=requests, arrival_rps=arrival_rps)
+    arms: dict[str, dict[str, Any]] = {}
+    violations: list[str] = []
+    payload: dict[str, Any] = {
+        "seed": seed,
+        "hosts": hosts,
+        "instances": 2 + clones_origin + clones_spill,
+        "requests": requests,
+        "arrival_rps": round(arrival_rps, 6),
+        "arms": arms,
+        "storm": {},
+        "violations": violations,
+    }
     for kind in ("baseline", "drain", "kill", "storm"):
         unit = _run_arm(kind, seed, params)
         if kind == "storm":
-            result.storm = unit
+            payload["storm"] = unit
         else:
-            result.arms[kind] = unit
-        result.violations.extend(
+            arms[kind] = unit
+        violations.extend(
             f"{kind}: {violation}" for violation in unit["violations"])
 
-    drain = result.arms["drain"]
-    kill = result.arms["kill"]
+    drain = arms["drain"]
+    kill = arms["kill"]
     if drain["migrations_done"] < 1:
-        result.violations.append("drain arm completed no migration")
+        violations.append("drain arm completed no migration")
     if not drain["family_end_state"]["target_host"]:
-        result.violations.append("drain arm reports no target host")
+        violations.append("drain arm reports no target host")
     if kill["hosts_killed"] != 1:
-        result.violations.append(
+        violations.append(
             f"kill arm killed {kill['hosts_killed']} hosts, wanted 1")
-    baseline = result.arms["baseline"]
+    baseline = arms["baseline"]
     if drain["p99_ms"] >= kill["p99_ms"]:
-        result.violations.append(
+        violations.append(
             f"drain P99 {drain['p99_ms']} ms did not beat kill P99 "
             f"{kill['p99_ms']} ms")
     if kill["p99_ms"] <= baseline["p99_ms"]:
-        result.violations.append(
+        violations.append(
             f"kill P99 {kill['p99_ms']} ms shows no tail damage over "
             f"baseline {baseline['p99_ms']} ms")
     if drain["p99_ms"] > baseline["p99_ms"] * 1.25:
-        result.violations.append(
+        violations.append(
             f"drain P99 {drain['p99_ms']} ms is not a bounded blip over "
             f"baseline {baseline['p99_ms']} ms")
 
-    result.fingerprint = fingerprint(result.to_dict())
-    return result
+    payload["fingerprint"] = fingerprint(payload)
+    return payload
 
 
-def run_quick(seed: int = 0xC10E) -> FleetMigrationResult:
+def run_quick(seed: int = 0xC10E) -> dict[str, Any]:
     """The CI-sized run: 3k requests per arm, small storm; the
     ``fleet-migration`` entry of :data:`repro.scenarios.SCENARIOS`."""
     return run(seed, requests=3_000, storm_faults=30, storm_rounds=4)
 
 
-def format_result(result: FleetMigrationResult) -> str:
+def format_result(payload: dict[str, Any]) -> str:
     """The drain-vs-kill table plus the storm line."""
     rows = []
     for name in ("baseline", "drain", "kill"):
-        arm = result.arms[name]
+        arm = payload["arms"][name]
         rows.append([
             name,
             f"{arm['completed']}/{arm['requests']}",
@@ -252,20 +230,21 @@ def format_result(result: FleetMigrationResult) -> str:
         ])
     table = format_table(
         f"Fleet migration: drain-evacuate vs kill-reboot "
-        f"({result.hosts} hosts, {result.instances} instances, "
-        f"{result.requests} requests/arm @ {result.arrival_rps:.0f} rps)",
+        f"({payload['hosts']} hosts, {payload['instances']} instances, "
+        f"{payload['requests']} requests/arm @ "
+        f"{payload['arrival_rps']:.0f} rps)",
         ["arm", "completed", "failed", "p50 ms", "p99 ms",
          "migrations", "re-placed"],
         rows)
-    storm = result.storm
+    storm = payload["storm"]
     lines = [table, (
-        f"\nstorm ({storm.get('faults_fired', 0)} faults fired): "
-        f"{storm.get('migrations_done', 0)} migrations done, "
-        f"{storm.get('migrations_failed', 0)} failed, "
-        f"{storm.get('pages_streamed', 0)} pages streamed, "
-        f"{storm.get('midstream_audits', 0)} mid-stream audits clean")]
-    if result.violations:
-        lines.append(f"\nVIOLATIONS ({len(result.violations)}):")
+        f"\nstorm ({storm['faults_fired']} faults fired): "
+        f"{storm['migrations_done']} migrations done, "
+        f"{storm['migrations_failed']} failed, "
+        f"{storm['pages_streamed']} pages streamed, "
+        f"{storm['midstream_audits']} mid-stream audits clean")]
+    if payload["violations"]:
+        lines.append(f"\nVIOLATIONS ({len(payload['violations'])}):")
         lines.extend(f"\n  - {violation}"
-                     for violation in result.violations)
+                     for violation in payload["violations"])
     return "".join(lines)

@@ -35,7 +35,6 @@ every audit clean.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any
 
 from repro.apps.traffic import as_shape
@@ -162,36 +161,6 @@ def _run_arm(kind: str, seed: int, params: dict[str, Any]
     }
 
 
-@dataclass
-class FrontdoorOverloadResult:
-    """The ablation table plus the storm unit."""
-
-    seed: int
-    hosts: int
-    replicas: int
-    requests: int
-    arrival_rps: float
-    arms: dict[str, dict[str, Any]] = field(default_factory=dict)
-    storm: dict[str, Any] = field(default_factory=dict)
-    violations: list[str] = field(default_factory=list)
-    fingerprint: str = ""
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-ready representation, the fingerprint payload."""
-        return {
-            "seed": self.seed,
-            "hosts": self.hosts,
-            "replicas": self.replicas,
-            "requests": self.requests,
-            "arrival_rps": round(self.arrival_rps, 6),
-            "arms": {name: dict(arm)
-                     for name, arm in sorted(self.arms.items())},
-            "storm": dict(self.storm),
-            "violations": list(self.violations),
-            "fingerprint": self.fingerprint,
-        }
-
-
 def run(seed: int = 0xC10E, *, shape: str = "faas", hosts: int = 4,
         replicas: int = 12, requests: int = 24_000, waves: int = 2,
         utilization: float = 0.3, baseline_d: int = 2,
@@ -199,8 +168,9 @@ def run(seed: int = 0xC10E, *, shape: str = "faas", hosts: int = 4,
         attempt_timeout_ms: float = 40.0,
         sojourn_bound_ms: float = 25.0, deadline_ms: float = 50.0,
         storm_requests: int = 3_000, storm_faults: int = 30
-        ) -> FrontdoorOverloadResult:
-    """The overload ablation at one operating point.
+        ) -> dict[str, Any]:
+    """The overload ablation at one operating point; returns the
+    fingerprinted payload (``arms`` by name, plus the ``storm`` unit).
 
     ``utilization`` is chosen so the baseline clone factor sits clear
     of the capacity knee while ``overload_d`` lands far past it
@@ -219,20 +189,29 @@ def run(seed: int = 0xC10E, *, shape: str = "faas", hosts: int = 4,
         "deadline_ms": deadline_ms,
         "storm_requests": storm_requests, "storm_faults": storm_faults,
     }
-    result = FrontdoorOverloadResult(
-        seed=seed, hosts=hosts, replicas=replicas, requests=requests,
-        arrival_rps=arrival_rps)
+    arms: dict[str, dict[str, Any]] = {}
+    violations: list[str] = []
+    payload: dict[str, Any] = {
+        "seed": seed,
+        "hosts": hosts,
+        "replicas": replicas,
+        "requests": requests,
+        "arrival_rps": round(arrival_rps, 6),
+        "arms": arms,
+        "storm": {},
+        "violations": violations,
+    }
     for kind in ("baseline", "unprotected", "protected", "storm"):
         unit = _run_arm(kind, seed, params)
         if kind == "storm":
-            result.storm = unit
+            payload["storm"] = unit
         else:
-            result.arms[kind] = unit
-        result.violations.extend(unit["violations"])
+            arms[kind] = unit
+        violations.extend(unit["violations"])
 
-    baseline = result.arms["baseline"]
-    unprotected = result.arms["unprotected"]
-    protected = result.arms["protected"]
+    baseline = arms["baseline"]
+    unprotected = arms["unprotected"]
+    protected = arms["protected"]
 
     # (a) Metastable collapse: offered load flat, goodput fallen and
     # *held* down — every unprotected goodput segment sits below the
@@ -240,7 +219,7 @@ def run(seed: int = 0xC10E, *, shape: str = "faas", hosts: int = 4,
     # steady state, it does not recover), and the retry volume dwarfs
     # the protected arm's budgeted trickle.
     if unprotected["goodput"] >= 0.8 * baseline["goodput"]:
-        result.violations.append(
+        violations.append(
             f"unprotected goodput {unprotected['goodput']} did not "
             f"collapse below baseline {baseline['goodput']}")
     base_floor = min(min(w["segment_completed"])
@@ -248,53 +227,53 @@ def run(seed: int = 0xC10E, *, shape: str = "faas", hosts: int = 4,
     bad_segments = [s for w in unprotected["waves"]
                     for s in w["segment_completed"] if s >= base_floor]
     if bad_segments:
-        result.violations.append(
+        violations.append(
             f"unprotected goodput segments {bad_segments} reached the "
             f"baseline floor {base_floor} — no sustained collapse")
     if unprotected["retries"] < 5 * (protected["retries"] + 1):
-        result.violations.append(
+        violations.append(
             f"no retry storm: unprotected retries "
             f"{unprotected['retries']} vs protected "
             f"{protected['retries']}")
     offered = {w["offered"] for w in unprotected["waves"]}
     if len(offered) != 1:
-        result.violations.append(
+        violations.append(
             f"unprotected offered load was not flat across waves: "
             f"{sorted(offered)}")
 
     # (b) Protected: deterministic shedding, bounded admitted tail.
     if protected["shed"] < 1:
-        result.violations.append("protected arm shed nothing")
+        violations.append("protected arm shed nothing")
     if protected["p99_ms"] > baseline["p99_ms"] * P99_BOUND_FACTOR:
-        result.violations.append(
+        violations.append(
             f"protected P99 {protected['p99_ms']} ms exceeds "
             f"{P99_BOUND_FACTOR}x the below-knee baseline "
             f"{baseline['p99_ms']} ms")
     if protected["goodput"] <= unprotected["goodput"]:
-        result.violations.append(
+        violations.append(
             f"protected goodput {protected['goodput']} did not beat "
             f"unprotected {unprotected['goodput']}")
     if protected["retries"] > 0.1 * protected["offered"] + 8:
-        result.violations.append(
+        violations.append(
             f"protected retries {protected['retries']} exceed the 10% "
             f"budget of {protected['offered']} first tries")
 
-    result.fingerprint = fingerprint(result.to_dict())
-    return result
+    payload["fingerprint"] = fingerprint(payload)
+    return payload
 
 
-def run_quick(seed: int = 0xC10E) -> FrontdoorOverloadResult:
+def run_quick(seed: int = 0xC10E) -> dict[str, Any]:
     """The CI-sized run: small fleet, 6k requests across the arms; the
     ``frontdoor-overload`` entry of :data:`repro.scenarios.SCENARIOS`."""
     return run(seed, hosts=2, replicas=6, requests=6_000, overload_d=6,
                storm_requests=1_500, storm_faults=20)
 
 
-def format_result(result: FrontdoorOverloadResult) -> str:
+def format_result(payload: dict[str, Any]) -> str:
     """The ablation table plus the collapse and storm lines."""
     rows = []
     for name in ("baseline", "unprotected", "protected"):
-        arm = result.arms[name]
+        arm = payload["arms"][name]
         rows.append([
             name,
             arm["clone_factor"],
@@ -307,25 +286,26 @@ def format_result(result: FrontdoorOverloadResult) -> str:
         ])
     table = format_table(
         f"Front door overload: collapse vs protection "
-        f"({result.hosts} hosts, {result.replicas} replicas, "
-        f"{result.requests} requests/arm @ {result.arrival_rps:.0f} rps)",
+        f"({payload['hosts']} hosts, {payload['replicas']} replicas, "
+        f"{payload['requests']} requests/arm @ "
+        f"{payload['arrival_rps']:.0f} rps)",
         ["arm", "d", "offered", "goodput", "shed", "retries",
          "breaker trips", "p99 ms"],
         rows)
-    unprotected = result.arms["unprotected"]
+    unprotected = payload["arms"]["unprotected"]
     segments = unprotected["waves"][0]["segment_completed"]
-    storm = result.storm
+    storm = payload["storm"]
     lines = [table]
     lines.append(
         "\ncollapse (unprotected, wave 0 goodput per segment): "
         + " ".join(str(s) for s in segments))
     lines.append(
-        f"\nstorm ({storm.get('faults_fired', 0)} faults fired): "
-        f"{storm.get('shed', 0)} shed, {storm.get('retries', 0)} "
-        f"retries, {storm.get('breaker_trips', 0)} breaker trips, "
-        f"audits clean: {not storm.get('violations')}")
-    if result.violations:
-        lines.append(f"\nVIOLATIONS ({len(result.violations)}):")
+        f"\nstorm ({storm['faults_fired']} faults fired): "
+        f"{storm['shed']} shed, {storm['retries']} "
+        f"retries, {storm['breaker_trips']} breaker trips, "
+        f"audits clean: {not storm['violations']}")
+    if payload["violations"]:
+        lines.append(f"\nVIOLATIONS ({len(payload['violations'])}):")
         lines.extend(f"\n  - {violation}"
-                     for violation in result.violations)
+                     for violation in payload["violations"])
     return "".join(lines)

@@ -27,7 +27,6 @@ conservation laws still hold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any
 
 from repro.apps.traffic import as_shape
@@ -44,89 +43,6 @@ from repro.scenarios import fingerprint
 #: as long as arrivals continue, so the measured tail is a function of
 #: run length and only its *divergence* is meaningful.
 KNEE_RHO = 0.95
-
-
-@dataclass
-class FrontdoorPoint:
-    """One clone factor's measured + predicted tail."""
-
-    clone_factor: int
-    requests: int
-    completed: int
-    failed: int
-    timed_out: int
-    latency_p50_ms: float
-    latency_p99_ms: float
-    latency_mean_ms: float
-    waste_fraction: float
-    #: served work / (duration x replicas): utilization incl. waste.
-    rho_eff: float
-    #: The analytic M/M/1-PS prediction at the measured rho_eff.
-    predicted_p99_ms: float
-    fingerprint: str
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-ready representation (infinities become strings)."""
-        return {
-            "d": self.clone_factor,
-            "requests": self.requests,
-            "completed": self.completed,
-            "failed": self.failed,
-            "timed_out": self.timed_out,
-            "p50_ms": round(self.latency_p50_ms, 6),
-            "p99_ms": round(self.latency_p99_ms, 6),
-            "mean_ms": round(self.latency_mean_ms, 6),
-            "waste": round(self.waste_fraction, 6),
-            "rho_eff": round(self.rho_eff, 6),
-            "predicted_p99_ms": (round(self.predicted_p99_ms, 6)
-                                 if self.predicted_p99_ms != float("inf")
-                                 else "inf"),
-            "fingerprint": self.fingerprint,
-        }
-
-
-@dataclass
-class FrontdoorP99Result:
-    """The full sweep plus the composed chaos run."""
-
-    seed: int
-    shape: str
-    hosts: int
-    replicas: int
-    base_rho: float
-    arrival_rps: float
-    points: list[FrontdoorPoint] = field(default_factory=list)
-    total_requests: int = 0
-    composed: dict[str, Any] = field(default_factory=dict)
-    violations: list[str] = field(default_factory=list)
-    fingerprint: str = ""
-
-    def point(self, d: int) -> FrontdoorPoint:
-        """The data point for clone factor ``d``."""
-        for point in self.points:
-            if point.clone_factor == d:
-                return point
-        raise KeyError(d)
-
-    def stable_points(self) -> list[FrontdoorPoint]:
-        """Points measured clear of the capacity knee."""
-        return [p for p in self.points if p.rho_eff < KNEE_RHO]
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-ready representation, the fingerprint payload."""
-        return {
-            "seed": self.seed,
-            "shape": self.shape,
-            "hosts": self.hosts,
-            "replicas": self.replicas,
-            "base_rho": round(self.base_rho, 6),
-            "arrival_rps": round(self.arrival_rps, 6),
-            "points": [p.to_dict() for p in self.points],
-            "total_requests": self.total_requests,
-            "composed": self.composed,
-            "violations": list(self.violations),
-            "fingerprint": self.fingerprint,
-        }
 
 
 def _measure(session: FleetSession, family: str, shape_name: str, *,
@@ -159,20 +75,34 @@ def run(seed: int = 0xC10E, *, shape: str = "faas",
         hosts: int = 4, replicas: int = 12,
         utilization: float = 0.15,
         composed: bool = True,
-        composed_requests: int | None = None) -> FrontdoorP99Result:
+        composed_requests: int | None = None) -> dict[str, Any]:
     """The P99-vs-*d* sweep (defaults: >= 1M requests total).
 
     Every clone factor runs on a *fresh* same-seed fleet, so the
     factors are independent and the whole sweep is reproducible
     byte-for-byte. ``utilization`` is the useful-work operating point;
     with the synchronized-service waste of exponential demand the
-    capacity knee then lands inside the default factor range.
+    capacity knee then lands inside the default factor range. Returns
+    the fingerprinted payload: one ``points`` entry per clone factor
+    (the analytic ``predicted_p99_ms`` is ``"inf"`` at or past
+    saturation) plus the ``composed`` chaos run.
     """
     request_shape = as_shape(shape)
     arrival_rps = utilization * replicas * request_shape.capacity_rps
-    result = FrontdoorP99Result(
-        seed=seed, shape=request_shape.name, hosts=hosts,
-        replicas=replicas, base_rho=utilization, arrival_rps=arrival_rps)
+    points: list[dict[str, Any]] = []
+    violations: list[str] = []
+    payload: dict[str, Any] = {
+        "seed": seed,
+        "shape": request_shape.name,
+        "hosts": hosts,
+        "replicas": replicas,
+        "base_rho": round(utilization, 6),
+        "arrival_rps": round(arrival_rps, 6),
+        "points": points,
+        "total_requests": 0,
+        "composed": {},
+        "violations": violations,
+    }
 
     for d in clone_factors:
         with FleetSession(hosts=hosts, seed=seed) as session:
@@ -182,37 +112,42 @@ def run(seed: int = 0xC10E, *, shape: str = "faas",
                 session, "p99", request_shape.name,
                 requests=requests_per_factor, arrival_rps=arrival_rps,
                 clone_factor=d, replicas=replicas)
-            result.violations.extend(
+            violations.extend(
                 f"d={d}: {v}" for v in audit_fleet(session.fleet,
                                                    session.frontdoor))
-            result.violations.extend(
-                f"d={d}: {v}" for v in _unresolved(dispatch))
+            violations.extend(f"d={d}: {v}" for v in _unresolved(dispatch))
             session.close(check=False)
-        result.points.append(FrontdoorPoint(
-            clone_factor=d, requests=dispatch.requests,
-            completed=dispatch.completed, failed=dispatch.failed,
-            timed_out=dispatch.timed_out,
-            latency_p50_ms=dispatch.latency_p50_ms,
-            latency_p99_ms=dispatch.latency_p99_ms,
-            latency_mean_ms=dispatch.latency_mean_ms,
-            waste_fraction=dispatch.waste_fraction,
-            rho_eff=rho_eff,
-            predicted_p99_ms=quantile_sojourn_ms(
-                request_shape.mean_service_ms, rho_eff, d=d),
-            fingerprint=dispatch.fingerprint))
-        result.total_requests += dispatch.requests
+        predicted = quantile_sojourn_ms(
+            request_shape.mean_service_ms, rho_eff, d=d)
+        points.append({
+            "d": d,
+            "requests": dispatch.requests,
+            "completed": dispatch.completed,
+            "failed": dispatch.failed,
+            "timed_out": dispatch.timed_out,
+            "p50_ms": round(dispatch.latency_p50_ms, 6),
+            "p99_ms": round(dispatch.latency_p99_ms, 6),
+            "mean_ms": round(dispatch.latency_mean_ms, 6),
+            "waste": round(dispatch.waste_fraction, 6),
+            "rho_eff": round(rho_eff, 6),
+            "predicted_p99_ms": (round(predicted, 6)
+                                 if predicted != float("inf") else "inf"),
+            "fingerprint": dispatch.fingerprint,
+        })
+        payload["total_requests"] += dispatch.requests
 
     if composed:
-        result.composed = _run_composed(
+        chaos = _run_composed(
             seed, request_shape.name, hosts=hosts,
             requests=(composed_requests if composed_requests is not None
                       else max(10_000, requests_per_factor // 8)),
             arrival_rps=arrival_rps / 2.0)
-        result.total_requests += result.composed["requests"]
-        result.violations.extend(result.composed.pop("violations"))
+        payload["total_requests"] += chaos["requests"]
+        violations.extend(chaos.pop("violations"))
+        payload["composed"] = chaos
 
-    result.fingerprint = fingerprint(result.to_dict())
-    return result
+    payload["fingerprint"] = fingerprint(payload)
+    return payload
 
 
 def _run_composed(seed: int, shape_name: str, *, hosts: int,
@@ -256,7 +191,7 @@ def _run_composed(seed: int, shape_name: str, *, hosts: int,
     }
 
 
-def run_quick(seed: int = 0xC10E) -> FrontdoorP99Result:
+def run_quick(seed: int = 0xC10E) -> dict[str, Any]:
     """The CI-sized sweep: small fleet, 10k requests, d in {1, 2}; the
     ``frontdoor-p99`` entry of :data:`repro.scenarios.SCENARIOS`."""
     return run(seed, clone_factors=(1, 2), requests_per_factor=5_000,
@@ -264,30 +199,29 @@ def run_quick(seed: int = 0xC10E) -> FrontdoorP99Result:
                composed_requests=2_000)
 
 
-def format_result(result: FrontdoorP99Result) -> str:
+def format_result(payload: dict[str, Any]) -> str:
     """The P99-vs-d table with the analytic comparison."""
     rows = []
-    for point in result.points:
-        predicted = (f"{point.predicted_p99_ms:.2f}"
-                     if point.predicted_p99_ms != float("inf") else "inf")
-        knee = " <- knee" if point.rho_eff >= KNEE_RHO else ""
+    for point in payload["points"]:
+        predicted = point["predicted_p99_ms"]
+        knee = " <- knee" if point["rho_eff"] >= KNEE_RHO else ""
         rows.append([
-            point.clone_factor,
-            f"{point.rho_eff:.3f}{knee}",
-            f"{point.waste_fraction:.3f}",
-            f"{point.latency_p50_ms:.2f}",
-            f"{point.latency_p99_ms:.2f}",
-            predicted,
+            point["d"],
+            f"{point['rho_eff']:.3f}{knee}",
+            f"{point['waste']:.3f}",
+            f"{point['p50_ms']:.2f}",
+            f"{point['p99_ms']:.2f}",
+            predicted if predicted == "inf" else f"{predicted:.2f}",
         ])
     table = format_table(
-        f"Front door: P99 vs clone factor (shape={result.shape}, "
-        f"rho={result.base_rho:.2f}, {result.replicas} replicas, "
-        f"{result.total_requests} requests)",
+        f"Front door: P99 vs clone factor (shape={payload['shape']}, "
+        f"rho={payload['base_rho']:.2f}, {payload['replicas']} replicas, "
+        f"{payload['total_requests']} requests)",
         ["d", "rho_eff", "waste", "p50 ms", "p99 ms", "model p99 ms"],
         rows)
     lines = [table]
-    if result.composed:
-        composed = result.composed
+    if payload["composed"]:
+        composed = payload["composed"]
         lines.append(
             f"\ncomposed (autoscale + host-kill): "
             f"{composed['completed']}/{composed['requests']} completed, "
@@ -298,7 +232,8 @@ def format_result(result: FrontdoorP99Result) -> str:
     lines.append(
         "\nmodel: P99 improves monotonically with d until rho_eff "
         "approaches 1 (the capacity knee), then diverges")
-    if result.violations:
-        lines.append(f"\nVIOLATIONS ({len(result.violations)}):")
-        lines.extend(f"  - {violation}" for violation in result.violations)
+    if payload["violations"]:
+        lines.append(f"\nVIOLATIONS ({len(payload['violations'])}):")
+        lines.extend(f"\n  - {violation}"
+                     for violation in payload["violations"])
     return "".join(lines)

@@ -80,9 +80,6 @@ class FleetConfig:
     #: Per-host memory (16 GiB: the paper's testbed, §6).
     host_memory_bytes: int = 16 * GIB
     host_dom0_bytes: int = 4 * GIB
-    host_cpus: int = 4
-    #: Heartbeat period on the fleet clock (one ``tick()``).
-    heartbeat_interval_ms: float = 50.0
     #: Missed beats before an unreachable host is declared dead and
     #: fenced (xapi-style HA: a few lost heartbeats, not one).
     heartbeat_timeout_beats: int = 3
@@ -94,8 +91,6 @@ class FleetConfig:
     replace_lost: bool = True
     #: Enable tracing on the fleet control plane and member hosts.
     trace: bool = False
-    #: Nephele xs_clone on member hosts (ablation knob, passed through).
-    use_xs_clone: bool = True
 
 
 @dataclass(frozen=True)
@@ -129,22 +124,11 @@ class CloneResult:
 
 @dataclass(frozen=True)
 class FamilyPlacement:
-    """Where a freshly created family's first replica landed.
-
-    ``create_family`` historically returned a bare ``(host, domid)``
-    tuple; iteration and indexing keep that unpacking working as a
-    deprecation shim — new code should use the named fields.
-    """
+    """Where a freshly created family's first replica landed."""
 
     family: str
     host: str
     domid: int
-
-    def __iter__(self):
-        return iter((self.host, self.domid))
-
-    def __getitem__(self, index: int):
-        return (self.host, self.domid)[index]
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-ready representation."""
@@ -225,9 +209,7 @@ class Fleet:
             platform = Platform.create(
                 total_memory_bytes=self.config.host_memory_bytes,
                 dom0_memory_bytes=self.config.host_dom0_bytes,
-                cpus=self.config.host_cpus,
                 seed=host_rng.fork(name).seed,
-                use_xs_clone=self.config.use_xs_clone,
                 trace=self.config.trace,
                 host_name=name,
                 costs=self.costs)
@@ -323,11 +305,7 @@ class Fleet:
     def create_family(self, config: DomainConfig,
                       app_factory: Callable[[], Any] | None = None,
                       ) -> FamilyPlacement:
-        """Place a new cloneable parent; returns its placement.
-
-        The :class:`FamilyPlacement` still unpacks as the old
-        ``(host name, domid)`` tuple.
-        """
+        """Place a new cloneable parent; returns its placement."""
         if config.name in self._families:
             raise FleetError(f"family {config.name!r} already exists")
         candidates = self._candidates(self._parent_frames_estimate(config))

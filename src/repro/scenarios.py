@@ -1,10 +1,12 @@
 """The pinned scenario registry and its one runner.
 
-Every seeded storm and every quick headline experiment is a
+Every seeded storm and every headline experiment is a
 ``runner(seed) -> payload`` whose payload is a plain JSON-ready dict
 with a ``violations`` list and a sha256 :func:`fingerprint`.
 :data:`SCENARIOS` pairs each runner with the fingerprint it must hash
-to at :data:`PIN_SEED`. One command checks them all::
+to at :data:`PIN_SEED`; an experiment's entry runs its quick size and
+also carries its full-scale run and pin, which the perf harness times.
+One command checks the quick pins::
 
     python -m repro.scenarios                        # all of them
     python -m repro.scenarios overload-storm --json
@@ -36,11 +38,12 @@ PIN_SEED = 0xC10E
 
 def fingerprint(payload: dict[str, Any]) -> str:
     """sha256 over the canonical JSON of ``payload``, minus its own
-    ``fingerprint`` key."""
+    ``fingerprint`` key. NaN and infinities raise: they have no JSON
+    form."""
     body = {key: value for key, value in payload.items()
             if key != "fingerprint"}
-    return hashlib.sha256(
-        json.dumps(body, sort_keys=True).encode()).hexdigest()
+    return hashlib.sha256(json.dumps(
+        body, sort_keys=True, allow_nan=False).encode()).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -50,19 +53,17 @@ class Scenario:
     runner: Callable[[int], dict[str, Any]]
     #: :func:`fingerprint` of ``runner(PIN_SEED)``.
     pin: str
+    #: An experiment's full-scale run and its pin; ``None`` for the
+    #: storms, which have one size.
+    full: Scenario | None = None
 
 
 def _lazy(target: str) -> Callable[[int], dict[str, Any]]:
-    """The ``module:function`` runner, imported on first call.
-
-    Storm runners return their payload; the experiments' quick runs
-    return a result whose ``to_dict()`` is the payload.
-    """
+    """The ``module:function`` runner, imported on first call."""
     module_name, _, name = target.partition(":")
 
     def runner(seed: int) -> dict[str, Any]:
-        result = getattr(importlib.import_module(module_name), name)(seed)
-        return result if isinstance(result, dict) else result.to_dict()
+        return getattr(importlib.import_module(module_name), name)(seed)
 
     return runner
 
@@ -85,22 +86,38 @@ SCENARIOS: dict[str, Scenario] = {
         "d47eeafcc02b9faf2d0377dac3987dd22772e917138cc713b1e9e63dc1c305d9"),
     "frontdoor-p99": Scenario(
         _lazy("repro.experiments.frontdoor_p99:run_quick"),
-        "35c31ef94ab2eed3d717955da4aaf3752f4c1e948a5d8c1ee05b20d60ba19553"),
+        "35c31ef94ab2eed3d717955da4aaf3752f4c1e948a5d8c1ee05b20d60ba19553",
+        full=Scenario(
+            _lazy("repro.experiments.frontdoor_p99:run"),
+            "669e5caf6a0f3f26219b9b9517fcf0945778a2a204730a1f2f4d2b078ab64a5d")),
     "fleet-migration": Scenario(
         _lazy("repro.experiments.fleet_migration:run_quick"),
-        "1f4ac8bc95ba83e7a59a68f3652513f1b84cb49c540229d809deb3fde426b27f"),
+        "1f4ac8bc95ba83e7a59a68f3652513f1b84cb49c540229d809deb3fde426b27f",
+        full=Scenario(
+            _lazy("repro.experiments.fleet_migration:run"),
+            "5edd5d2f46ea7bb1aff87165770e9b3fafd8b8816ca755930cfad2938cdaa397")),
     "frontdoor-overload": Scenario(
         _lazy("repro.experiments.frontdoor_overload:run_quick"),
-        "73b37997986b0809c8d18c429f41dd433441057915722ed96f315ff589137dc8"),
+        "73b37997986b0809c8d18c429f41dd433441057915722ed96f315ff589137dc8",
+        full=Scenario(
+            _lazy("repro.experiments.frontdoor_overload:run"),
+            "593cfed155f4219aebabb511debbfebcd034f2534d1251bd45dfd9fba7ce3459")),
 }
 
 
 def format_summary(name: str, payload: dict[str, Any]) -> str:
-    """The payload's scalar fields, its violations and its fingerprint."""
-    lines = [name]
+    """The payload's scalar fields, the scalar members of its dict
+    fields (as ``stats.shed``), its violations and its fingerprint."""
+    fields: list[tuple[str, Any]] = []
     for key, value in payload.items():
-        if key != "fingerprint" and isinstance(value, (int, float, str)):
-            lines.append(f"  {key}: {value}")
+        if isinstance(value, dict):
+            fields.extend((f"{key}.{member}", inner)
+                          for member, inner in value.items())
+        elif key != "fingerprint":
+            fields.append((key, value))
+    lines = [name]
+    lines.extend(f"  {key}: {value}" for key, value in fields
+                 if isinstance(value, (int, float, str)))
     violations = payload.get("violations", [])
     lines.append(f"  violations: {len(violations)}")
     lines.extend(f"    - {violation}" for violation in violations)

@@ -110,7 +110,7 @@ def test_degraded_host_is_drained_and_repairable():
     grey = fleet.hosts[0]
     assert grey.state is HostState.DEGRADED
     # Drained from new placement...
-    origin, _ = fleet.create_family(fam(0))
+    origin = fleet.create_family(fam(0)).host
     assert origin != grey.name
     # ...but repairable back into the pool.
     fleet.repair_host(grey.name)
@@ -128,7 +128,7 @@ def test_host_death_replaces_lost_children_on_survivors():
                                       match={"op": "heartbeat"}, count=1)],
                      name="origin-crash")
     fleet = small_fleet(hosts=3, plan=plan)
-    origin, _ = fleet.create_family(fam(0))
+    origin = fleet.create_family(fam(0)).host
     assert origin == "host0"
     fleet.clone_family("fam0", count=3)
     assert fleet.stats["children_placed"] == 3
@@ -151,7 +151,7 @@ def test_replace_lost_false_only_accounts():
                                       match={"op": "heartbeat"}, count=1)],
                      name="crash")
     fleet = small_fleet(hosts=2, plan=plan, replace_lost=False)
-    origin, _ = fleet.create_family(fam(0))
+    origin = fleet.create_family(fam(0)).host
     assert origin == "host0"
     fleet.clone_family("fam0", count=2)
     fleet.run_heartbeats(fleet.config.heartbeat_timeout_beats + 2)
@@ -167,7 +167,7 @@ def test_midbatch_kill_unwinds_via_whole_batch_rollback():
                                       after=1, count=1)],
                      name="midbatch")
     fleet = small_fleet(hosts=3, plan=plan)
-    origin, _ = fleet.create_family(fam(0))
+    origin = fleet.create_family(fam(0)).host
     first = fleet.clone_family("fam0", count=2)
     assert first.failed == 0  # after=1 skips the first batch
     second = fleet.clone_family("fam0", count=3)

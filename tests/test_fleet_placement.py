@@ -41,7 +41,7 @@ def test_policies_reject_empty_candidate_sets():
 
 def test_round_robin_rotates_family_origins():
     fleet = small_fleet(hosts=3)
-    origins = [fleet.create_family(fam(i))[0] for i in range(3)]
+    origins = [fleet.create_family(fam(i)).host for i in range(3)]
     assert origins == ["host0", "host1", "host2"]
 
 
@@ -56,9 +56,9 @@ def test_round_robin_reset_rewinds_the_cursor():
 def test_least_loaded_prefers_the_emptiest_host():
     fleet = small_fleet(hosts=3, policy="least-loaded")
     # Load host0 by hand, then the next family must avoid it.
-    host0, _ = fleet.create_family(fam(0))
+    host0 = fleet.create_family(fam(0)).host
     fleet.clone_family("fam0", count=4)
-    next_host, _ = fleet.create_family(fam(1))
+    next_host = fleet.create_family(fam(1)).host
     assert next_host != host0
 
 
@@ -70,7 +70,7 @@ def test_least_loaded_ties_break_on_lowest_index():
 
 def test_clones_stay_on_origin_while_it_has_capacity():
     fleet = small_fleet(hosts=3)
-    origin, _ = fleet.create_family(fam(0))
+    origin = fleet.create_family(fam(0)).host
     result = fleet.clone_family("fam0", count=3)
     assert result.failed == 0
     assert {host for host, _ in result.placed} == {origin}

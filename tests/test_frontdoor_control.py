@@ -138,13 +138,9 @@ def test_inventory_is_typed_and_frozen(populated):
     assert as_dict["policy"] == "round-robin"
 
 
-def test_family_placement_unpacks_like_the_old_tuple(session):
+def test_family_placement_is_a_frozen_record(session):
     placement = session.create_family("shim", ip="10.6.2.1")
     assert isinstance(placement, FamilyPlacement)
-    # Deprecation shim: the pre-facade `(host, domid)` contract.
-    host, domid = placement
-    assert host == placement[0] == placement.host
-    assert domid == placement[1] == placement.domid
     assert placement.to_dict()["family"] == "shim"
     with pytest.raises(dataclasses.FrozenInstanceError):
         placement.host = "other"

@@ -1,5 +1,6 @@
 """Tests: the headline P99-vs-clone-factor experiment and its model."""
 
+import json
 import math
 
 import pytest
@@ -12,6 +13,7 @@ from repro.frontdoor.model import (
     predicted_p99_curve,
     quantile_sojourn_ms,
 )
+from repro.scenarios import fingerprint
 
 # ----------------------------------------------------------------------
 # the analytic processor-sharing model
@@ -63,42 +65,50 @@ def quick():
     return frontdoor_p99.run_quick(seed=0xC10E)
 
 
+def _point(payload, d):
+    """The ``points`` entry for clone factor ``d``."""
+    return next(point for point in payload["points"] if point["d"] == d)
+
+
 def test_quick_run_is_deterministic(quick):
     again = frontdoor_p99.run_quick(seed=0xC10E)
-    assert again.fingerprint == quick.fingerprint
-    assert [p.fingerprint for p in again.points] \
-        == [p.fingerprint for p in quick.points]
+    assert again["fingerprint"] == quick["fingerprint"]
+    assert [p["fingerprint"] for p in again["points"]] \
+        == [p["fingerprint"] for p in quick["points"]]
 
 
 def test_quick_run_conserves_and_completes(quick):
-    assert quick.violations == []
-    assert quick.total_requests >= 10_000
-    for point in quick.points:
-        assert point.completed + point.failed + point.timed_out \
-            == point.requests
+    assert quick["violations"] == []
+    assert quick["total_requests"] >= 10_000
+    for point in quick["points"]:
+        assert point["completed"] + point["failed"] + point["timed_out"] \
+            == point["requests"]
 
 
 def test_cloning_improves_the_tail_at_low_load(quick):
-    baseline = quick.point(1)
-    cloned = quick.point(2)
-    assert cloned.latency_p99_ms < baseline.latency_p99_ms
+    baseline = _point(quick, 1)
+    cloned = _point(quick, 2)
+    assert cloned["p99_ms"] < baseline["p99_ms"]
     # d=1 wastes nothing; d=2 pays for the tail with cancelled work.
-    assert baseline.waste_fraction == pytest.approx(0.0, abs=1e-9)
-    assert cloned.waste_fraction > 0.2
-    assert cloned.rho_eff > baseline.rho_eff
+    assert baseline["waste"] == pytest.approx(0.0, abs=1e-9)
+    assert cloned["waste"] > 0.2
+    assert cloned["rho_eff"] > baseline["rho_eff"]
 
 
 def test_model_tracks_the_measurement(quick):
-    for point in quick.stable_points():
-        assert point.predicted_p99_ms > 0
+    stable = [point for point in quick["points"]
+              if point["rho_eff"] < frontdoor_p99.KNEE_RHO]
+    assert stable
+    for point in stable:
+        assert point["predicted_p99_ms"] > 0
         # Same decade: the analytic M/M/1-PS curve is a sanity check,
         # not a fit (the simulation load is per-server, not pooled).
-        assert (point.predicted_p99_ms / 10.0 < point.latency_p99_ms
-                < point.predicted_p99_ms * 10.0)
+        assert (point["predicted_p99_ms"] / 10.0 < point["p99_ms"]
+                < point["predicted_p99_ms"] * 10.0)
 
 
 def test_composed_run_survives_chaos(quick):
-    composed = quick.composed
+    composed = quick["composed"]
     # Its violations were folded into the run-level list (empty above).
     assert composed["hosts_killed"] == 1
     assert composed["children_replaced"] > 0
@@ -111,11 +121,11 @@ def test_format_result_renders_the_table(quick):
     assert "model p99" in text
     assert "composed (autoscale + host-kill)" in text
     assert "capacity knee" in text
-    assert len(quick.fingerprint) == 64
+    assert len(quick["fingerprint"]) == 64
 
 
 def test_result_round_trips_to_dict(quick):
-    payload = quick.to_dict()
+    payload = json.loads(json.dumps(quick, allow_nan=False))
+    assert payload == quick
     assert payload["seed"] == 0xC10E
-    assert len(payload["points"]) == len(quick.points)
-    assert payload["fingerprint"] == quick.fingerprint
+    assert fingerprint(payload) == quick["fingerprint"]

@@ -12,7 +12,10 @@ from benchmarks.perf.harness import (
     OUTPUT_PATH,
     SCENARIOS,
     SCHEMA_VERSION,
+    _pinned_experiment,
 )
+from repro import scenarios
+from repro.scenarios import PIN_SEED, Scenario, fingerprint
 
 
 def _payload(**overrides) -> dict:
@@ -111,3 +114,35 @@ def test_committed_payload_matches_the_harness():
     assert payload["floors"] == FLOORS
     assert set(payload["floors"]) <= set(SCENARIOS)
     assert set(payload["scenarios"]) <= set(SCENARIOS)
+
+
+# ----------------------------------------------------------------------
+# the pinned experiments' in-region checks, against a stubbed registry
+# ----------------------------------------------------------------------
+def _entry(scale, violations=(), pin=None):
+    """A registry entry whose runner returns a fingerprinted payload."""
+    def runner(seed):
+        payload = {"scale": scale, "seed": seed,
+                   "violations": list(violations)}
+        payload["fingerprint"] = fingerprint(payload)
+        return payload
+
+    return Scenario(runner, pin if pin is not None
+                    else runner(PIN_SEED)["fingerprint"])
+
+
+@pytest.mark.parametrize("quick", [True, False], ids=["quick", "full"])
+@pytest.mark.parametrize("fault, message", [
+    ({"pin": "0" * 64}, "fingerprint drift"),
+    ({"violations": ["leaked a frame"]}, r"violations: \['leaked a frame'\]"),
+], ids=["missed-pin", "violation"])
+def test_pinned_experiment_raises_in_its_timed_region(monkeypatch, quick,
+                                                      fault, message):
+    broken, clean = _entry("broken", **fault), _entry("clean")
+    entry = (Scenario(broken.runner, broken.pin, full=clean) if quick
+             else Scenario(clean.runner, clean.pin, full=broken))
+    monkeypatch.setattr(scenarios, "SCENARIOS", {"toy": entry})
+    with pytest.raises(AssertionError, match=f"toy {message}"):
+        _pinned_experiment("toy")(quick)()
+    # The other scale checks its own, clean run against its own pin.
+    _pinned_experiment("toy")(not quick)()

@@ -30,6 +30,12 @@ def test_fingerprint_ignores_its_own_key():
     assert fingerprint({"a": 0.5, "b": [2, 1]}) != digest
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_fingerprint_refuses_values_without_a_json_form(value):
+    with pytest.raises(ValueError):
+        fingerprint({"points": [{"p99_ms": value}]})
+
+
 def test_import_repro_loads_neither_the_registry_nor_argparse():
     src = os.path.dirname(os.path.dirname(repro.__file__))
     code = ("import sys, repro; "
@@ -56,6 +62,17 @@ def test_clean_pinned_scenario_exits_zero(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "toy\n  seed: 49422\n  violations: 0\n" in out
     assert out.rstrip().endswith("ok")
+
+
+def test_summary_prints_scalar_members_of_dict_fields(monkeypatch, capsys):
+    _stub(monkeypatch, lambda seed: {
+        "seed": seed, "stats": {"shed": 3, "retries": 5, "waves": [1, 2]},
+        "faults": {"frontdoor.admit": {"drop": 1}}, "violations": []})
+    assert main([]) == 0
+    out = capsys.readouterr().out
+    assert ("toy\n  seed: 49422\n  stats.shed: 3\n  stats.retries: 5\n"
+            "  violations: 0\n") in out
+    assert "waves" not in out and "faults" not in out
 
 
 def test_violation_exits_one(monkeypatch, capsys):
