@@ -161,11 +161,9 @@ class CloneOp:
                     # yet: the parent must come back runnable and nothing
                     # may leak (domains, ring entries, pending records).
                     hyp.faults.aborted("clone.first_stage")
-                    self._abort_unplumbed_children(parent, children,
-                                                   previous_state,
-                                                   resume=False)
-                    self._abort_partial_clone(parent, known_mark,
-                                              previous_state)
+                    self._abort_unplumbed_children(parent, children)
+                    self._abort_partial_clone(known_mark)
+                    self._restore_parent(parent, previous_state)
                     raise
                 parent.clones_created += 1
                 self._pending[child.domid] = parent.domid
@@ -180,11 +178,9 @@ class CloneOp:
                     self._pending.pop(child.domid, None)
                     self._failed.pop(child.domid, None)
                     parent.clones_created -= 1
-                    self._abort_unplumbed_children(parent, children,
-                                                   previous_state,
-                                                   resume=False)
-                    self._abort_partial_clone(parent, known_mark,
-                                              previous_state)
+                    self._abort_unplumbed_children(parent, children)
+                    self._abort_partial_clone(known_mark)
+                    self._restore_parent(parent, previous_state)
                     raise
                 children.append(child)
                 self.stats["clones"] += 1
@@ -203,8 +199,8 @@ class CloneOp:
                 # A second stage failed mid-batch: drop every child whose
                 # second stage did not complete and resume the parent.
                 hyp.faults.aborted("clone.wakeup")
-                self._abort_unplumbed_children(parent, children,
-                                               previous_state)
+                self._abort_unplumbed_children(parent, children)
+                self._restore_parent(parent, previous_state)
                 raise
 
             # The synchronous second stage has signalled completion (or
@@ -230,8 +226,8 @@ class CloneOp:
                 # The second stage is genuinely dead: unwind every child
                 # it never plumbed and hand the caller a clean failure.
                 hyp.faults.aborted("virq.deliver")
-                self._abort_unplumbed_children(parent, children,
-                                               previous_state)
+                self._abort_unplumbed_children(parent, children)
+                self._restore_parent(parent, previous_state)
                 raise CloneOpError(
                     f"second stage never completed for {still_pending} "
                     "(is xencloned attached?)")
@@ -245,11 +241,7 @@ class CloneOp:
                 # rax fixups: 0 in the parent (paper §5.2).
                 for vcpu in parent.vcpus:
                     vcpu.registers["rax"] = 0
-                if (previous_state is DomainState.RUNNING
-                        or previous_state is DomainState.CREATED):
-                    hyp.unpause_domain(parent.domid)
-                else:
-                    parent.state = previous_state
+                self._restore_parent(parent, previous_state)
                 self._resume_children(parent, children)
         tracer.count("clone.ops")
         tracer.count("clone.children", len(children))
@@ -262,22 +254,22 @@ class CloneOp:
         return {child.domid: self._failed.pop(child.domid)
                 for child in children if child.domid in self._failed}
 
-    def _abort_partial_clone(self, parent: Domain, known_mark: int,
-                             previous_state: DomainState) -> None:
+    def _restore_parent(self, parent: Domain,
+                        previous_state: DomainState) -> None:
+        """Give the parent back the state it had before the clone
+        began: unpause it if it was runnable, else restore the state."""
+        if previous_state in (DomainState.RUNNING, DomainState.CREATED):
+            self.hypervisor.unpause_domain(parent.domid)
+        else:
+            parent.state = previous_state
+
+    def _abort_partial_clone(self, known_mark: int) -> None:
         """Destroy every domain allocated at or after ``known_mark``
         (the domid allocator's value when the failed first stage
         began); only runs on the failure path."""
         hyp = self.hypervisor
         for domid in [d for d in hyp.domains if d >= known_mark]:
-            orphan = hyp.domains[domid]
-            if domid in parent.children:
-                parent.children.remove(domid)
-            orphan.parent_id = None
             hyp.destroy_domain(domid)
-        if previous_state in (DomainState.RUNNING, DomainState.CREATED):
-            hyp.unpause_domain(parent.domid)
-        else:
-            parent.state = previous_state
 
     def _notify(self, parent: Domain, child: Domain) -> None:
         """Queue a child's second-stage notification.
@@ -317,14 +309,11 @@ class CloneOp:
         hyp.notify_cloned(defer=True)
 
     def _abort_unplumbed_children(self, parent: Domain,
-                                  children: list[Domain],
-                                  previous_state: DomainState,
-                                  resume: bool = True) -> None:
+                                  children: list[Domain]) -> None:
         """Unwind children whose second stage never completed (their
         domids are still pending) after a failed batch wake-up; children
         already plumbed by xencloned stay alive, like in the per-child
-        notification protocol. ``resume=False`` leaves the parent's
-        state to the caller (used when another unwind step follows)."""
+        notification protocol. The caller restores the parent."""
         hyp = self.hypervisor
         aborted: set[int] = set()
         for child in children:
@@ -335,20 +324,11 @@ class CloneOp:
             aborted.add(child.domid)
             parent.clones_created -= 1
             self.stats["clones"] -= 1
-            child.parent_id = None
-            if child.domid in parent.children:
-                parent.children.remove(child.domid)
             hyp.destroy_domain(child.domid)
         # Purge their queued notifications: xencloned must never see an
         # entry for a domain that no longer exists.
         if aborted:
             self.ring.discard(lambda entry: entry.child_domid in aborted)
-        if not resume:
-            return
-        if previous_state in (DomainState.RUNNING, DomainState.CREATED):
-            hyp.unpause_domain(parent.domid)
-        else:
-            parent.state = previous_state
 
     def _resume_children(self, parent: Domain, children: list[Domain]) -> None:
         start_paused = (parent.config is not None
@@ -388,8 +368,9 @@ class CloneOp:
                      child_domid: int, reason: str = "") -> None:
         """xencloned reports a child whose second stage failed.
 
-        The hypervisor unwinds the half-plumbed child — family links,
-        clone accounting, frames — while the rest of the batch proceeds
+        The hypervisor unwinds the half-plumbed child — clone
+        accounting here, then ``destroy_domain`` for its family links,
+        IDC endpoints and frames — while the rest of the batch proceeds
         (graceful degradation: one bad child must not abort its
         siblings). The in-flight CLONE subop consumes the report and
         drops the child from its result.
@@ -407,11 +388,7 @@ class CloneOp:
         parent.clones_created -= 1
         self.stats["clones"] -= 1
         self.stats["failed_clones"] += 1
-        child = hyp.domains.get(child_domid)
-        if child is not None:
-            child.parent_id = None
-            if child_domid in parent.children:
-                parent.children.remove(child_domid)
+        if child_domid in hyp.domains:
             hyp.clock.charge(hyp.costs.clone_abort_fixed)
             hyp.destroy_domain(child_domid)
         self._failed[child_domid] = reason

@@ -15,9 +15,7 @@ from __future__ import annotations
 import enum
 
 from repro.core.cloneop import CloneOp
-from repro.devices.console import console_backend_path, console_frontend_path
 from repro.errors import ReproError
-from repro.devices.p9 import p9_backend_path, p9_frontend_path
 from repro.devices.udev import UdevEvent
 from repro.net.bridge import Bridge
 from repro.toolstack.dom0 import Dom0
@@ -27,6 +25,19 @@ from repro.xen.events import VIRQ_CLONED
 from repro.xen.hypervisor import Hypervisor
 from repro.xenstore.client import XsHandle
 from repro.xenstore.clone import XsCloneOp
+
+
+#: The device directories the second stage clones, in this order:
+#: (frontend kind, xs_clone op, frontend dir, backend dir), each dir a
+#: ``%`` template over the domid.
+_DEVICE_DIRS = (
+    ("console", XsCloneOp.DEV_CONSOLE, "/local/domain/%d/console",
+     "/local/domain/0/backend/console/%d/0"),
+    ("vif", XsCloneOp.DEV_VIF, "/local/domain/%d/device/vif",
+     "/local/domain/0/backend/vif/%d"),
+    ("9pfs", XsCloneOp.DEV_9PFS, "/local/domain/%d/device/9pfs/0",
+     "/local/domain/0/backend/9pfs/%d/0"),
+)
 
 
 class CloneSwitchMode(enum.Enum):
@@ -132,10 +143,7 @@ class Xencloned:
             if clone_io:
                 with tracer.span("clone.second_stage.xenstore",
                                  xs_clone=self.use_xs_clone):
-                    if self.use_xs_clone:
-                        self._clone_devices_xs(parent, child)
-                    else:
-                        self._clone_devices_deep(parent, child)
+                    self._clone_devices(parent, child)
 
             # 5. 9pfs backends clone over QMP.
             if clone_io and parent.frontends.get("9pfs"):
@@ -155,26 +163,16 @@ class Xencloned:
 
     def _abort_child(self, parent_domid: int, child_domid: int,
                      error: ReproError) -> None:
-        """Unwind one failed second stage (mirrors ``xl destroy``).
-
-        Removes whatever registry entries and backend state the partial
-        second stage created, releases the child from xenstored, then
-        reports CLONE_FAILED so the hypervisor destroys the domain and
-        the in-flight CLONE subop drops it from its result.
+        """Unwind one failed second stage: the Dom0 half of ``xl
+        destroy`` removes whatever registry entries and backend state it
+        created and releases the child from xenstored, then CLONE_FAILED
+        has the hypervisor destroy the domain and the in-flight CLONE
+        subop drop it from its result.
         """
         tracer = self.hypervisor.tracer
         with tracer.span("clone.second_stage.abort", parent=parent_domid,
                          child=child_domid, error=type(error).__name__):
-            for path in (f"/local/domain/{child_domid}",
-                         f"/local/domain/0/backend/vif/{child_domid}",
-                         f"/local/domain/0/backend/console/{child_domid}",
-                         f"/local/domain/0/backend/9pfs/{child_domid}"):
-                if self.handle.daemon.exists(path):
-                    self.handle.rm(path)
-            self.dom0.netback.remove(child_domid)
-            self.dom0.console_daemon.remove(child_domid)
-            self.dom0.p9.remove(child_domid)
-            self.handle.release_domain(child_domid)
+            self.dom0.remove_guest(self.handle, child_domid)
             self.cloneop.clone_failed(DOM0, parent_domid, child_domid,
                                       reason=str(error))
         tracer.count("clone.second_stage_aborts")
@@ -182,64 +180,27 @@ class Xencloned:
     # ------------------------------------------------------------------
     # device directory cloning
     # ------------------------------------------------------------------
-    def _clone_devices_xs(self, parent: Domain, child: Domain) -> None:
-        p, c = parent.domid, child.domid
-        faults = self.hypervisor.faults
-        if parent.frontends.get("console"):
-            if faults.enabled:
-                faults.fire("device.attach", device="console",
-                            parent=p, child=c)
-            self.handle.clone(p, c, XsCloneOp.DEV_CONSOLE,
-                              console_frontend_path(p), console_frontend_path(c))
-            self.handle.clone(p, c, XsCloneOp.DEV_CONSOLE,
-                              console_backend_path(p), console_backend_path(c))
-        if parent.frontends.get("vif"):
-            if faults.enabled:
-                faults.fire("device.attach", device="vif",
-                            parent=p, child=c)
-            self.handle.clone(p, c, XsCloneOp.DEV_VIF,
-                              f"/local/domain/{p}/device/vif",
-                              f"/local/domain/{c}/device/vif")
-            self.handle.clone(p, c, XsCloneOp.DEV_VIF,
-                              f"/local/domain/0/backend/vif/{p}",
-                              f"/local/domain/0/backend/vif/{c}")
-        if parent.frontends.get("9pfs"):
-            if faults.enabled:
-                faults.fire("device.attach", device="9pfs",
-                            parent=p, child=c)
-            self.handle.clone(p, c, XsCloneOp.DEV_9PFS,
-                              p9_frontend_path(p), p9_frontend_path(c))
-            self.handle.clone(p, c, XsCloneOp.DEV_9PFS,
-                              p9_backend_path(p), p9_backend_path(c))
-
-    def _clone_devices_deep(self, parent: Domain, child: Domain) -> None:
-        """Pre-Nephele ablation: one write request per Xenstore entry,
+    def _clone_devices(self, parent: Domain, child: Domain) -> None:
+        """Clone the parent's device directories for the child, class by
+        class: one ``xs_clone`` request per directory or, for the
+        pre-Nephele ablation, one write request per Xenstore entry,
         "similarly to how the Xenstore entries are created on regular
         instantiation" (paper §6.1)."""
         p, c = parent.domid, child.domid
         faults = self.hypervisor.faults
-        if parent.frontends.get("console"):
+        handle = self.handle
+        for device, op, frontend, backend in _DEVICE_DIRS:
+            if not parent.frontends.get(device):
+                continue
             if faults.enabled:
-                faults.fire("device.attach", device="console",
+                faults.fire("device.attach", device=device,
                             parent=p, child=c)
-            self.handle.deep_copy(p, c, console_frontend_path(p),
-                                  console_frontend_path(c))
-            self.handle.deep_copy(p, c, console_backend_path(p),
-                                  console_backend_path(c))
-        if parent.frontends.get("vif"):
-            if faults.enabled:
-                faults.fire("device.attach", device="vif",
-                            parent=p, child=c)
-            self.handle.deep_copy(p, c, f"/local/domain/{p}/device/vif",
-                                  f"/local/domain/{c}/device/vif")
-            self.handle.deep_copy(p, c, f"/local/domain/0/backend/vif/{p}",
-                                  f"/local/domain/0/backend/vif/{c}")
-        if parent.frontends.get("9pfs"):
-            if faults.enabled:
-                faults.fire("device.attach", device="9pfs",
-                            parent=p, child=c)
-            self.handle.deep_copy(p, c, p9_frontend_path(p), p9_frontend_path(c))
-            self.handle.deep_copy(p, c, p9_backend_path(p), p9_backend_path(c))
+            if self.use_xs_clone:
+                handle.clone(p, c, op, frontend % p, frontend % c)
+                handle.clone(p, c, op, backend % p, backend % c)
+            else:
+                handle.deep_copy(p, c, frontend % p, frontend % c)
+                handle.deep_copy(p, c, backend % p, backend % c)
 
     # ------------------------------------------------------------------
     # udev: finish clone vif setup

@@ -68,6 +68,10 @@ _PLACEABLE = (HostState.UP,)
 #: States the control plane can still reach the host in.
 _REACHABLE = (HostState.UP, HostState.DEGRADED, HostState.DRAINING)
 
+#: Bounded re-placement: attempts per clone request before the
+#: remainder is reported failed.
+REPLACE_RETRY_LIMIT = 3
+
 
 @dataclass
 class FleetConfig:
@@ -83,12 +87,6 @@ class FleetConfig:
     #: Missed beats before an unreachable host is declared dead and
     #: fenced (xapi-style HA: a few lost heartbeats, not one).
     heartbeat_timeout_beats: int = 3
-    #: Bounded re-placement: attempts per clone request before the
-    #: remainder is reported failed.
-    replace_retry_limit: int = 3
-    #: Re-place clones that died with their host (failover). Off means
-    #: they are only accounted as lost.
-    replace_lost: bool = True
     #: Enable tracing on the fleet control plane and member hosts.
     trace: bool = False
 
@@ -321,26 +319,22 @@ class Fleet:
         return FamilyPlacement(family=config.name, host=host.name,
                                domid=domid)
 
+    def _boot(self, host: FleetHost, family: _Family, name: str) -> int:
+        """Boot a standalone instance of ``family`` named ``name`` on
+        ``host`` from the family's config; returns its domid."""
+        config = family.config.for_clone(name)
+        app = family.app_factory() if family.app_factory is not None else None
+        return host.platform.xl.create(config, app=app).domid
+
     def _boot_replica(self, host: FleetHost, family: _Family) -> int:
         """Boot a parent replica of ``family`` on ``host``."""
         # Replica names are host-qualified so cross-host re-placement
         # never collides even though each host has its own xenstored.
-        config = DomainConfig(
-            name=f"{family.name}.{host.name}",
-            memory_mb=family.config.memory_mb,
-            vcpus=family.config.vcpus,
-            kernel=family.config.kernel,
-            vifs=list(family.config.vifs),
-            p9fs=list(family.config.p9fs),
-            max_clones=family.config.max_clones,
-            start_clones_paused=family.config.start_clones_paused,
-            clone_io_devices=family.config.clone_io_devices)
-        app = family.app_factory() if family.app_factory is not None else None
-        domain = host.platform.xl.create(config, app=app)
-        family.replicas[host.name] = domain.domid
+        domid = self._boot(host, family, f"{family.name}.{host.name}")
+        family.replicas[host.name] = domid
         self.topology_epoch += 1
         self.stats["replicas_booted"] += 1
-        return domain.domid
+        return domid
 
     def clone_family(self, name: str, count: int = 1) -> CloneResult:
         """Clone ``count`` instances of a family, placing them fleet-wide.
@@ -398,7 +392,7 @@ class Fleet:
             # on the survivors — up to the configured bound.
             retries += 1
             self.stats["replacements_attempted"] += 1
-            if retries > self.config.replace_retry_limit:
+            if retries > REPLACE_RETRY_LIMIT:
                 failed += remaining
                 break
             self.clock.charge(self.costs.fleet_replace_backoff
@@ -448,43 +442,30 @@ class Fleet:
             return None
         if host.state is HostState.DEGRADED:
             self.clock.charge(self.costs.fleet_degraded_penalty)
-        if host.name not in family.replicas:
-            self.clock.charge(self.costs.fleet_forward_rpc)
-            self.stats["forwards"] += 1
-            try:
-                self._boot_replica(host, family)
-            except ReproError:
-                if host.dying:
-                    # The armed kill landed in the replica boot rather
-                    # than the clone batch: the host dies all the same.
-                    host.state = HostState.CRASHED
-                    self._declare_dead(host)
-                else:
-                    # The forward target could not even boot the
-                    # replica (capacity raced away): a failed placement
-                    # attempt; the retry loop picks another host.
-                    pass
-                return None
-        replica = family.replicas[host.name]
         try:
-            children = host.platform.xl.clone(replica, count=count)
-        except ReproError:
-            if host.dying:
-                # The armed kill fired: the batch was unwound by the
-                # whole-batch rollback; now the host is gone.
-                host.state = HostState.CRASHED
-                self._declare_dead(host)
-            return None
-        if host.dying:
-            # The armed kill missed the batch (spec skipped too many
-            # hits): the host still dies, right after the batch — the
-            # children it just placed die with it and are re-placed by
-            # the power-off path.
+            if host.name not in family.replicas:
+                self.clock.charge(self.costs.fleet_forward_rpc)
+                self.stats["forwards"] += 1
+                self._boot_replica(host, family)
+            children = host.platform.xl.clone(family.replicas[host.name],
+                                              count=count)
             family.clones.setdefault(host.name, []).extend(children)
+        except ReproError:
+            # The forward target could not boot the replica (capacity
+            # raced away) or the batch was unwound by the whole-batch
+            # rollback: a failed placement attempt, and the retry loop
+            # picks another host (unless the host is dying).
+            children = None
+        if host.dying:
+            # The armed kill landed in the replica boot or the clone
+            # batch, or missed both (spec skipped too many hits): the
+            # host dies all the same, and children it just placed die
+            # with it and are re-placed by the power-off path.
             host.state = HostState.CRASHED
             self._declare_dead(host)
             return None
-        family.clones.setdefault(host.name, []).extend(children)
+        if children is None:
+            return None
         self.topology_epoch += 1
         self.tracer.count("fleet.children_placed", len(children))
         return children
@@ -651,28 +632,47 @@ class Fleet:
             except ReproError:
                 platform.hypervisor.destroy_domain(domid)
         platform.cloneop.host_shutdown()
-        # Strike the dead host from every family, then fail the lost
-        # children over onto the survivors.
+        # Strike the dead host from every family (nothing there is live
+        # any more), then fail the lost children over onto the survivors.
         lost: list[tuple[_Family, int]] = []
         for family in self._families.values():
-            if family.replicas.pop(host.name, None) is not None:
+            dead_clones, replica = self._evict(family, host)
+            if replica is not None:
                 self.stats["replicas_lost"] += 1
-            dead_clones = family.clones.pop(host.name, None)
             if dead_clones:
-                self.stats["children_lost"] += len(dead_clones)
                 lost.append((family, len(dead_clones)))
-        if self.config.replace_lost:
-            for family, n in lost:
-                placed, failed, _retries = self._place_children(family, n)
-                self.stats["children_replaced"] += len(placed)
-                self.stats["replace_failed"] += failed
-        else:
-            for _family, n in lost:
-                self.stats["replace_failed"] += n
+        for family, n in lost:
+            self._fail_over(family, n)
+
+    def _fail_over(self, family: _Family, lost: int) -> None:
+        """Account ``lost`` clones of ``family`` that died with a host
+        (or with a failed post-copy migration) and re-place them on the
+        survivors."""
+        self.stats["children_lost"] += lost
+        placed, failed, _retries = self._place_children(family, lost)
+        self.stats["children_replaced"] += len(placed)
+        self.stats["replace_failed"] += failed
 
     # ------------------------------------------------------------------
     # teardown
     # ------------------------------------------------------------------
+    def _evict(self, family: _Family,
+               host: FleetHost) -> tuple[list[int], int | None]:
+        """Destroy ``family``'s live instances on ``host`` (clones, then
+        the replica) and strike the host from the family record.
+
+        Returns the struck clone domids and replica domid (``None`` when
+        the host held no replica); instances already dead are struck
+        all the same.
+        """
+        clones = family.clones.pop(host.name, [])
+        replica = family.replicas.pop(host.name, None)
+        domains = host.platform.hypervisor.domains
+        for domid in (*clones, replica):
+            if domid is not None and domid in domains:
+                host.platform.xl.destroy(domid)
+        return clones, replica
+
     def destroy_family(self, name: str) -> None:
         """Destroy every live instance of a family, fleet-wide."""
         family = self._families.pop(name, None)
@@ -683,16 +683,7 @@ class Fleet:
             if record.active and record.family == name:
                 self.planner._abort(record, "family-destroyed")
         for host_name in sorted(set(family.clones) | set(family.replicas)):
-            host = self._by_name[host_name]
-            if host.state is HostState.DEAD:
-                continue
-            for domid in family.clones.get(host_name, []):
-                if domid in host.platform.hypervisor.domains:
-                    host.platform.xl.destroy(domid)
-            replica = family.replicas.get(host_name)
-            if (replica is not None
-                    and replica in host.platform.hypervisor.domains):
-                host.platform.xl.destroy(replica)
+            self._evict(family, self._by_name[host_name])
 
     def shutdown(self) -> None:
         """Quiesce the fleet: fence stragglers, destroy every family."""

@@ -40,7 +40,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import ReproError
-from repro.toolstack.config import DomainConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.fleet.fleet import Fleet, FleetHost, _Family
@@ -485,7 +484,6 @@ class MigrationPlanner:
         fleet = self.fleet
         family = fleet.families[record.family]
         target = fleet.host(record.target)
-        source = fleet.host(record.source)
         clones = list(family.clones.get(record.source, []))
         replica_domid = family.replicas.get(record.source)
         try:
@@ -497,16 +495,9 @@ class MigrationPlanner:
         # Tear down the source side; the family now serves from the
         # target. Destroyed domains drop out of the front-door pool at
         # the next refresh (epoch bump below).
-        for domid in clones:
-            if domid in source.platform.hypervisor.domains:
-                source.platform.xl.destroy(domid)
-        family.clones.pop(record.source, None)
-        if replica_domid is not None:
-            if replica_domid in source.platform.hypervisor.domains:
-                source.platform.xl.destroy(replica_domid)
-            del family.replicas[record.source]
-            if not record.replica_ships:
-                fleet.stats["migration_replicas_dropped"] += 1
+        fleet._evict(family, fleet.host(record.source))
+        if replica_domid is not None and not record.replica_ships:
+            fleet.stats["migration_replicas_dropped"] += 1
         if new_domids:
             family.clones.setdefault(record.target, []).extend(new_domids)
         if family.origin == record.source:
@@ -549,20 +540,8 @@ class MigrationPlanner:
             for _ in range(count):
                 serial = fleet._migration_boot_serial
                 fleet._migration_boot_serial += 1
-                config = DomainConfig(
-                    name=f"{family.name}.{target.name}.m{serial}",
-                    memory_mb=family.config.memory_mb,
-                    vcpus=family.config.vcpus,
-                    kernel=family.config.kernel,
-                    vifs=list(family.config.vifs),
-                    p9fs=list(family.config.p9fs),
-                    max_clones=family.config.max_clones,
-                    start_clones_paused=family.config.start_clones_paused,
-                    clone_io_devices=family.config.clone_io_devices)
-                app = (family.app_factory()
-                       if family.app_factory is not None else None)
-                domain = target.platform.xl.create(config, app=app)
-                domids.append(domain.domid)
+                domids.append(fleet._boot(
+                    target, family, f"{family.name}.{target.name}.m{serial}"))
             return domids
         except ReproError:
             # Unwind whatever landed on the target before the failure:
@@ -643,26 +622,12 @@ class MigrationPlanner:
         if target.state is HostState.DEAD:
             # The dead-host path already struck and re-placed them.
             return
-        lost = 0
-        for domid in family.clones.pop(record.target, []):
-            if domid in target.platform.hypervisor.domains:
-                target.platform.xl.destroy(domid)
-            lost += 1
-        replica = family.replicas.pop(record.target, None)
+        clones, replica = fleet._evict(family, target)
         if replica is not None:
-            if replica in target.platform.hypervisor.domains:
-                target.platform.xl.destroy(replica)
             fleet.stats["replicas_lost"] += 1
         fleet.topology_epoch += 1
-        if lost:
-            fleet.stats["children_lost"] += lost
-            if fleet.config.replace_lost:
-                placed, failed, _retries = fleet._place_children(
-                    family, lost)
-                fleet.stats["children_replaced"] += len(placed)
-                fleet.stats["replace_failed"] += failed
-            else:
-                fleet.stats["replace_failed"] += lost
+        if clones:
+            fleet._fail_over(family, len(clones))
 
 
 # ----------------------------------------------------------------------

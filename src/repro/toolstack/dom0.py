@@ -127,6 +127,27 @@ class Dom0:
             return "xenbr0"
 
     # ------------------------------------------------------------------
+    # guest teardown
+    # ------------------------------------------------------------------
+    def remove_guest(self, handle: XsHandle, domid: int) -> None:
+        """Remove a guest's registry entries and backend state, then
+        release it from xenstored: the Dom0 half of ``xl destroy``.
+
+        ``handle`` is the caller's own Xenstore connection, so each
+        daemon's request counters stay its own.
+        """
+        for path in (f"/local/domain/{domid}",
+                     f"/local/domain/0/backend/vif/{domid}",
+                     f"/local/domain/0/backend/console/{domid}",
+                     f"/local/domain/0/backend/9pfs/{domid}"):
+            if handle.daemon.exists(path):
+                handle.rm(path)
+        self.netback.remove(domid)
+        self.console_daemon.remove(domid)
+        self.p9.remove(domid)
+        handle.release_domain(domid)
+
+    # ------------------------------------------------------------------
     # clone-family switching (bond / OVS)
     # ------------------------------------------------------------------
     def family_bond(self, ip: str) -> BondInterface:

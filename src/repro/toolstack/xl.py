@@ -178,21 +178,11 @@ class XL:
     def destroy(self, domid: int) -> None:
         """``xl destroy``: registry entries, backends, then the domain."""
         with self.hypervisor.tracer.span("xl.destroy", domid=domid):
-            domain = self.hypervisor.get_domain(domid)
+            self.hypervisor.get_domain(domid)  # ENOENT before any teardown
             cloneop = getattr(self.platform, "cloneop", None)
             if cloneop is not None:
                 cloneop.release_baseline(domid)
-            # Remove registry entries and backend state.
-            for path in (domain.store_path,
-                         f"/local/domain/0/backend/vif/{domid}",
-                         f"/local/domain/0/backend/console/{domid}",
-                         f"/local/domain/0/backend/9pfs/{domid}"):
-                if self.handle.daemon.exists(path):
-                    self.handle.rm(path)
-            self.dom0.netback.remove(domid)
-            self.dom0.console_daemon.remove(domid)
-            self.dom0.p9.remove(domid)
-            self.handle.release_domain(domid)
+            self.dom0.remove_guest(self.handle, domid)
             self.hypervisor.destroy_domain(domid)
 
     # ------------------------------------------------------------------

@@ -138,7 +138,7 @@ class Hypervisor:
                 domain.populate_ram(ram_pages, label="ram")
                 self.clock.charge(costs.page_alloc * ram_pages)
         except Exception:
-            self._release_partial_domain(domain)
+            self._release_frames(domain)
             raise
 
         self.domains[domid] = domain
@@ -149,19 +149,21 @@ class Hypervisor:
         _TOPOLOGY_EPOCH[0] += 1
         return domain
 
-    def _release_partial_domain(self, domain: Domain) -> None:
-        """Undo a half-built domain (failed create or failed clone)."""
-        domain.memory.release()
+    def _release_frames(self, domain: Domain) -> int:
+        """Return every frame ``domain`` holds: RAM, paging, special
+        pages and hypervisor overhead. Returns the number freed; the
+        caller decides what the release costs."""
+        freed = domain.memory.release()
         if domain.paging is not None:
-            release_paging(self.frames, domain.paging)
+            freed += release_paging(self.frames, domain.paging)
             domain.paging = None
         for extent in domain.special.values():
-            self.frames.free_extent(extent)
+            freed += self.frames.free_extent(extent)
         domain.special.clear()
         if domain.overhead_extent is not None:
-            self.frames.free_extent(domain.overhead_extent)
+            freed += self.frames.free_extent(domain.overhead_extent)
             domain.overhead_extent = None
-        domain.state = DomainState.DEAD
+        return freed
 
     def get_domain(self, domid: int) -> Domain:
         """The live domain with ``domid`` (ENOENT if absent)."""
@@ -177,16 +179,7 @@ class Hypervisor:
             raise XenPermissionError("refusing to destroy Dom0")
         domain.state = DomainState.DYING
         self.clock.charge(self.costs.hyp_domain_destroy)
-        freed = domain.memory.release()
-        if domain.paging is not None:
-            freed += release_paging(self.frames, domain.paging)
-            domain.paging = None
-        for extent in domain.special.values():
-            freed += self.frames.free_extent(extent)
-        domain.special.clear()
-        if domain.overhead_extent is not None:
-            freed += self.frames.free_extent(domain.overhead_extent)
-            domain.overhead_extent = None
+        freed = self._release_frames(domain)
         self.clock.charge(self.costs.page_free * freed)
         # Drop this domain's foreign grant mappings from the granters'
         # tables — a dead mapper must not pin grant entries forever.
@@ -202,7 +195,8 @@ class Hypervisor:
         # Unlink from the family tree, including the parent's IDC
         # wildcard endpoints pointing at this clone (send_event already
         # skips dead domains; this keeps the endpoint lists from
-        # accumulating garbage across clone/destroy churn).
+        # accumulating garbage across clone/destroy churn). This is the
+        # only unlink: clone unwinds destroy their children through here.
         if domain.parent_id is not None:
             parent = self.domains.get(domain.parent_id)
             if parent is not None:

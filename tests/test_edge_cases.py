@@ -227,7 +227,7 @@ def test_second_stage_failure_unwinds(platform, udp_parent):
     def exploding(parent, child):
         raise RuntimeError("netback exploded")
 
-    platform.xencloned._clone_devices_xs = exploding
+    platform.xencloned._clone_devices = exploding
     with pytest.raises(RuntimeError):
         platform.cloneop.clone(udp_parent.domid)
     assert udp_parent.state is DomainState.RUNNING

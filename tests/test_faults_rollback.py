@@ -15,6 +15,7 @@ from repro.apps.udp_server import UdpServerApp
 from repro.errors import ReproError
 from repro.faults import FaultPlan, FaultSpec
 from repro.faults.chaos import audit_platform
+from repro.idc.channel import IdcChannel
 from repro.platform import Platform
 from repro.toolstack.config import DomainConfig, VifConfig
 from repro.xenstore.transactions import TransactionConflict
@@ -27,13 +28,18 @@ SECOND_STAGE_SITES = ["xenstore.xs_clone", "device.attach"]
 
 
 def boot_parent(*specs: FaultSpec, seed: int = 0x5EED):
-    """Platform with one booted parent; injection armed only afterwards."""
+    """Platform with one booted parent; injection armed only afterwards.
+
+    The parent owns an IDC channel, so every clone is bound to it at
+    creation (paper §5.2.2) and every unwind must drop that endpoint.
+    """
     plan = FaultPlan(specs=list(specs), name="rollback")
     platform = Platform.create(seed=seed, fault_plan=plan)
     platform.faults.active = False
     config = DomainConfig(name="parent", memory_mb=4,
                           vifs=[VifConfig(ip="10.0.7.1")], max_clones=64)
     domain = platform.xl.create(config, app=UdpServerApp())
+    IdcChannel(platform.hypervisor, domain)
     platform.faults.active = True
     return platform, domain.domid
 

@@ -73,6 +73,30 @@ def test_capacity_pressure_forwards_cross_host():
     assert not audit_fleet(fleet)
 
 
+def test_replicas_keep_the_family_exit_policies():
+    # Every replica, the origin's and a forwarded one, boots from the
+    # family config: its exit policies, but vif objects of its own.
+    config = fam(0, max_clones=512)
+    config.on_crash = "preserve"
+    fleet = small_fleet(hosts=2)
+    fleet.create_family(config)
+    family = fleet.families["fam0"]
+    for _ in range(12):
+        fleet.clone_family("fam0", count=4)
+        if len(family.replicas) > 1:
+            break
+    assert len(family.replicas) == 2, "origin never filled up"
+    for host_name, domid in family.replicas.items():
+        platform = fleet.host(host_name).platform
+        replica = platform.hypervisor.domains[domid]
+        assert replica.config.on_crash == "preserve"
+        assert replica.config.vifs[0] is not config.vifs[0]
+        # xl applies the policy: a crashed replica is kept for debugging.
+        platform.hypervisor.guest_shutdown(domid, crashed=True)
+        assert platform.xl.preserved == [domid]
+        assert domid in platform.hypervisor.domains
+
+
 def test_heartbeat_crash_is_detected_at_the_timeout():
     plan = FaultPlan(specs=[FaultSpec(site="host.crash",
                                       match={"op": "heartbeat"}, count=1)],
@@ -143,21 +167,6 @@ def test_host_death_replaces_lost_children_on_survivors():
     family = fleet.families["fam0"]
     assert origin not in family.replicas
     assert origin not in family.clones
-    assert not audit_fleet(fleet)
-
-
-def test_replace_lost_false_only_accounts():
-    plan = FaultPlan(specs=[FaultSpec(site="host.crash",
-                                      match={"op": "heartbeat"}, count=1)],
-                     name="crash")
-    fleet = small_fleet(hosts=2, plan=plan, replace_lost=False)
-    origin = fleet.create_family(fam(0)).host
-    assert origin == "host0"
-    fleet.clone_family("fam0", count=2)
-    fleet.run_heartbeats(fleet.config.heartbeat_timeout_beats + 2)
-    assert fleet.host(origin).state is HostState.DEAD
-    assert fleet.stats["children_replaced"] == 0
-    assert fleet.stats["replace_failed"] == fleet.stats["children_lost"] == 2
     assert not audit_fleet(fleet)
 
 
