@@ -20,11 +20,11 @@ validation for free.
 
 from __future__ import annotations
 
-import json
 from typing import Any
 
 from repro.errors import ReproError
-from repro.metrics import PlatformSnapshot, snapshot
+from repro.metrics import PlatformSnapshot, counters, snapshot
+from repro.obs.report import dump_report, run_report
 from repro.platform import Platform
 from repro.toolstack.config import DomainConfig, P9Config, VifConfig
 from repro.toolstack.xl import SavedImage
@@ -252,16 +252,15 @@ class NepheleSession:
                      **meta: Any) -> dict[str, Any]:
         """The machine-readable run report; optionally written as JSON.
 
-        ``meta`` entries (experiment name, parameters...) are embedded
-        in the report so diffs identify their runs.
+        The report carries the platform's event counters
+        (:func:`repro.metrics.counters`) next to the spans. ``meta``
+        entries (experiment name, parameters...) are embedded in the
+        report so diffs identify their runs.
         """
         tracer = self.tracer
         if not tracer.enabled:
             raise SessionError(
                 "tracing disabled: pass trace=True to NepheleSession")
-        report = tracer.export(**meta)
-        if path is not None:
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(report, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        return report
+        if path is None:
+            return run_report(tracer, counters(self.platform), **meta)
+        return dump_report(tracer, path, counters(self.platform), **meta)

@@ -19,10 +19,10 @@ additions:
     fleet policies             placement policy registry
     frontdoor [reqs [d]]       request-cloning dispatch smoke (repro.frontdoor)
     storm <name>               a pinned storm or quick experiment (repro.scenarios)
-    trace [summary]            per-stage virtual-time breakdown table
+    trace [summary]            per-stage virtual-time table + event counters
     trace spans [kind]         recorded spans (optionally one kind)
     trace export <file.json>   write the machine-readable run report
-    trace reset                drop recorded spans and metrics
+    trace reset                drop recorded spans (counters are kept)
     mem                        free memory (hypervisor + Dom0)
     clock                      current virtual time
     help / quit
@@ -350,6 +350,9 @@ class XlShell:
 
     def cmd_trace(self, args: list[str]) -> None:
         """trace [summary | spans [kind] | export <file> | reset]"""
+        from repro.metrics import counters
+        from repro.obs.report import dump_report, format_counters
+
         tracer = self.platform.tracer
         if not tracer.enabled:
             self._print("tracing disabled "
@@ -358,12 +361,8 @@ class XlShell:
         sub = args[0] if args else "summary"
         if sub == "summary":
             self._print(tracer.format_summary())
-            counters = tracer.registry.to_dict()["counters"]
-            if counters:
-                from repro.obs.report import format_counters
-
-                self._print("")
-                self._print(format_counters(counters))
+            self._print("")
+            self._print(format_counters(counters(self.platform)))
         elif sub == "spans":
             kind = args[1] if len(args) >= 2 else None
             spans = tracer.spans(kind)
@@ -377,13 +376,8 @@ class XlShell:
         elif sub == "export":
             if len(args) != 2:
                 raise CliError("usage: trace export <file.json>")
-            import json
-
-            report = tracer.export()
             try:
-                with open(args[1], "w", encoding="utf-8") as handle:
-                    json.dump(report, handle, indent=2, sort_keys=True)
-                    handle.write("\n")
+                report = dump_report(tracer, args[1], counters(self.platform))
             except OSError as error:
                 raise CliError(f"cannot write {args[1]!r}: {error}") from error
             self._print(f"wrote {len(report['spans'])} spans to {args[1]!r}")

@@ -76,8 +76,13 @@ class CloneOp:
         self._failed: dict[int, str] = {}
         #: clone_reset baselines: domid -> list of segment snapshots.
         self._baselines: dict[int, list[SegmentSnapshot]] = {}
-        self.stats = {"clones": 0, "resets": 0, "explicit_cows": 0,
-                      "failed_clones": 0}
+        #: ``ops`` counts completed CLONE subops and ``clones`` the
+        #: children that survived them (unwound and failed children are
+        #: taken back out); ``pages_shared``/``pages_copied`` sum every
+        #: first stage, unwound ones included.
+        self.stats = {"ops": 0, "clones": 0, "failed_clones": 0,
+                      "pages_shared": 0, "pages_copied": 0, "resets": 0,
+                      "explicit_cows": 0}
         hypervisor.set_cloneop(self)
 
     def _is_privileged(self, domid: int) -> bool:
@@ -152,8 +157,8 @@ class CloneOp:
                 try:
                     with tracer.span("clone.first_stage",
                                      parent=parent.domid) as span:
-                        child = first_stage.clone_domain(hyp, parent,
-                                                         child_index)
+                        child = first_stage.clone_domain(
+                            hyp, parent, child_index, self.stats)
                         span.set(child=child.domid)
                 except Exception:
                     # Unwind the partial child (ENOMEM mid-stage, ...) and
@@ -243,10 +248,7 @@ class CloneOp:
                     vcpu.registers["rax"] = 0
                 self._restore_parent(parent, previous_state)
                 self._resume_children(parent, children)
-        tracer.count("clone.ops")
-        tracer.count("clone.children", len(children))
-        if failed:
-            tracer.count("clone.failed_children", len(failed))
+        self.stats["ops"] += 1
         return [child.domid for child in children]
 
     def _consume_failures(self, children: list[Domain]) -> dict[int, str]:
@@ -393,7 +395,6 @@ class CloneOp:
             hyp.destroy_domain(child_domid)
         self._failed[child_domid] = reason
         hyp.faults.aborted("clone.second_stage")
-        hyp.tracer.count("clone.failed")
 
     # ------------------------------------------------------------------
     # subop: CLONE_COW (fuzzing: breakpoint insertion, §7.2)

@@ -16,11 +16,12 @@ from repro.xen.hypervisor import Hypervisor
 
 
 def clone_domain(hypervisor: Hypervisor, parent: Domain,
-                 child_index: int) -> Domain:
+                 child_index: int, stats: dict[str, int]) -> Domain:
     """Create one clone of ``parent``; returns the paused child.
 
     The caller (CLONEOP) is responsible for policy checks, pausing the
-    parent, pushing the notification and raising VIRQ_CLONED.
+    parent, pushing the notification and raising VIRQ_CLONED. The
+    pages shared and copied are added to the caller's ``stats``.
     """
     costs = hypervisor.costs
     clock = hypervisor.clock
@@ -102,8 +103,8 @@ def clone_domain(hypervisor: Hypervisor, parent: Domain,
             clock.charge(costs.page_copy * copied_pages)
             span.set(copied_pages=copied_pages)
 
-    tracer.count("clone.pages_shared", shared_pages)
-    tracer.count("clone.pages_copied", copied_pages)
+    stats["pages_shared"] += shared_pages
+    stats["pages_copied"] += copied_pages
     child.state = DomainState.PAUSED
     return child
 

@@ -159,7 +159,6 @@ class Xencloned:
                 self.cloneop.clone_completion(DOM0, parent_domid,
                                               child_domid)
         self.clones_completed += 1
-        tracer.count("clone.second_stages")
 
     def _abort_child(self, parent_domid: int, child_domid: int,
                      error: ReproError) -> None:
@@ -169,13 +168,12 @@ class Xencloned:
         has the hypervisor destroy the domain and the in-flight CLONE
         subop drop it from its result.
         """
-        tracer = self.hypervisor.tracer
-        with tracer.span("clone.second_stage.abort", parent=parent_domid,
-                         child=child_domid, error=type(error).__name__):
+        with self.hypervisor.tracer.span(
+                "clone.second_stage.abort", parent=parent_domid,
+                child=child_domid, error=type(error).__name__):
             self.dom0.remove_guest(self.handle, child_domid)
             self.cloneop.clone_failed(DOM0, parent_domid, child_domid,
                                       reason=str(error))
-        tracer.count("clone.second_stage_aborts")
 
     # ------------------------------------------------------------------
     # device directory cloning

@@ -219,6 +219,9 @@ class NetBackendDriver:
         self.udev = udev
         self.resolver = domain_resolver
         self.backends: dict[tuple[int, int], NetBackend] = {}
+        #: vifs connected by negotiation and by the clone shortcut.
+        self.booted = 0
+        self.cloned = 0
         handle.watch("/local/domain/0/backend/vif", "netback", self._on_watch)
 
     def _on_watch(self, path: str, token: str) -> None:
@@ -279,7 +282,10 @@ class NetBackendDriver:
             self._finish_connect(backend, cloned=True)
 
     def _finish_connect(self, backend: NetBackend, cloned: bool) -> None:
-        self.tracer.count("vif.cloned" if cloned else "vif.booted")
+        if cloned:
+            self.cloned += 1
+        else:
+            self.booted += 1
         backend.connected = True
         domain = self.resolver(backend.domid)
         for frontend in domain.frontends.get("vif", []):

@@ -6,8 +6,9 @@ with their call context. The injector matches armed specs, draws
 probabilistic triggers from a *forked* RNG stream (so fault draws never
 shift any other component's sequence), and raises the real exception
 type of the failing layer. Recovery paths report back via
-:meth:`recovered`/:meth:`aborted`, giving the
-``faults.injected/recovered/aborted`` counters in :mod:`repro.obs`.
+:meth:`recovered`/:meth:`aborted`. ``stats`` and ``by_site`` are the
+only store of these counts; :func:`repro.metrics.counters` reports
+``stats`` as ``faults.injected/recovered/aborted``.
 
 Mirroring :data:`repro.obs.tracer.NULL_TRACER`, the module-level
 :data:`NULL_INJECTOR` is what every component defaults to: an un-faulted
@@ -147,13 +148,11 @@ class FaultInjector:
         """A hardened path survived a failure at ``site`` (retry won)."""
         self.stats["recovered"] += 1
         self._site_stats(site)["recovered"] += 1
-        self.tracer.count("faults.recovered")
 
     def aborted(self, site: str) -> None:
         """A failure at ``site`` escalated to a (clean) clone abort."""
         self.stats["aborted"] += 1
         self._site_stats(site)["aborted"] += 1
-        self.tracer.count("faults.aborted")
 
     # ------------------------------------------------------------------
     # matching
@@ -185,7 +184,6 @@ class FaultInjector:
             entry.fired += 1
             self.stats["injected"] += 1
             self._site_stats(site)["injected"] += 1
-            self.tracer.count("faults.injected")
             self.tracer.event("fault.injected", site=site,
                               fault_kind=spec.resolved_kind.value)
             return spec.resolved_kind

@@ -315,7 +315,6 @@ class Fleet:
                          app_factory=app_factory, origin=host.name)
         domid = self._boot_replica(host, family)
         self._families[config.name] = family
-        self.tracer.count("fleet.families")
         return FamilyPlacement(family=config.name, host=host.name,
                                domid=domid)
 
@@ -352,7 +351,6 @@ class Fleet:
         placed, failed, retries = self._place_children(family, count)
         self.stats["children_placed"] += len(placed)
         self.stats["children_failed"] += failed
-        self.tracer.count("fleet.clone_requests")
         return CloneResult(family=name, requested=count,
                            placed=tuple(placed), failed=failed,
                            retries=retries)
@@ -467,7 +465,6 @@ class Fleet:
         if children is None:
             return None
         self.topology_epoch += 1
-        self.tracer.count("fleet.children_placed", len(children))
         return children
 
     def _arm_midbatch_kill(self, host: FleetHost) -> None:

@@ -68,7 +68,6 @@ from repro.frontdoor.results import (
     NoCapacity,
     Overloaded,
 )
-from repro.obs.registry import LATENCY_BUCKET_BOUNDS, MetricsRegistry
 from repro.sim.engine import Engine
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -363,9 +362,9 @@ class FrontDoor:
 
     One front door per fleet; server pools are per clone family (every
     parent replica and every placed clone serves requests). The front
-    door owns its own event engine bound to the fleet clock and its own
-    metrics registry, so per-request latency histograms exist even on
-    untraced fleets.
+    door owns its own event engine bound to the fleet clock. Its event
+    counts live in ``stats``; each run's latency statistics are computed
+    exactly from that run's per-request latency array.
     """
 
     def __init__(self, fleet: "Fleet",
@@ -374,7 +373,6 @@ class FrontDoor:
         self.fleet = fleet
         self.engine = Engine(fleet.clock)
         self.rng = fleet.rng.fork("frontdoor")
-        self.registry = MetricsRegistry()
         self.max_jobs_per_server = max_jobs_per_server
         #: Default overload-resilience policy for every run (may be
         #: overridden per ``run_workload`` call); ``None`` keeps the
@@ -401,7 +399,6 @@ class FrontDoor:
         self.retired_work_ms = 0.0
         #: The in-progress ``run_workload`` bookkeeping (None between runs).
         self._run: _Run | None = None
-        self._hist = None
         #: Departure-hint heap of ``(when, seq, token, server)`` (None
         #: outside a run), with ``seq`` drawn from the engine's counter.
         #: Each server owns one *live* hint, its exact next departure:
@@ -563,9 +560,6 @@ class FrontDoor:
         run.timeout_ms = timeout_ms
         run.mean_service_ms = shape.mean_service_ms
         self._run = run
-        self._hist = self.registry.histogram(
-            f"frontdoor.latency.{family}.{shape.name}.d{clone_factor}",
-            bounds=LATENCY_BUCKET_BOUNDS)
         t_start = self.fleet.clock.now
         mean_gap_ms = 1000.0 / arrival_rps
 
@@ -676,7 +670,6 @@ class FrontDoor:
                 handle.cancel()
         self._flush_run(run)
         self._run = None
-        self._hist = None
         self._active_res = None
         self._inj = None
         duration = self.fleet.clock.now - t_start
@@ -921,14 +914,12 @@ class FrontDoor:
         if breaker is not None and breaker.force_open(now):
             res.breaker_trips += 1
             self.stats["breaker_trips"] += 1
-            self.fleet.tracer.count("frontdoor.breaker_trips")
 
     def _breaker_failure(self, res: ResilienceState, key: tuple[str, int],
                          now: float) -> None:
         """Feed a copy failure to the replica's breaker."""
         if res.record_failure(key, now):
             self.stats["breaker_trips"] += 1
-            self.fleet.tracer.count("frontdoor.breaker_trips")
 
     def _retry(self, request: _Request, run: _Run, res: ResilienceState,
                now: float) -> bool:
@@ -1053,7 +1044,6 @@ class FrontDoor:
         run.completed += 1
         run.resolved += 1
         run.latencies[request.rid] = latency
-        self._hist.observe(latency)
 
     def _expire(self, request: _Request, run: _Run) -> None:
         if request.resolved:
@@ -1137,13 +1127,6 @@ class FrontDoor:
         stats["offered"] += run.offered
         stats["shed"] += run.shed
         stats["retries"] += run.retries
-        if run.completed:
-            self.fleet.tracer.count("frontdoor.requests_completed",
-                                    run.completed)
-        if run.shed:
-            self.fleet.tracer.count("frontdoor.requests_shed", run.shed)
-        if run.retries:
-            self.fleet.tracer.count("frontdoor.retries", run.retries)
 
     def _autoscale_check(self, family: str, policy: "AutoscalePolicy",
                          arrived: int) -> None:
@@ -1159,7 +1142,6 @@ class FrontDoor:
             result = self.fleet.clone_family(family, count=step)
             if result.placed:
                 self.stats["autoscale_events"] += 1
-                self.fleet.tracer.count("frontdoor.autoscale_events")
             self.refresh(family)
 
     # ------------------------------------------------------------------
@@ -1282,9 +1264,6 @@ class FrontDoor:
             "pool_epochs": dict(sorted(self._pool_epochs.items())),
             "topology_epoch": self.fleet.topology_epoch,
             "resilience": self.resilience_report(),
-            "histograms": {name: hist.count
-                           for name, hist in
-                           sorted(self.registry.histograms.items())},
         }
 
 

@@ -100,11 +100,9 @@ class DispatchResult:
     ``requests == completed + failed + timed_out`` and
     ``copies == copies_won + copies_cancelled + copies_lost +
     copies_timed_out``. Latency statistics are exact (computed from the
-    full per-request latency series, not from histogram buckets); the
-    same series also feeds a fine-grained histogram in the front door's
-    metrics registry. ``fingerprint`` is a sha256 over the per-request
-    latencies plus the counters, so two same-seed runs must match
-    byte-for-byte.
+    full per-request latency series, not from histogram buckets).
+    ``fingerprint`` is a sha256 over the per-request latencies plus the
+    counters, so two same-seed runs must match byte-for-byte.
     """
 
     family: str

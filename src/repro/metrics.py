@@ -1,9 +1,14 @@
-"""Platform introspection: one structured snapshot of host state.
+"""Platform introspection: host state and event counters.
 
-Gathers what an operator would want from ``xl info`` + ``xenstore-ls``
-+ ``free`` in one call: memory by category, sharing ratios, family
-sizes, Xenstore and Dom0 state. Used by the CLI's ``stats`` command and
-by tests that assert on global state.
+:func:`snapshot` gathers what an operator would want from ``xl info`` +
+``xenstore-ls`` + ``free`` in one call: memory by category, sharing
+ratios, family sizes, Xenstore and Dom0 state. Used by the CLI's
+``stats`` command and by tests that assert on global state.
+
+:func:`counters` is the one place an event-counter name is spelled.
+Each count is a plain int kept by the component that does the work,
+whether or not tracing is on; the function only reads them, for the
+snapshot and for the ``counters`` section of a run report.
 """
 
 from __future__ import annotations
@@ -75,10 +80,44 @@ class PlatformSnapshot:
         return "\n".join(lines)
 
 
+def counters(platform) -> dict[str, int]:
+    """Every event counter of a Xen ``platform``, by dotted name.
+
+    Reads the component that counts each event; counts nothing itself.
+    ``net.bridge.*`` sums over Dom0's bridges.
+    """
+    cloneop = platform.cloneop.stats
+    netback = platform.dom0.netback
+    bridges = platform.dom0.bridges.values()
+    faults = platform.faults.stats if platform.faults.enabled else {}
+    return {
+        "boot.creates": platform.xl.creates,
+        "clone.children": cloneop["clones"],
+        "clone.failed": cloneop["failed_clones"],
+        "clone.ops": cloneop["ops"],
+        "clone.pages_copied": cloneop["pages_copied"],
+        "clone.pages_shared": cloneop["pages_shared"],
+        "clone.second_stages": platform.xencloned.clones_completed,
+        "faults.aborted": faults.get("aborted", 0),
+        "faults.injected": faults.get("injected", 0),
+        "faults.recovered": faults.get("recovered", 0),
+        "net.bridge.flood_deliveries": sum(b.flood_deliveries
+                                           for b in bridges),
+        "net.bridge.flood_filtered": sum(b.flood_filtered for b in bridges),
+        "net.bridge.flooded": sum(b.flooded for b in bridges),
+        "net.bridge.forwarded": sum(b.forwarded for b in bridges),
+        "vif.booted": netback.booted,
+        "vif.cloned": netback.cloned,
+        "xenstore.log_rotations": platform.xenstore.access_log.rotations,
+        "xenstore.requests": platform.xenstore.stats["requests"],
+    }
+
+
 def snapshot(platform) -> PlatformSnapshot:
     """Collect a :class:`PlatformSnapshot` from a live platform."""
     hyp = platform.hypervisor
     frames = hyp.frames
+    counts = counters(platform)
 
     states = [d.state.value for d in hyp.domains.values()]
     clones = sum(1 for d in hyp.domains.values() if d.is_clone)
@@ -116,7 +155,7 @@ def snapshot(platform) -> PlatformSnapshot:
         clones=clones,
         families=families,
         xenstore_nodes=platform.xenstore.node_count,
-        xenstore_requests=platform.xenstore.stats["requests"],
-        xenstore_rotations=platform.xenstore.access_log.rotations,
-        clone_operations=platform.cloneop.stats["clones"],
+        xenstore_requests=counts["xenstore.requests"],
+        xenstore_rotations=counts["xenstore.log_rotations"],
+        clone_operations=counts["clone.ops"],
     )

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from repro.net.packets import Packet, Port
-from repro.obs.tracer import NULL_TRACER
 
 
 class Bridge:
@@ -19,7 +18,7 @@ class Bridge:
     a filter change through :meth:`Port.touch`.
     """
 
-    def __init__(self, name: str = "xenbr0", tracer=None) -> None:
+    def __init__(self, name: str = "xenbr0") -> None:
         self.name = name
         #: Insertion-ordered port set (dict keyed by the Port object
         #: itself): O(1) attach/detach, stable flood order.
@@ -28,9 +27,10 @@ class Bridge:
         #: (dst_ip, dst_port, proto) -> (probe packet, accepting ports
         #: in attach order). The probe re-evaluates newly attached ports.
         self._flood_cache: dict[tuple, tuple[Packet, list[Port]]] = {}
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         self.forwarded = 0
         self.flooded = 0
+        #: Deliveries of flooded packets, one per port reached.
+        self.flood_deliveries = 0
         #: Flood deliveries suppressed by port pre-filters.
         self.flood_filtered = 0
 
@@ -93,7 +93,6 @@ class Bridge:
         if target is not None and target is not ingress:
             if target in self.ports:
                 self.forwarded += 1
-                self.tracer.count("net.bridge.forwarded")
                 target.deliver(packet)
                 return 1
             # Stale entry (port detached without transmitting since):
@@ -125,17 +124,10 @@ class Bridge:
             reached += 1
         self.flooded += 1
         self.forwarded += 1
+        self.flood_deliveries += reached
         filtered = len(ports) - reached - (1 if ingress in ports else 0)
         if filtered > 0:
             self.flood_filtered += filtered
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.count("net.bridge.forwarded")
-            tracer.count("net.bridge.flooded")
-            if reached:
-                tracer.count("net.bridge.flood_deliveries", reached)
-            if filtered > 0:
-                tracer.count("net.bridge.flood_filtered", filtered)
         return reached
 
     @property

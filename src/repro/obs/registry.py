@@ -1,48 +1,22 @@
-"""Counter and histogram registries.
+"""The span-duration histogram registry.
 
-Counters are monotonically increasing event tallies (Xenstore requests,
-pages COW-shared, vifs enslaved); histograms record distributions of
-virtual-time durations or sizes with power-of-two buckets. Both are
-name-keyed and created lazily on first touch, following the
-standardized-instrumentation model of gem5's stats framework: the same
-registry shape for every run, so reports diff cleanly.
+Histograms record distributions of virtual-time span durations with
+power-of-four buckets. They are name-keyed and created lazily on first
+touch, following the standardized-instrumentation model of gem5's stats
+framework: the same registry shape for every run, so reports diff
+cleanly. Event counts are not kept here: each component counts its own
+events, and :func:`repro.metrics.counters` reads them.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Any, Iterable
+from typing import Any
 
 
-class Counter:
-    """A monotonically increasing named tally."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0
-
-    def add(self, n: int = 1) -> None:
-        """Increment by ``n`` (must be non-negative)."""
-        if n < 0:
-            raise ValueError(f"counter {self.name!r} cannot decrease by {n}")
-        self.value += n
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-ready representation."""
-        return {"name": self.name, "value": self.value}
-
-
-#: Upper bounds of the default histogram buckets (virtual ms); the last
-#: bucket is open-ended. Powers of four cover 1 us .. ~70 s.
+#: Upper bounds of the histogram buckets (virtual ms); the last bucket
+#: is open-ended. Powers of four cover 1 us .. ~70 s.
 DEFAULT_BUCKET_BOUNDS = tuple(0.001 * (4 ** i) for i in range(13))
-
-#: Fine-grained bounds for per-request latency distributions (the
-#: front-door P99 curves): a 1.25x geometric ladder from 10 us to ~7 s.
-#: The power-of-four default is fine for per-stage breakdowns but far
-#: too coarse to resolve a tail quantile.
-LATENCY_BUCKET_BOUNDS = tuple(0.01 * (1.25 ** i) for i in range(60))
 
 
 class Histogram:
@@ -53,15 +27,11 @@ class Histogram:
     latency tables and for run-report diffing.
     """
 
-    __slots__ = ("name", "bounds", "buckets", "count", "total", "min", "max")
+    __slots__ = ("name", "buckets", "count", "total", "min", "max")
 
-    def __init__(self, name: str,
-                 bounds: Iterable[float] = DEFAULT_BUCKET_BOUNDS) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.bounds = tuple(bounds)
-        if not self.bounds:
-            raise ValueError(f"histogram {self.name!r} needs >= 1 bucket bound")
-        self.buckets = [0] * (len(self.bounds) + 1)
+        self.buckets = [0] * (len(DEFAULT_BUCKET_BOUNDS) + 1)
         self.count = 0
         self.total = 0.0
         self.min = float("inf")
@@ -77,7 +47,7 @@ class Histogram:
             self.max = value
         # First bound >= value, or len(bounds) for the open-ended last
         # bucket — which is exactly buckets[len(bounds)].
-        self.buckets[bisect_left(self.bounds, value)] += 1
+        self.buckets[bisect_left(DEFAULT_BUCKET_BOUNDS, value)] += 1
 
     @property
     def mean(self) -> float:
@@ -99,7 +69,8 @@ class Histogram:
         for i, n in enumerate(self.buckets):
             seen += n
             if seen >= target:
-                return self.bounds[i] if i < len(self.bounds) else self.max
+                return (DEFAULT_BUCKET_BOUNDS[i]
+                        if i < len(DEFAULT_BUCKET_BOUNDS) else self.max)
         return self.max
 
     def to_dict(self) -> dict[str, Any]:
@@ -111,49 +82,31 @@ class Histogram:
             "min": self.min if self.count else None,
             "max": self.max if self.count else None,
             "mean": self.mean,
-            "bounds": list(self.bounds),
+            "bounds": list(DEFAULT_BUCKET_BOUNDS),
             "buckets": list(self.buckets),
         }
 
 
 class MetricsRegistry:
-    """Lazily-created, name-keyed counters and histograms."""
+    """Lazily-created, name-keyed histograms."""
 
     def __init__(self) -> None:
-        self.counters: dict[str, Counter] = {}
         self.histograms: dict[str, Histogram] = {}
 
-    def counter(self, name: str) -> Counter:
-        """The counter called ``name`` (created on first use)."""
-        counter = self.counters.get(name)
-        if counter is None:
-            counter = self.counters[name] = Counter(name)
-        return counter
-
-    def histogram(self, name: str,
-                  bounds: Iterable[float] | None = None) -> Histogram:
-        """The histogram called ``name`` (created on first use).
-
-        ``bounds`` only applies on creation; an existing histogram
-        keeps the buckets it was born with.
-        """
+    def histogram(self, name: str) -> Histogram:
+        """The histogram called ``name`` (created on first use)."""
         histogram = self.histograms.get(name)
         if histogram is None:
-            histogram = self.histograms[name] = (
-                Histogram(name) if bounds is None
-                else Histogram(name, bounds))
+            histogram = self.histograms[name] = Histogram(name)
         return histogram
 
     def clear(self) -> None:
-        """Drop all counters and histograms."""
-        self.counters.clear()
+        """Drop all histograms."""
         self.histograms.clear()
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-ready representation, sorted by name for stable diffs."""
         return {
-            "counters": {name: c.value
-                         for name, c in sorted(self.counters.items())},
             "histograms": {name: h.to_dict()
                            for name, h in sorted(self.histograms.items())},
         }

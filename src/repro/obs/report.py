@@ -1,11 +1,12 @@
 """Run reports: the per-stage breakdown table and JSON trace export.
 
 A *run report* is the machine-readable dump of one traced run - every
-stored span, every counter/histogram, and the per-kind summary - shaped
-for diffing: keys are sorted, floats are virtual-clock-derived (hence
-deterministic for a fixed seed), and nothing in it depends on host
-wall-clock. Benchmarks store a report per run and compare stage totals
-across commits with :func:`diff_summaries`.
+stored span, every span-duration histogram, the per-kind summary and
+the platform's event counters - shaped for diffing: keys are sorted,
+floats are virtual-clock-derived (hence deterministic for a fixed
+seed), and nothing in it depends on host wall-clock. Benchmarks store
+a report per run and compare stage totals across commits with
+:func:`diff_summaries`.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ def format_summary(summary: dict[str, dict[str, float]]) -> str:
 
 
 def format_counters(counters: dict[str, int]) -> str:
-    """Render registry counters as an aligned table.
+    """Render event counters as an aligned table.
 
     Datapath health shows up here: ``net.bridge.flooded`` over
     ``net.bridge.forwarded`` (the flood ratio) tells how much traffic
@@ -61,11 +62,15 @@ def format_counters(counters: dict[str, int]) -> str:
     return "\n".join(lines)
 
 
-def run_report(tracer: Any, **meta: Any) -> dict[str, Any]:
+def run_report(tracer: Any, counters: dict[str, int] | None = None,
+               **meta: Any) -> dict[str, Any]:
     """Build the full JSON-serializable report for one tracer.
 
-    ``meta`` entries (experiment name, instance count, seed, ...) are
-    embedded under ``"meta"`` next to trace bookkeeping.
+    ``counters`` is the run's event-counter map, normally
+    :func:`repro.metrics.counters` of the traced platform; the tracer
+    itself counts nothing. ``meta`` entries (experiment name, instance
+    count, seed, ...) are embedded under ``"meta"`` next to trace
+    bookkeeping.
     """
     host = getattr(tracer, "host", "")
     return {
@@ -78,13 +83,16 @@ def run_report(tracer: Any, **meta: Any) -> dict[str, Any]:
         },
         "summary": tracer.summary(),
         "spans": [span.to_dict() for span in tracer.ring],
+        "counters": dict(counters or {}),
         **tracer.registry.to_dict(),
     }
 
 
-def dump_report(tracer: Any, path: str, **meta: Any) -> dict[str, Any]:
+def dump_report(tracer: Any, path: str,
+                counters: dict[str, int] | None = None,
+                **meta: Any) -> dict[str, Any]:
     """Write :func:`run_report` to ``path`` as JSON; return the report."""
-    report = run_report(tracer, **meta)
+    report = run_report(tracer, counters, **meta)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -1,4 +1,4 @@
-"""The tracer: nested spans + metrics over the virtual clock.
+"""The tracer: nested spans and span histograms over the virtual clock.
 
 One :class:`Tracer` instance is shared by every layer of a platform
 (hypervisor, xencloned, Xenstore, toolstack, device backends). Spans
@@ -56,12 +56,6 @@ class NullTracer:
         """Return the shared no-op span."""
         return _NULL_SPAN
 
-    def count(self, name: str, n: int = 1) -> None:
-        """Discard a counter increment."""
-
-    def observe(self, name: str, value: float) -> None:
-        """Discard a histogram observation."""
-
     def event(self, kind: str, **attrs: Any) -> None:
         """Discard an instantaneous event."""
 
@@ -116,7 +110,7 @@ class _OpenSpan:
 
 
 class Tracer:
-    """Span/counter/histogram recorder keyed to a virtual clock.
+    """Span and span-duration histogram recorder keyed to a virtual clock.
 
     All timestamps are read from the platform's
     :class:`~repro.sim.clock.VirtualClock`, so spans measure *simulated*
@@ -140,9 +134,6 @@ class Tracer:
         #: Per-kind running aggregates, immune to ring eviction:
         #: kind -> [count, total_ms, self_ms, max_ms, histogram].
         self._agg: dict[str, list] = {}
-        #: Counter objects by name, so steady-state ``count()`` calls
-        #: skip the registry lookup. Cleared together with the registry.
-        self._counter_cache: dict[str, Any] = {}
 
     # ------------------------------------------------------------------
     # span lifecycle
@@ -193,21 +184,6 @@ class Tracer:
         if duration > agg[3]:
             agg[3] = duration
         agg[4].observe(duration)
-
-    # ------------------------------------------------------------------
-    # metrics
-    # ------------------------------------------------------------------
-    def count(self, name: str, n: int = 1) -> None:
-        """Increment counter ``name`` by ``n``."""
-        try:
-            counter = self._counter_cache[name]
-        except KeyError:
-            counter = self._counter_cache[name] = self.registry.counter(name)
-        counter.add(n)
-
-    def observe(self, name: str, value: float) -> None:
-        """Record ``value`` into histogram ``name``."""
-        self.registry.histogram(name).observe(value)
 
     def event(self, kind: str, **attrs: Any) -> None:
         """Record an instantaneous (zero-duration) span."""
@@ -263,14 +239,18 @@ class Tracer:
         return format_summary(self.summary())
 
     def export(self, **meta: Any) -> dict[str, Any]:
-        """The full machine-readable run report (JSON-serializable)."""
+        """The machine-readable run report of the spans (JSON-ready).
+
+        Its ``counters`` section is empty: event counts are component
+        state, which :func:`repro.metrics.counters` reads for
+        :func:`~repro.obs.report.run_report`.
+        """
         from repro.obs.report import run_report
 
         return run_report(self, **meta)
 
     def reset(self) -> None:
-        """Drop all recorded spans and metrics (open spans survive)."""
+        """Drop all recorded spans and histograms (open spans survive)."""
         self.ring.clear()
         self.registry.clear()
         self._agg.clear()
-        self._counter_cache.clear()

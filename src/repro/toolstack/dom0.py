@@ -54,7 +54,7 @@ class Dom0:
 
         # Switching fabric.
         self.bridges: dict[str, Bridge] = {
-            "xenbr0": Bridge("xenbr0", tracer=hypervisor.tracer)}
+            "xenbr0": Bridge("xenbr0")}
         self.bonds: dict[str, BondInterface] = {}
         self.ovs_groups: dict[int, OvsGroup] = {}
         #: Guest IP -> aggregation switch for clone families.
@@ -99,8 +99,7 @@ class Dom0:
         bridge_name = self._vif_bridge(*key)
         bridge = self.bridges.get(bridge_name)
         if bridge is None:
-            bridge = self.bridges[bridge_name] = Bridge(
-                bridge_name, tracer=self.hypervisor.tracer)
+            bridge = self.bridges[bridge_name] = Bridge(bridge_name)
         bridge.attach(backend.port)
         backend.attach_switch(bridge)
         self.clock.charge(self.costs.switch_attach)

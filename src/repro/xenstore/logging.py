@@ -46,4 +46,3 @@ class AccessLog:
         self.rotations += 1
         self.rotation_times.append(self.clock.now)
         self.current_bytes = 0
-        self.tracer.count("xenstore.log_rotations")

@@ -126,12 +126,9 @@ class XenstoreDaemon:
         experiments, so it advances the clock directly (the summed cost
         is non-negative by construction: all cost constants are positive
         and callers only pass non-negative ``extra``) and skips the
-        tracer/log calls when those sinks are disabled.
+        access-log call when the log is disabled.
         """
         self.stats["requests"] += 1
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.count("xenstore.requests")
         costs = self.costs
         self.clock._now += (costs.xs_request_base
                             + costs.xs_request_per_node * self.node_count

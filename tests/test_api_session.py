@@ -158,7 +158,7 @@ def test_traced_clone_covers_all_layers(session, tmp_path):
 def test_trace_counters_follow_clones(session):
     boot_parent(session)
     session.clone("udp0", count=2)
-    counters = session.tracer.registry.to_dict()["counters"]
+    counters = session.trace_export()["counters"]
     assert counters["clone.ops"] == 1
     assert counters["clone.second_stages"] == 2
     assert counters["boot.creates"] == 1

@@ -144,7 +144,8 @@ def test_first_stage_is_about_a_millisecond(platform, udp_parent):
     from repro.core import first_stage
 
     t0 = platform.now
-    child = first_stage.clone_domain(platform.hypervisor, udp_parent, 0)
+    child = first_stage.clone_domain(platform.hypervisor, udp_parent, 0,
+                                     platform.cloneop.stats)
     first_stage_ms = platform.now - t0
     assert 0.5 <= first_stage_ms <= 3.0
     # Clean up the half-cloned child (no second stage ran).

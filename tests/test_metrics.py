@@ -1,7 +1,9 @@
-"""Tests: platform snapshots."""
+"""Tests: platform snapshots and event counters."""
 
 from repro.apps.udp_server import UdpServerApp
-from repro.metrics import snapshot
+from repro.faults import FaultPlan, FaultSpec
+from repro.metrics import counters, snapshot
+from repro.platform import Platform
 from repro.sim.units import GIB
 from tests.conftest import udp_config
 
@@ -50,6 +52,13 @@ def test_snapshot_tracks_registries(platform, udp_parent):
     assert snap.xenstore_requests > 20
 
 
+def test_snapshot_counts_clone_operations_not_children(platform, udp_parent):
+    platform.cloneop.clone(udp_parent.domid, count=3)
+    snap = snapshot(platform)
+    assert snap.clone_operations == 1
+    assert "clone operations  1" in snap.format()
+
+
 def test_snapshot_grandchildren_in_one_family(platform, udp_parent):
     child_id = platform.cloneop.clone(udp_parent.domid)[0]
     platform.cloneop.clone(child_id)
@@ -72,3 +81,43 @@ def test_cli_stats_command(platform, tmp_path):
     text = shell.out.getvalue()
     assert "domains           3" in text
     assert "family 'g'" in text
+
+
+#: The counters :func:`_count_events` moves.
+MOVED = {
+    "boot.creates", "clone.children", "clone.failed", "clone.ops",
+    "clone.pages_copied", "clone.pages_shared", "clone.second_stages",
+    "faults.aborted", "faults.injected", "net.bridge.flood_deliveries",
+    "net.bridge.flood_filtered", "net.bridge.flooded",
+    "net.bridge.forwarded", "vif.booted", "vif.cloned", "xenstore.requests",
+}
+
+
+def _count_events(trace: bool) -> tuple[dict[str, int], float]:
+    """Clone with one second stage failing, COW-write, cold-boot, send a
+    host packet and destroy everything; return counters and clock."""
+    plan = FaultPlan(specs=[FaultSpec(site="xenstore.xs_clone", count=1)])
+    platform = Platform.create(trace=trace, fault_plan=plan)
+    platform.faults.active = False
+    parent = platform.xl.create(udp_config("udp0", max_clones=8),
+                                app=UdpServerApp())
+    platform.faults.active = True
+    for child in platform.xl.clone(parent.domid, count=4):
+        memory = platform.hypervisor.domains[child].memory
+        memory.write_range(memory.segments[0].pfn_start, 2)
+    platform.xl.create(udp_config("cold", ip="10.0.1.2"), app=UdpServerApp())
+    platform.dom0.send_to_guest("10.0.1.2", 9000, payload="ping")
+    for domid in sorted(platform.hypervisor.domains, reverse=True):
+        platform.xl.destroy(domid)
+    return counters(platform), platform.now
+
+
+def test_tracing_changes_no_count():
+    traced, traced_ms = _count_events(trace=True)
+    untraced, untraced_ms = _count_events(trace=False)
+    assert traced == untraced
+    assert traced_ms == untraced_ms
+    assert MOVED <= set(traced)
+    assert all(traced[name] > 0 for name in MOVED)
+    assert traced["clone.failed"] == 1
+    assert traced["clone.children"] == traced["clone.second_stages"] == 3

@@ -1,4 +1,4 @@
-"""Tests: the repro.obs span/counter/histogram subsystem."""
+"""Tests: the repro.obs span/histogram subsystem and run reports."""
 
 import json
 
@@ -6,7 +6,6 @@ import pytest
 
 from repro.obs import (
     DEFAULT_BUCKET_BOUNDS,
-    Counter,
     Histogram,
     MetricsRegistry,
     NULL_TRACER,
@@ -127,17 +126,8 @@ def test_ring_rejects_non_positive_capacity():
 
 
 # ----------------------------------------------------------------------
-# counters and histograms
+# histograms
 # ----------------------------------------------------------------------
-def test_counter_monotonic():
-    counter = Counter("c")
-    counter.add()
-    counter.add(4)
-    assert counter.value == 5
-    with pytest.raises(ValueError):
-        counter.add(-1)
-
-
 def test_histogram_stats_and_quantile():
     histogram = Histogram("h")
     for value in (0.5, 1.0, 2.0, 8.0):
@@ -159,22 +149,11 @@ def test_histogram_default_bounds_cover_microseconds_to_seconds():
 
 def test_registry_lazily_creates_and_clears():
     registry = MetricsRegistry()
-    registry.counter("a").add(2)
-    assert registry.counter("a").value == 2
     registry.histogram("h").observe(1.0)
     as_dict = registry.to_dict()
-    assert as_dict["counters"] == {"a": 2}
     assert as_dict["histograms"]["h"]["count"] == 1
     registry.clear()
-    assert registry.counter("a").value == 0
-
-
-def test_tracer_count_and_observe(tracer):
-    tracer.count("requests", 3)
-    tracer.count("requests")
-    tracer.observe("latency", 2.5)
-    assert tracer.registry.counter("requests").value == 4
-    assert tracer.registry.histogram("latency").mean == 2.5
+    assert registry.to_dict() == {"histograms": {}}
 
 
 def test_span_feeds_per_kind_histogram(tracer, clock):
@@ -191,9 +170,9 @@ def test_export_round_trips_through_json(tracer, clock, tmp_path):
         clock.charge(1.0)
         with tracer.span("inner"):
             clock.charge(2.0)
-    tracer.count("things", 2)
     path = tmp_path / "trace.json"
-    report = dump_report(tracer, str(path), experiment="unit")
+    report = dump_report(tracer, str(path), {"things": 2},
+                         experiment="unit")
     loaded = json.loads(path.read_text())
     assert loaded == json.loads(json.dumps(report))
     assert loaded["meta"]["experiment"] == "unit"
@@ -237,11 +216,9 @@ def test_diff_summaries_handles_missing_kinds(tracer, clock):
 def test_reset_drops_history(tracer, clock):
     with tracer.span("x"):
         clock.charge(1.0)
-    tracer.count("n")
     tracer.reset()
     assert tracer.spans() == []
     assert tracer.summary() == {}
-    assert tracer.registry.to_dict()["counters"] == {}
 
 
 # ----------------------------------------------------------------------
@@ -251,8 +228,6 @@ def test_null_tracer_is_inert():
     assert NULL_TRACER.enabled is False
     with NULL_TRACER.span("anything", attr=1) as span:
         span.set(more=2)
-    NULL_TRACER.count("c", 5)
-    NULL_TRACER.observe("h", 1.0)
     NULL_TRACER.event("e")
 
 
