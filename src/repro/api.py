@@ -78,12 +78,19 @@ class NepheleSession:
         return False
 
     def close(self, check: bool = True) -> None:
-        """End the session; optionally verify platform invariants."""
+        """End the session: optionally verify platform invariants, then
+        take the host apart (:meth:`Platform.close`), so the platform is
+        freed by reference count once the session is dropped. Its
+        clock, trace and counters still read as at the end of the run;
+        its guests have lost their kernels and backends, so drive it no
+        further.
+        """
         if self._closed:
             return
         self._closed = True
         if check:
             self.platform.check_invariants()
+        self.platform.close()
 
     # ------------------------------------------------------------------
     # passthrough accessors

@@ -513,12 +513,13 @@ class CloneOp:
         """Purge all in-flight clone state when the host fail-stops.
 
         The fleet calls this while powering off a crashed or fenced
-        host: pending second-stage records, queued ring notifications,
-        failure reports and reset baselines all die with the host.
-        Nothing is charged to the clock (the host is dead); baseline
-        extent references are dropped so the frame table balances for
-        the dead-host accounting in ``audit_fleet``. Returns the purge
-        counts.
+        host, and :meth:`Platform.close` when a session ends: pending
+        second-stage records, queued ring notifications, failure
+        reports and reset baselines all die with the host, and the
+        hypercall is uninstalled. Nothing is charged to the clock (the
+        host is dead); baseline extent references are dropped so the
+        frame table balances for the dead-host accounting in
+        ``audit_fleet``. Returns the purge counts.
         """
         purged = {"pending": len(self._pending),
                   "failed": len(self._failed),
@@ -530,6 +531,7 @@ class CloneOp:
         for domid in list(self._baselines):
             self.release_baseline(domid)
         self.globally_enabled = False
+        self.hypervisor.set_cloneop(None)
         return purged
 
     def release_baseline(self, domid: int) -> None:

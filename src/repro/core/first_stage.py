@@ -41,7 +41,8 @@ def clone_domain(hypervisor: Hypervisor, parent: Domain,
             overhead_pages=costs.hyp_per_clone_overhead_pages,
             charge_create=False,
         )
-        child.config = (parent.config.for_clone(f"{parent.name}-unnamed")
+        # Unnamed, like the domain, until xencloned names both.
+        child.config = (parent.config.for_clone(child.name)
                         if parent.config is not None else None)
 
         # vCPUs: affinity and user registers, rax fixed up (paper §5.2).
@@ -62,9 +63,7 @@ def clone_domain(hypervisor: Hypervisor, parent: Domain,
                 hypervisor.frames.share_to_cow(extent)
                 newly_shared += segment.npages
             hypervisor.frames.add_sharer(extent)
-            child.memory.adopt_segment(segment.pfn_start, extent,
-                                       segment.extent_offset, segment.npages,
-                                       label=segment.label)
+            child.memory.adopt_segment(segment)
             shared_pages += segment.npages
         clock.charge(costs.share_page * newly_shared)
         span.set(shared_pages=shared_pages, newly_shared=newly_shared)

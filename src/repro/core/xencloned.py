@@ -74,14 +74,18 @@ class Xencloned:
     # host fail-stop (the fleet tier)
     # ------------------------------------------------------------------
     def shutdown(self) -> None:
-        """The daemon dies with its host (fleet crash/fence path).
+        """The daemon dies with its host (a fleet host's power-off,
+        :meth:`Platform.close`).
 
         Cloning is disabled globally — a fenced host that races its
-        power-off can no longer start new clones — and the parent-info
-        cache is dropped.
+        power-off can no longer start new clones — the parent-info
+        cache is dropped, and the daemon's vIRQ and udev subscriptions
+        go with it.
         """
         self.cloneop.set_global_enable(False)
         self._parent_cache.clear()
+        self.hypervisor.unregister_virq_handler(VIRQ_CLONED, self._on_virq)
+        self.dom0.udev.unsubscribe(self._on_udev)
 
     # ------------------------------------------------------------------
     # VIRQ_CLONED handling
@@ -125,8 +129,12 @@ class Xencloned:
             with tracer.span("clone.second_stage.name"):
                 # 3. Generate + set the clone's name. xencloned guarantees
                 # uniqueness (domid-suffixed), so no name scan is needed.
-                child.name = f"{parent.name}-c{child_domid}"
-                self.handle.write(f"{child.store_path}/name", child.name)
+                # The clone's config carries the same string, so `xl
+                # save` and `xl restore` see the clone's own name.
+                name = child.name = f"{parent.name}-c{child_domid}"
+                if child.config is not None:
+                    child.config.name = name
+                self.handle.write(f"{child.store_path}/name", name)
 
                 # Grant reference and event port for the child's own
                 # Xenstore connection (paper §4: "...grant reference and

@@ -72,8 +72,13 @@ class ConsoleBackendDaemon:
             for part in ("/var", "/var/log", "/var/log/xen", self.LOG_DIR):
                 if not hostfs.is_dir(part):
                     hostfs.mkdir(part)
-        handle.watch("/local/domain/0/backend/console", "console-backend",
-                     self._on_watch)
+        self._watch = handle.watch("/local/domain/0/backend/console",
+                                   "console-backend", self._on_watch)
+
+    def shutdown(self) -> None:
+        """The daemon dies with its host: its Xenstore watch goes too
+        (dropped server-side; the connection is gone, no request)."""
+        self.handle.daemon.remove_watch(self._watch)
 
     def log_path(self, domid: int) -> str:
         """Dom0 path of a guest's console log."""

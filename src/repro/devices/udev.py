@@ -33,6 +33,11 @@ class UdevBus:
         """Register a daemon for all future events."""
         self._handlers.append(handler)
 
+    def unsubscribe(self, handler: UdevHandler) -> None:
+        """Drop a daemon's subscription (the daemon stopped)."""
+        if handler in self._handlers:
+            self._handlers.remove(handler)
+
     def emit(self, event: UdevEvent) -> int:
         """Deliver an event to every subscriber; returns the count."""
         self.events_emitted += 1

@@ -222,7 +222,18 @@ class NetBackendDriver:
         #: vifs connected by negotiation and by the clone shortcut.
         self.booted = 0
         self.cloned = 0
-        handle.watch("/local/domain/0/backend/vif", "netback", self._on_watch)
+        self._watch = handle.watch("/local/domain/0/backend/vif", "netback",
+                                   self._on_watch)
+
+    def shutdown(self) -> None:
+        """The driver dies with its host: its Xenstore watch goes
+        (dropped server-side; the connection is gone, no request), and
+        every vif is released as :meth:`remove` releases a dead
+        guest's."""
+        self.handle.daemon.remove_watch(self._watch)
+        backends, self.backends = self.backends, {}
+        for backend in backends.values():
+            self._release(backend)
 
     def _on_watch(self, path: str, token: str) -> None:
         parts = path.split("/")
@@ -311,17 +322,19 @@ class NetBackendDriver:
         the selection set.
         """
         for key in [k for k in self.backends if k[0] == domid]:
-            backend = self.backends.pop(key)
-            if backend.switch is not None and hasattr(backend.switch, "detach"):
-                backend.switch.detach(backend)
-            self.udev.emit(UdevEvent(
-                action="remove", subsystem="net", name=backend.name,
-                properties={"domid": domid, "index": backend.index,
-                            "ip": backend.ip, "port": backend},
-            ))
-            # The dead guest's frontend and this backend point at each
-            # other; unlinking this side lets both die by refcount.
-            backend.frontend = None
+            self._release(self.backends.pop(key))
+
+    def _release(self, backend: NetBackend) -> None:
+        if backend.switch is not None and hasattr(backend.switch, "detach"):
+            backend.switch.detach(backend)
+        self.udev.emit(UdevEvent(
+            action="remove", subsystem="net", name=backend.name,
+            properties={"domid": backend.domid, "index": backend.index,
+                        "ip": backend.ip, "port": backend},
+        ))
+        # The dead guest's frontend and this backend point at each
+        # other; unlinking this side lets both die by refcount.
+        backend.frontend = None
 
 
 def write_vif_entries(handle: XsHandle, domid: int, index: int, mac: str,

@@ -159,10 +159,7 @@ class KvmCloneOp:
                         host.frames.share_to_cow(extent)
                         newly_shared += segment.npages
                     host.frames.add_sharer(extent)
-                    child.memory.adopt_segment(segment.pfn_start, extent,
-                                               segment.extent_offset,
-                                               segment.npages,
-                                               label=segment.label)
+                    child.memory.adopt_segment(segment)
                     shared_pages += segment.npages
                 host.clock.charge(costs.fork_base
                                   + costs.fork_pte_copy * shared_pages

@@ -133,6 +133,24 @@ class Platform:
         self.xenstore.faults = injector
         return injector
 
+    def close(self) -> None:
+        """Take the host apart, so that a dropped platform is freed by
+        reference count rather than by the cyclic collector.
+
+        Nothing is simulated: no request, charge or span, so the clock,
+        the trace and the counters read as before, and every domain
+        keeps its frames. xencloned stops and the in-flight clone state
+        is purged, as on a fleet host's power-off; xl and Dom0 drop
+        their registrations and Dom0 its vif backends; and every domain
+        drops its guest kernel and frontends, the unlink
+        ``destroy_domain`` ends with.
+        """
+        self.xencloned.shutdown()
+        self.cloneop.host_shutdown()
+        self.xl.shutdown()
+        self.dom0.shutdown()
+        self.hypervisor.detach_guests()
+
     # ------------------------------------------------------------------
     # convenience metrics
     # ------------------------------------------------------------------

@@ -19,21 +19,21 @@ class ConfigError(ReproError):
     """Malformed domain configuration."""
 
 
-@dataclass
+@dataclass(slots=True)
 class VifConfig:
     mac: str = ""
     ip: str = ""
     bridge: str = "xenbr0"
 
 
-@dataclass
+@dataclass(slots=True)
 class P9Config:
     tag: str = "rootfs"
     export_root: str = "/srv/share"
     mount_point: str = "/"
 
 
-@dataclass
+@dataclass(slots=True)
 class DomainConfig:
     name: str
     memory_mb: int = 4

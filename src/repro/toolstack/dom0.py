@@ -34,6 +34,28 @@ HOST_IP = "10.0.0.1"
 HostListener = Callable[[Packet], None]
 
 
+class _HostPort(Port):
+    """Dom0's uplink to the host network: its own switch port, holding
+    the host-side listeners (port -> handler)."""
+
+    def __init__(self) -> None:
+        self.name = "eth0"
+        self.mac = HOST_MAC
+        self.listeners: dict[int, HostListener] = {}
+
+    def deliver(self, packet: Packet) -> None:
+        if packet.flow.dst_ip != HOST_IP:
+            return
+        handler = self.listeners.get(packet.flow.dst_port)
+        if handler is not None:
+            handler(packet)
+
+    def accepts(self, packet: Packet) -> bool:
+        """Flood pre-filter: mirrors :meth:`deliver`'s drop path."""
+        return (packet.flow.dst_ip == HOST_IP
+                and packet.flow.dst_port in self.listeners)
+
+
 class Dom0:
     """The host domain and its userspace."""
 
@@ -61,9 +83,7 @@ class Dom0:
         self._family_switch: dict[str, object] = {}
 
         # Host network endpoint (the "uplink" the experiments talk to).
-        self._listeners: dict[int, HostListener] = {}
-        self.host_port = Port("eth0", HOST_MAC, self._host_deliver,
-                              accepts=self._host_accepts)
+        self.host_port = _HostPort()
         self.bridges["xenbr0"].attach(self.host_port)
 
         # Backend drivers.
@@ -146,6 +166,19 @@ class Dom0:
         self.p9.remove(domid)
         handle.release_domain(domid)
 
+    def shutdown(self) -> None:
+        """Dom0's half of taking the host apart: the backend daemons
+        drop their Xenstore watches and netback its vifs (their udev
+        removes still reach the hotplug handler, which frees family
+        bond and OVS slots), then the hotplug handler drops its udev
+        subscription and the uplink leaves its switches, so nothing
+        refers back into Dom0."""
+        self.netback.shutdown()
+        self.console_daemon.shutdown()
+        self.udev.unsubscribe(self._hotplug)
+        for switch in self.host_port.switches:
+            switch.detach(self.host_port)
+
     # ------------------------------------------------------------------
     # clone-family switching (bond / OVS)
     # ------------------------------------------------------------------
@@ -174,25 +207,13 @@ class Dom0:
     # ------------------------------------------------------------------
     def listen(self, port: int, handler: HostListener) -> None:
         """Bind a host-side UDP/TCP listener."""
-        self._listeners[port] = handler
+        self.host_port.listeners[port] = handler
         self.host_port.touch()
 
     def unlisten(self, port: int) -> None:
         """Unbind a host-side listener."""
-        self._listeners.pop(port, None)
+        self.host_port.listeners.pop(port, None)
         self.host_port.touch()
-
-    def _host_deliver(self, packet: Packet) -> None:
-        if packet.flow.dst_ip != HOST_IP:
-            return
-        handler = self._listeners.get(packet.flow.dst_port)
-        if handler is not None:
-            handler(packet)
-
-    def _host_accepts(self, packet: Packet) -> bool:
-        """Flood pre-filter: mirrors :meth:`_host_deliver`'s drop path."""
-        return (packet.flow.dst_ip == HOST_IP
-                and packet.flow.dst_port in self._listeners)
 
     def send_to_guest(self, dst_ip: str, dst_port: int, payload,
                       src_port: int = 40000, proto: str = "udp",

@@ -11,6 +11,7 @@ it for the Fig 4 baseline, and so do the benchmarks here.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -22,6 +23,7 @@ from repro.guest.app import GuestApp
 from repro.guest.unikernel import UnikernelVM, default_mac
 from repro.toolstack.config import DomainConfig
 from repro.xen.domain import Domain, DomainState
+from repro.xen.events import VIRQ_DOM_EXC
 from repro.xenstore.client import XsHandle
 
 
@@ -54,7 +56,7 @@ class XL:
     """The xl CLI + libxl, as one object."""
 
     def __init__(self, platform: Any, check_names: bool = True) -> None:
-        self.platform = platform
+        self._platform = weakref.ref(platform)
         self.hypervisor = platform.hypervisor
         self.dom0 = platform.dom0
         self.check_names = check_names
@@ -63,9 +65,19 @@ class XL:
         self.preserved: list[int] = []
         #: Guests ``create`` booted to completion.
         self.creates = 0
-        from repro.xen.events import VIRQ_DOM_EXC
-
         self.hypervisor.register_virq_handler(VIRQ_DOM_EXC, self._on_dom_exc)
+
+    @property
+    def platform(self) -> Any:
+        """The platform this toolstack runs on. Held weakly: the
+        platform owns its toolstack, and a strong reference back would
+        make every platform a reference cycle."""
+        return self._platform()
+
+    def shutdown(self) -> None:
+        """xl's half of a host power-off: stop handling guest exits."""
+        self.hypervisor.unregister_virq_handler(VIRQ_DOM_EXC,
+                                                self._on_dom_exc)
 
     # ------------------------------------------------------------------
     # guest-exit handling (VIRQ_DOM_EXC)

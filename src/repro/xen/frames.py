@@ -128,6 +128,47 @@ class _RefRuns:
         values[lo:hi] = new_values
 
 
+class PageRefs:
+    """Per-page reference state of an extent whose pages are shared or
+    dead: what a live private extent does not carry.
+
+    :meth:`FrameTable.share_to_cow` creates it (``base_ref`` 1), and
+    :meth:`FrameTable.free_extent` creates it for a private extent
+    whose pages all died.
+    """
+
+    __slots__ = ("base_ref", "freed", "adopted", "runs", "cow_protected")
+
+    def __init__(self) -> None:
+        #: Whole-extent reference count (number of domains mapping
+        #: every page).
+        self.base_ref = 0
+        #: Pages whose last reference was dropped and whose frame was
+        #: freed.
+        self.freed = 0
+        #: Pages adopted by their sole remaining sharer (frame moved,
+        #: not freed).
+        self.adopted = 0
+        #: Per-page state where it differs from "live at ``base_ref``":
+        #: ``None`` while the extent is uniform, created by the first
+        #: partial operation.
+        self.runs: _RefRuns | None = None
+        #: Shared pages are normally read-only and copied on write. IDC
+        #: shared-memory pages stay writable by the whole family (paper
+        #: §5.2.2: IDC pages move to dom_cow "just like for any shared
+        #: page", but both ends keep writing to them).
+        self.cow_protected = True
+
+
+def _refs_field(name: str, private):
+    """Read-only view of one :class:`PageRefs` field; ``private`` is
+    its value for an extent without one."""
+    def get(extent: "Extent"):
+        refs = extent.refs
+        return private if refs is None else getattr(refs, name)
+    return property(get, doc=f"``PageRefs.{name}`` ({private!r} if none).")
+
+
 @dataclass(slots=True)
 class Extent:
     """A run of machine pages in identical ownership state."""
@@ -139,46 +180,46 @@ class Extent:
     label: str = ""
     #: True once ownership moved to dom_cow and refcounting is active.
     shared: bool = False
-    #: Shared pages are normally read-only and copied on write. IDC
-    #: shared-memory pages stay writable by the whole family (paper
-    #: §5.2.2: IDC pages move to dom_cow "just like for any shared
-    #: page", but both ends keep writing to them).
-    cow_protected: bool = True
-    #: Whole-extent reference count (number of domains mapping every page).
-    base_ref: int = 0
-    #: Pages whose last reference was dropped and whose frame was freed.
-    freed: int = 0
-    #: Pages adopted by their sole remaining sharer (frame moved, not freed).
-    adopted: int = 0
-    #: Per-page state where it differs from "live at ``base_ref``":
-    #: ``None`` while the extent is uniform, created by the first
-    #: partial operation.
-    runs: _RefRuns | None = None
+    #: Share and dead-page state; ``None`` for a live private extent.
+    refs: PageRefs | None = None
     #: True once the extent was split; its pages live on in the parts.
     retired: bool = False
     extent_id: int = field(default_factory=lambda: next(_extent_ids))
+
+    base_ref = _refs_field("base_ref", 0)
+    freed = _refs_field("freed", 0)
+    adopted = _refs_field("adopted", 0)
+    runs = _refs_field("runs", None)
+    cow_protected = _refs_field("cow_protected", True)
 
     @property
     def live_pages(self) -> int:
         """Pages still accounted to this extent."""
         if self.retired:
             return 0
-        return self.count - self.freed - self.adopted
+        refs = self.refs
+        if refs is None:
+            return self.count
+        return self.count - refs.freed - refs.adopted
 
     def effective_ref(self, index: int) -> int:
         """Reference count of page ``index`` (extent-local)."""
         if not 0 <= index < self.count:
             raise XenInvalidError(f"page index {index} outside extent of {self.count}")
-        runs = self.runs
+        refs = self.refs
+        if refs is None:
+            return 0
+        runs = refs.runs
         if runs is None:
-            return self.base_ref
-        return self.base_ref + _offset(runs.values[runs.run_at(index)])
+            return refs.base_ref
+        return refs.base_ref + _offset(runs.values[runs.run_at(index)])
 
     def is_dead(self, index: int) -> bool:
         """Was page ``index`` freed or adopted out of this extent?"""
-        runs = self.runs
-        if runs is None or not 0 <= index < self.count:
+        refs = self.refs
+        if refs is None or refs.runs is None or not 0 <= index < self.count:
             return False
+        runs = refs.runs
         return runs.values[runs.run_at(index)] is _DEAD
 
     def ref_run(self, index: int, limit: int) -> tuple[int, int]:
@@ -188,8 +229,11 @@ class Extent:
         Page ``index`` itself always counts, dead or not; the caller
         rejects a dead first page by its refcount.
         """
-        base = self.base_ref
-        runs = self.runs
+        refs = self.refs
+        if refs is None:
+            return 0, limit
+        base = refs.base_ref
+        runs = refs.runs
         if runs is None:
             return base, limit
         bounds, values = runs.bounds, runs.values
@@ -212,8 +256,11 @@ class Extent:
     def _first_unadoptable(self, index: int, count: int) -> int:
         """First page of ``[index, index+count)``, ``count > 0``, that is
         dead or whose refcount is not 1; -1 if there is none."""
-        base = self.base_ref
-        runs = self.runs
+        refs = self.refs
+        if refs is None:
+            return index
+        base = refs.base_ref
+        runs = refs.runs
         if runs is None:
             return -1 if base == 1 else index
         bounds, values = runs.bounds, runs.values
@@ -226,16 +273,13 @@ class Extent:
             k += 1
         return -1
 
-    def _kill_all(self) -> None:
-        """Mark every page dead in O(1)."""
-        self.runs = _RefRuns(self.count, _DEAD)
-
     def _slice(self, start: int, end: int) -> tuple[_RefRuns, int, int]:
         """The run map (created on first use), split so that its runs
         ``[i, j)`` cover exactly pages ``[start, end)``."""
-        runs = self.runs
+        refs = self.refs
+        runs = refs.runs
         if runs is None:
-            runs = self.runs = _RefRuns(self.count, 0)
+            runs = refs.runs = _RefRuns(self.count, 0)
         i, j = runs.slice(start, end)
         return runs, i, j
 
@@ -244,7 +288,7 @@ class Extent:
         untouched run at offset 0 carries nothing and is dropped."""
         runs.coalesce(i, j)
         if runs.values == [0]:
-            self.runs = None
+            self.refs.runs = None
 
     def __hash__(self) -> int:
         return self.extent_id
@@ -326,7 +370,7 @@ class FrameTable:
             raise XenInvalidError(f"cannot split shared {extent!r}")
         if extent.retired:
             raise XenInvalidError(f"{extent!r} is already retired")
-        if extent.freed or extent.adopted:
+        if extent.refs is not None:
             raise XenInvalidError(f"cannot split partially-dead {extent!r}")
         if sum(count for count, _, _ in parts) != extent.count:
             raise XenInvalidError(
@@ -349,8 +393,11 @@ class FrameTable:
         live = extent.live_pages
         self._debit(extent.owner, live)
         self.free_frames += live
-        extent.freed = extent.count - extent.adopted
-        extent._kill_all()
+        refs = extent.refs
+        if refs is None:
+            refs = extent.refs = PageRefs()
+        refs.freed = extent.count - refs.adopted
+        refs.runs = _RefRuns(extent.count, _DEAD)
         self.stats["frees"] += live
         return live
 
@@ -361,7 +408,8 @@ class FrameTable:
         """Transfer ownership of a private extent to dom_cow.
 
         The previous owner keeps referencing every page (base_ref = 1);
-        clones are added with :meth:`add_sharer`.
+        clones are added with :meth:`add_sharer`. The extent's
+        :class:`PageRefs` record is created here.
         """
         if extent.shared:
             raise XenInvalidError(f"{extent!r} is already shared")
@@ -373,16 +421,19 @@ class FrameTable:
         self._credit(DOMID_COW, extent.live_pages)
         extent.owner = DOMID_COW
         extent.shared = True
-        extent.base_ref = 1
-        extent.cow_protected = extent.page_type is not PageType.IDC_SHM
-        extent.writable = not extent.cow_protected
+        refs = extent.refs
+        if refs is None:
+            refs = extent.refs = PageRefs()
+        refs.base_ref = 1
+        refs.cow_protected = extent.page_type is not PageType.IDC_SHM
+        extent.writable = not refs.cow_protected
         self.stats["shares"] += extent.live_pages
 
     def add_sharer(self, extent: Extent) -> None:
         """Register one more domain mapping every live page of ``extent``."""
         if not extent.shared:
             raise XenInvalidError(f"{extent!r} is not shared")
-        extent.base_ref += 1
+        extent.refs.base_ref += 1
 
     def add_ref_range(self, extent: Extent, start: int, count: int) -> None:
         """Add one reference to pages ``[start, start+count)`` only.
@@ -393,10 +444,11 @@ class FrameTable:
         if not extent.shared:
             raise XenInvalidError(f"{extent!r} is not shared")
         self._check_range(extent, start, count)
-        runs = extent.runs
+        refs = extent.refs
+        runs = refs.runs
         if start == 0 and count == extent.count \
                 and (runs is None or _DEAD not in runs.values):
-            extent.base_ref += 1
+            refs.base_ref += 1
             return
         if count == 0:
             return
@@ -426,18 +478,18 @@ class FrameTable:
             raise XenInvalidError(f"{extent!r} is not shared")
         self._check_range(extent, start, count)
         freed = 0
-        runs = extent.runs
-        if start == 0 and count == extent.count and runs is None:
+        refs = extent.refs
+        if start == 0 and count == extent.count and refs.runs is None:
             # Fast path: uniform refcount across the whole extent.
-            extent.base_ref -= 1
-            if extent.base_ref == 0:
+            refs.base_ref -= 1
+            if refs.base_ref == 0:
                 freed = extent.live_pages
-                extent.freed += freed
-                extent._kill_all()
+                refs.freed += freed
+                refs.runs = _RefRuns(extent.count, _DEAD)
         elif count:
             runs, i, j = extent._slice(start, start + count)
             bounds, values = runs.bounds, runs.values
-            base = extent.base_ref
+            base = refs.base_ref
             for k in range(i, j):
                 value = values[k]
                 if value is _DEAD:
@@ -448,7 +500,7 @@ class FrameTable:
                     freed += bounds[k + 1] - bounds[k]
                 else:
                     values[k] = offset if offset else _TOUCHED
-            extent.freed += freed
+            refs.freed += freed
             extent._settle(runs, i, j)
         if freed:
             self._debit(DOMID_COW, freed)
@@ -485,8 +537,9 @@ class FrameTable:
                 f"page {page} of {extent!r} has refcount "
                 f"{extent.effective_ref(page)}, adoption needs exactly 1"
             )
-        extent.adopted += count
         if count:
+            # Only a shared extent has a page at refcount 1.
+            extent.refs.adopted += count
             runs, i, j = extent._slice(index, index + count)
             runs.values[i:j] = [_DEAD] * (j - i)
             extent._settle(runs, i, j)

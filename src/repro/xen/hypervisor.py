@@ -213,6 +213,17 @@ class Hypervisor:
         del self.domains[domid]
         self.guest_count -= 1
         _TOPOLOGY_EPOCH[0] += 1
+        self._detach_guest(domain)
+
+    def detach_guests(self) -> None:
+        """Drop every domain's guest kernel and frontends, leaving the
+        domains and their frames as they are (the host is being taken
+        apart, see :meth:`Platform.close`)."""
+        for domain in self.domains.values():
+            self._detach_guest(domain)
+
+    @staticmethod
+    def _detach_guest(domain: Domain) -> None:
         # The guest kernel and device frontends that higher layers hang
         # off the domain point back at it, and at each other through
         # it. Dropping the domain's side lets refcounting free them.
@@ -291,6 +302,12 @@ class Hypervisor:
         """Host-daemon subscription to a vIRQ (e.g. xencloned on
         VIRQ_CLONED)."""
         self._virq_handlers.setdefault(virq, []).append(handler)
+
+    def unregister_virq_handler(self, virq: int, handler: VirqHandler) -> None:
+        """Drop a host-daemon vIRQ subscription (the daemon stopped)."""
+        handlers = self._virq_handlers.get(virq)
+        if handlers and handler in handlers:
+            handlers.remove(handler)
 
     def bind_virq(self, domid: int, virq: int, handler=None) -> EventChannel:
         """Bind a guest event channel to a vIRQ (indexed for delivery)."""
@@ -419,7 +436,8 @@ class Hypervisor:
     # CLONEOP plumbing
     # ------------------------------------------------------------------
     def set_cloneop(self, cloneop: Any) -> None:
-        """Install the CLONEOP hypercall implementation."""
+        """Install the CLONEOP hypercall implementation (``None``
+        uninstalls it: the host powered off)."""
         self._cloneop = cloneop
 
     @property

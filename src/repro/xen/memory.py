@@ -32,7 +32,11 @@ class CowStats:
 
 
 class Segment:
-    """Contiguous pfn range backed by a slice of one extent."""
+    """Contiguous pfn range backed by a slice of one extent.
+
+    Never mutated once built, so clones map their parent's shared
+    segments by reference.
+    """
 
     __slots__ = ("pfn_start", "npages", "extent", "extent_offset", "label")
 
@@ -99,14 +103,14 @@ class GuestMemory:
         self._starts_cache = None
         return segment
 
-    def adopt_segment(self, pfn_start: int, extent: Extent, extent_offset: int,
-                      npages: int, label: str = "") -> Segment:
-        """Map an existing extent slice (e.g. a shared parent extent)."""
-        segment = Segment(pfn_start, npages, extent, extent_offset, label)
+    def adopt_segment(self, segment: Segment) -> Segment:
+        """Map ``segment`` (e.g. a parent's shared segment) at its pfn
+        range. Segments are never mutated (COW faults and retypes splice
+        in new ones), so the object itself is shared, not copied."""
         starts = self._starts()
-        index = bisect.bisect_left(starts, pfn_start)
+        index = bisect.bisect_left(starts, segment.pfn_start)
         self.segments.insert(index, segment)
-        starts.insert(index, pfn_start)
+        starts.insert(index, segment.pfn_start)
         self._next_pfn = max(self._next_pfn, segment.pfn_end)
         return segment
 
@@ -150,7 +154,8 @@ class GuestMemory:
         while cursor < end:
             seg, local = self.find(cursor)
             span = min(end - cursor, seg.npages - local)
-            if seg.shared and seg.extent.cow_protected:
+            extent = seg.extent
+            if extent.shared and extent.refs.cow_protected:
                 stats.merge(self._cow_segment_range(seg, local, span))
             else:
                 stats.private += span

@@ -93,7 +93,7 @@ class XsHandle:
         """Read inside ``tid`` (sees the transaction's own writes)."""
         self._request()
         manager = self.daemon.transactions
-        return manager.read(manager.get(tid), path)
+        return manager.read(manager.get(tid), path, self.daemon)
 
     def t_rm(self, tid: int, path: str) -> None:
         """Buffered removal inside transaction ``tid``."""
@@ -107,7 +107,7 @@ class XsHandle:
         manager = self.daemon.transactions
         transaction = manager.get(tid)
         if commit:
-            manager.commit(transaction)
+            manager.commit(transaction, self.daemon)
         else:
             manager.abort(transaction)
 

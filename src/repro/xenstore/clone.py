@@ -13,6 +13,7 @@ series in Fig 4.
 from __future__ import annotations
 
 import enum
+from sys import intern
 
 from repro.xenstore.store import Node, XenstoreDaemon, XenstoreError
 
@@ -70,9 +71,11 @@ def _rewrite_value(key: str, value: str, parent_domid: int,
       equal the parent's domid is left alone.
 
     Other numeric values (states, ports, ring refs) are never touched.
+    The child domid string is interned: it is the same object as the
+    clone's ``"<domid>"`` directory keys.
     """
     parent = str(parent_domid)
-    child = str(child_domid)
+    child = intern(str(child_domid))
     if key in DOMID_KEYS and value == parent:
         return child
     if "/" in value:
@@ -115,17 +118,22 @@ def xs_clone(daemon: XenstoreDaemon, parent_domid: int, child_domid: int,
         daemon.faults.fire("xenstore.xs_clone", parent=parent_domid,
                            child=child_domid, path=parent_path)
     source = daemon._lookup(parent_path)
-    created = source.count
+    leaf = source.__class__ is str
+    created = 1 if leaf else source.count
     key = parent_path.rstrip("/").rsplit("/", 1)[-1]
     graft_root = source
     if op in _DEVICE_OPS:
-        cache = source.site_cache
-        if cache is None:
-            cache = source.site_cache = {}
-        cache_key = (parent_domid, key)
-        sites = cache.get(cache_key, _UNSCANNED)
-        if sites is _UNSCANNED:
-            sites = cache[cache_key] = _scan_sites(key, source, parent_domid)
+        if leaf:
+            sites = _scan_sites(key, source, parent_domid)
+        else:
+            cache = source.site_cache
+            if cache is None:
+                cache = source.site_cache = {}
+            cache_key = (parent_domid, key)
+            sites = cache.get(cache_key, _UNSCANNED)
+            if sites is _UNSCANNED:
+                sites = cache[cache_key] = _scan_sites(key, source,
+                                                       parent_domid)
         if sites is not None:
             graft_root = _materialize(source, key, sites, parent_domid,
                                       child_domid)
@@ -136,7 +144,7 @@ def xs_clone(daemon: XenstoreDaemon, parent_domid: int, child_domid: int,
         # root): sharing would create a cycle, so snapshot eagerly the
         # way the pre-sharing implementation did.
         graft_root = _copy_tree(graft_root)
-    elif graft_root is source:
+    elif graft_root is source and not leaf:
         source.shared = True
     daemon.graft(child_path, graft_root)
     daemon.stats["writes"] += created
@@ -194,8 +202,8 @@ def _needs_rewrite(key: str, value: str, parent: str) -> bool:
     return False
 
 
-def _scan_sites(key: str, source: Node, parent_domid: int):
-    """Site tree of ``source``: ``(is_site, {name: subtree})`` nesting
+def _scan_sites(key: str, entry: Node | str, parent_domid: int):
+    """Site tree of ``entry``: ``(is_site, {name: subtree})`` nesting
     that covers every node whose value the device heuristics rewrite.
 
     Returned pre-nested (rather than as flat relative paths) so
@@ -205,51 +213,55 @@ def _scan_sites(key: str, source: Node, parent_domid: int):
     callers treat a root of ``(False, {})`` as "no sites".
     """
     parent = str(parent_domid)
-    value = source.value
+    leaf = entry.__class__ is str
+    value = entry if leaf else entry.value
     is_site = bool(value) and _needs_rewrite(key, value, parent)
     branches = {}
-    for name, child in source.children.items():
-        # Node names under a device directory are indices, never
-        # domids (the domid sits in the cloned root, chosen by the
-        # caller).
-        sub = _scan_sites(name, child, parent_domid)
-        if sub is not None:
-            branches[name] = sub
+    if not leaf:
+        for name, child in entry.children.items():
+            # Node names under a device directory are indices, never
+            # domids (the domid sits in the cloned root, chosen by the
+            # caller).
+            sub = _scan_sites(name, child, parent_domid)
+            if sub is not None:
+                branches[name] = sub
     if not is_site and not branches:
         return None
     return (is_site, branches)
 
 
-def _materialize(node: Node, key: str, site_tree, parent_domid: int,
-                 child_domid: int) -> Node:
-    """Copy ``node`` along the cached rewrite-site tree only.
+def _materialize(entry: Node | str, key: str, site_tree, parent_domid: int,
+                 child_domid: int) -> Node | str:
+    """Copy ``entry`` along the cached rewrite-site tree only.
 
-    Site nodes get their value rewritten for this child; every subtree
-    hanging off the copied spine is aliased by reference and marked
-    shared (it is now reachable from both the source and the copy).
+    Site values are rewritten for this child (a site leaf becomes its
+    rewritten string); every child node hanging off the copied spine is
+    aliased by reference and marked shared (it is now reachable from
+    both the source and the copy), and leaves are aliased as they are.
     """
+    if entry.__class__ is str:
+        return _rewrite_value(key, entry, parent_domid, child_domid)
     is_site, branches = site_tree
-    value = node.value
+    value = entry.value
     if is_site and value:
         value = _rewrite_value(key, value, parent_domid, child_domid)
-    copy = Node(value)
-    copy.count = node.count
-    children = dict(node.children)
-    copy.children = children
+    children = dict(entry.children)
     for name, child in children.items():
         sub = branches.get(name)
         if sub is not None:
             children[name] = _materialize(child, name, sub,
                                           parent_domid, child_domid)
-        else:
+        elif child.__class__ is not str:
             child.shared = True
-    return copy
+    return Node(value, children, entry.count)
 
 
-def _copy_tree(node: Node) -> Node:
-    """Eager private deep copy (the nested-destination slow path)."""
-    copy = Node(node.value)
-    copy.count = node.count
-    copy.children = {name: _copy_tree(child)
-                     for name, child in node.children.items()}
-    return copy
+def _copy_tree(entry: Node | str) -> Node | str:
+    """Eager private deep copy (the nested-destination slow path); leaf
+    strings are immutable and kept as they are."""
+    if entry.__class__ is str:
+        return entry
+    return Node(entry.value,
+                {name: _copy_tree(child)
+                 for name, child in entry.children.items()},
+                entry.count)

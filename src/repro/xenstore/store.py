@@ -10,6 +10,7 @@ request, which is what makes boot times in Fig 4 grow from 160 ms to
 from __future__ import annotations
 
 import itertools
+from sys import intern
 from typing import Callable
 
 from repro.errors import ReproError
@@ -30,12 +31,22 @@ class XenstoreError(ReproError):
 
 
 class Node:
-    """One node of the store tree.
+    """A directory of the store tree: a value plus named children.
+
+    A child is either a ``Node`` or a ``str``: a leaf *is* its value,
+    stored directly in its parent's ``children`` dict. Strings are
+    immutable, so a leaf carries no ``count``, ``shared`` flag or site
+    cache and never needs un-sharing; a write below a leaf turns it
+    into a ``Node``. Every leaf the daemon creates is a string; a node
+    left childless by a remove stays a ``Node``. Keys are interned
+    where a child is inserted, so the names every domain repeats
+    (``name``, ``store``, a clone's ``"<domid>"``, ...) are one object
+    each.
 
     ``count`` caches the size of the subtree rooted here (this node
-    included). It is maintained incrementally by every tree mutation,
-    so ``subtree_nodes`` and the per-request store-size costing never
-    re-count trees.
+    included; a leaf counts 1). It is maintained incrementally by every
+    tree mutation, so ``subtree_nodes`` and the per-request store-size
+    costing never re-count trees.
 
     Nodes are copy-on-write: ``xs_clone`` grafts a parent subtree into
     the child by *reference* and marks it ``shared``. The invariant is
@@ -43,8 +54,8 @@ class Node:
     through a node with ``shared`` set (usually the grafted subtree
     root); a shared node is immutable. Mutating walks un-share each
     shared node they descend through — copy the node, alias its child
-    dict entries, and mark those children shared — so only the touched
-    path is ever duplicated.
+    dict entries, and mark the aliased child nodes shared — so only the
+    touched path is ever duplicated.
 
     ``site_cache`` memoizes, per clone-source root, where the device
     domid-rewrite heuristics actually change a value (keyed by parent
@@ -54,12 +65,19 @@ class Node:
 
     __slots__ = ("value", "children", "count", "shared", "site_cache")
 
-    def __init__(self, value: str = "") -> None:
+    def __init__(self, value: str = "", children: dict | None = None,
+                 count: int = 1) -> None:
         self.value = value
-        self.children: dict[str, Node] = {}
-        self.count = 1
+        self.children: dict[str, Node | str] = (
+            {} if children is None else children)
+        self.count = count
         self.shared = False
         self.site_cache = None
+
+
+def _nodes(entry: Node | str) -> int:
+    """Subtree size of a child entry (a leaf string counts 1)."""
+    return 1 if entry.__class__ is str else entry.count
 
 
 def _split(path: str) -> list[str]:
@@ -98,9 +116,10 @@ class XenstoreDaemon:
         self.node_count = 0
         self.access_log = AccessLog(clock, costs, enabled=log_enabled,
                                     tracer=self.tracer)
-        #: path -> resolved Node memo for the non-creating read path;
-        #: see :meth:`_lookup` for the (narrow) invalidation contract.
-        self._path_cache: dict[str, Node] = {}
+        #: path -> (parent node, name, write_safe) memo of resolved
+        #: entries; see :meth:`_lookup` for the (narrow) invalidation
+        #: contract.
+        self._path_cache: dict[str, tuple[Node, str, bool]] = {}
         self._watches: dict[int, Watch] = {}
         #: Watch path -> {watch id -> watch}: firing a path consults its
         #: O(depth) prefixes instead of scanning every watch.
@@ -111,7 +130,7 @@ class XenstoreDaemon:
         self._watch_ids = itertools.count(1)
         from repro.xenstore.transactions import TransactionManager
 
-        self.transactions = TransactionManager(self)
+        self.transactions = TransactionManager()
         #: Domains introduced to the daemon (domid -> parent domid or None).
         self.introduced: dict[int, int | None] = {}
         self.stats = {"requests": 0, "writes": 0, "reads": 0, "clones": 0}
@@ -144,61 +163,81 @@ class XenstoreDaemon:
     # ------------------------------------------------------------------
     # tree primitives (no request accounting; used server-side)
     # ------------------------------------------------------------------
-    def _lookup(self, path: str, create: bool = False) -> Node:
-        if create:
-            return self._lookup_create(path)
+    def _lookup(self, path: str) -> Node | str:
+        """The entry at ``path``: a ``Node``, or a leaf's value string."""
         cache = self._path_cache
-        entry = cache.get(path)
-        if entry is not None:
-            return entry[0]
+        hit = cache.get(path)
+        if hit is not None:
+            return hit[0].children[hit[1]]
+        parts = _split(path)
+        if not parts:
+            return self.root
         node = self.root
         write_safe = True
         try:
-            for part in _split(path):
-                node = node.children[part]
+            for part in parts:
+                # A leaf on the way has no ``shared`` (AttributeError):
+                # nothing exists below a leaf.
                 if node.shared:
                     write_safe = False
-        except KeyError:
+                parent = node
+                node = node.children[part]
+        except (KeyError, AttributeError):
             raise XenstoreError(f"ENOENT: {path!r}") from None
-        # Path memo: value writes mutate the resolved Node in place, so
-        # a cached path -> Node mapping stays truthful until a node
-        # object on some path is *replaced* or newly *shared* — un-share,
-        # subtree removal, graft (every xs_clone grafts) — at which
-        # point the whole memo is dropped (see ``_unshare`` /
-        # ``remove_node`` / ``graft``). ``write_safe`` records whether
-        # the walk crossed a shared node: only an all-private path may
-        # satisfy a mutating lookup (see ``_lookup_create``).
+        # Path memo: path -> (parent node, name, write_safe). Writes
+        # replace a leaf in, or set a value on, an entry of a cached
+        # parent, so the mapping stays truthful until a node object on
+        # some path is *replaced* or newly *shared* — un-share, subtree
+        # removal, graft (every xs_clone grafts) — at which point the
+        # whole memo is dropped (see ``_unshare`` / ``remove_node`` /
+        # ``graft``). ``write_safe`` records whether every node down to
+        # the parent is private: only then may a write use the hit
+        # without re-walking (see ``_store``).
         if len(cache) >= _PATH_CACHE_MAX:
             cache.clear()
-        cache[path] = (node, write_safe)
+        cache[path] = (parent, part, write_safe)
         return node
 
     def _unshare(self, node: Node) -> Node:
         """Private copy of a shared node: alias its children (marking
-        them shared so the laziness recurses) and return the copy. The
-        caller re-links it into the (already private) parent."""
+        the child nodes shared so the laziness recurses) and return the
+        copy. The caller re-links it into the (already private) parent."""
         if self._path_cache:
             self._path_cache.clear()
-        copy = Node(node.value)
-        copy.count = node.count
         children = dict(node.children)
-        copy.children = children
         for child in children.values():
-            child.shared = True
-        return copy
+            if child.__class__ is not str:
+                child.shared = True
+        return Node(node.value, children, node.count)
 
-    def _lookup_create(self, path: str) -> Node:
+    def _store(self, path: str, value: str) -> None:
+        """Set the value at ``path``: the mutating walk creates missing
+        directories, turns leaves on the way into nodes and un-shares
+        every shared node it descends through."""
         cache = self._path_cache
-        entry = cache.get(path)
-        if entry is not None and entry[1]:
-            # Write-safe hit: the whole path is private, so the node
-            # may be handed out for mutation without re-walking (and
-            # without any count/unshare bookkeeping — nothing changes).
-            return entry[0]
+        hit = cache.get(path)
+        if hit is not None and hit[2]:
+            # Write-safe hit: every node down to the parent is private,
+            # so a leaf is replaced, and a private node written in
+            # place, without re-walking.
+            children, name = hit[0].children, hit[1]
+            entry = children[name]
+            if entry.__class__ is str:
+                children[name] = value
+                return
+            if not entry.shared:
+                entry.value = value
+                return
         parts = _split(path)
+        if not parts:
+            self.root.value = value
+            return
         node = self.root
         trail = [node]
-        for i, part in enumerate(parts):
+        last = len(parts) - 1
+        name = parts[last]
+        for i in range(last):
+            part = parts[i]
             child = node.children.get(part)
             if child is None:
                 # Everything from here on is new: create the chain and
@@ -206,28 +245,39 @@ class XenstoreDaemon:
                 created = len(parts) - i
                 for ancestor in trail:
                     ancestor.count += created
-                for j in range(i, len(parts)):
-                    child = Node()
-                    child.count = len(parts) - j
-                    node.children[parts[j]] = child
+                for j in range(i, last):
+                    child = Node(count=len(parts) - j)
+                    node.children[intern(parts[j])] = child
                     node = child
+                node.children[intern(name)] = value
                 self.node_count += created
-                cache = self._path_cache  # _unshare may have cleared it
-                if len(cache) >= _PATH_CACHE_MAX:
-                    cache.clear()
-                cache[path] = (node, True)
-                return node
-            if child.shared:
-                child = self._unshare(child)
-                node.children[part] = child
+                break
+            if child.__class__ is str:
+                # A write below a leaf: the leaf becomes a node.
+                child = node.children[part] = Node(child)
+            elif child.shared:
+                child = node.children[part] = self._unshare(child)
             trail.append(child)
             node = child
-        # The walk above un-shared every node on the path: write-safe.
-        cache = self._path_cache
+        else:
+            children = node.children
+            entry = children.get(name)
+            if entry is None:
+                children[intern(name)] = value
+                for ancestor in trail:
+                    ancestor.count += 1
+                self.node_count += 1
+            elif entry.__class__ is str:
+                children[name] = value
+            else:
+                if entry.shared:
+                    entry = children[name] = self._unshare(entry)
+                entry.value = value
+        # The walk above left every node down to the parent private.
+        cache = self._path_cache  # _unshare may have cleared it
         if len(cache) >= _PATH_CACHE_MAX:
             cache.clear()
-        cache[path] = (node, True)
-        return node
+        cache[path] = (node, name, True)
 
     def exists(self, path: str) -> bool:
         """Does ``path`` exist? (Non-raising: probing for absent nodes
@@ -236,16 +286,18 @@ class XenstoreDaemon:
         if path in self._path_cache:
             return True
         node = self.root
-        for part in _split(path):
-            node = node.children.get(part)
-            if node is None:
-                return False
+        try:
+            for part in _split(path):
+                node = node.children.get(part)
+                if node is None:
+                    return False
+        except AttributeError:  # a leaf on the way: nothing below it
+            return False
         return True
 
     def write_node(self, path: str, value: str, fire: bool = True) -> None:
         """Create/overwrite a node (creating intermediate directories)."""
-        node = self._lookup(path, create=True)
-        node.value = value
+        self._store(path, value)
         self.stats["writes"] += 1
         self.transactions.record_external_write(path)
         if fire:
@@ -254,11 +306,13 @@ class XenstoreDaemon:
     def read_node(self, path: str) -> str:
         """The value at ``path`` (ENOENT if absent)."""
         self.stats["reads"] += 1
-        return self._lookup(path).value
+        entry = self._lookup(path)
+        return entry if entry.__class__ is str else entry.value
 
     def directory(self, path: str) -> list[str]:
         """Sorted child names of ``path``."""
-        return sorted(self._lookup(path).children)
+        entry = self._lookup(path)
+        return [] if entry.__class__ is str else sorted(entry.children)
 
     def remove_node(self, path: str, fire: bool = True) -> int:
         """Remove a subtree; returns the number of nodes removed."""
@@ -269,18 +323,16 @@ class XenstoreDaemon:
         trail = [parent]
         for part in parts[:-1]:
             child = parent.children.get(part)
-            if child is None:
+            if child is None or child.__class__ is str:
                 raise XenstoreError(f"ENOENT: {path!r}")
             if child.shared:
-                child = self._unshare(child)
-                parent.children[part] = child
+                child = parent.children[part] = self._unshare(child)
             trail.append(child)
             parent = child
-        target = parent.children.get(parts[-1])
+        target = parent.children.pop(parts[-1], None)
         if target is None:
             raise XenstoreError(f"ENOENT: {path!r}")
-        removed = target.count
-        del parent.children[parts[-1]]
+        removed = _nodes(target)
         if self._path_cache:
             self._path_cache.clear()
         for ancestor in trail:
@@ -291,26 +343,28 @@ class XenstoreDaemon:
             self.fire_watches(path)
         return removed
 
-    def _count_subtree(self, node: Node) -> int:
+    def _count_subtree(self, entry: Node | str) -> int:
         """From-scratch recount (consistency checks; the live path uses
         the incrementally maintained ``Node.count``). Iterative, so it
         stays usable on trees deeper than the recursion limit."""
         total = 0
-        stack = [node]
+        stack = [entry]
         while stack:
             current = stack.pop()
             total += 1
-            stack.extend(current.children.values())
+            if current.__class__ is not str:
+                stack.extend(current.children.values())
         return total
 
     def subtree_nodes(self, path: str) -> int:
         """Node count of the subtree rooted at ``path`` (O(depth))."""
-        return self._lookup(path).count
+        return _nodes(self._lookup(path))
 
-    def graft(self, path: str, subtree: Node) -> int:
-        """Attach a prebuilt subtree at ``path`` (server-side bulk
-        create, the fast half of ``xs_clone``); returns the number of
-        nodes added from ``subtree``. EEXIST if ``path`` is taken."""
+    def graft(self, path: str, subtree: Node | str) -> int:
+        """Attach a prebuilt subtree (or a leaf value) at ``path``
+        (server-side bulk create, the fast half of ``xs_clone``);
+        returns the number of nodes added from ``subtree``. EEXIST if
+        ``path`` is taken."""
         parts = _split(path)
         if not parts:
             raise XenstoreError("cannot graft at the root")
@@ -319,22 +373,22 @@ class XenstoreDaemon:
         for part in parts[:-1]:
             child = node.children.get(part)
             if child is None:
-                child = Node()
-                node.children[part] = child
+                child = node.children[intern(part)] = Node()
                 self.node_count += 1
                 for ancestor in trail:
                     ancestor.count += 1
+            elif child.__class__ is str:
+                child = node.children[part] = Node(child)
             elif child.shared:
-                child = self._unshare(child)
-                node.children[part] = child
+                child = node.children[part] = self._unshare(child)
             trail.append(child)
             node = child
         if parts[-1] in node.children:
             raise XenstoreError(f"EEXIST: {path!r}")
         if self._path_cache:
             self._path_cache.clear()
-        node.children[parts[-1]] = subtree
-        added = subtree.count
+        node.children[intern(parts[-1])] = subtree
+        added = _nodes(subtree)
         for ancestor in trail:
             ancestor.count += added
         self.node_count += added
@@ -350,9 +404,12 @@ class XenstoreDaemon:
         result: list[tuple[str, str]] = []
         stack = [(path.rstrip("/") or "/", self._lookup(path))]
         while stack:
-            prefix, node = stack.pop()
-            result.append((prefix, node.value))
-            children = node.children
+            prefix, entry = stack.pop()
+            if entry.__class__ is str:
+                result.append((prefix, entry))
+                continue
+            result.append((prefix, entry.value))
+            children = entry.children
             if children:
                 stack.extend((f"{prefix}/{name}", children[name])
                              for name in sorted(children, reverse=True))

@@ -40,10 +40,13 @@ class Transaction:
 
 
 class TransactionManager:
-    """Optimistic transactions over one Xenstore daemon."""
+    """Optimistic transactions over one Xenstore daemon.
 
-    def __init__(self, daemon: XenstoreDaemon) -> None:
-        self.daemon = daemon
+    The daemon owns its manager; :meth:`read` and :meth:`commit` take
+    the daemon they act on, so the manager holds no reference back.
+    """
+
+    def __init__(self) -> None:
         self._tids = itertools.count(1)
         self._open: dict[int, Transaction] = {}
         #: Bumped on every committed mutation; per-path generations are
@@ -89,22 +92,25 @@ class TransactionManager:
         transaction.footprint.add(path)
         transaction.pending[path] = None
 
-    def read(self, transaction: Transaction, path: str) -> str:
-        """Read-your-writes view over the committed store."""
+    def read(self, transaction: Transaction, path: str,
+             daemon: XenstoreDaemon) -> str:
+        """Read-your-writes view over ``daemon``'s committed store."""
         transaction.footprint.add(path)
         if path in transaction.pending:
             value = transaction.pending[path]
             if value is None:
                 raise XenstoreError(f"ENOENT: {path!r} (removed in txn)")
             return value
-        return self.daemon.read_node(path)
+        return daemon.read_node(path)
 
     # ------------------------------------------------------------------
     # commit / abort
     # ------------------------------------------------------------------
-    def commit(self, transaction: Transaction) -> None:
-        """Apply atomically; raises :class:`TransactionConflict` if any
-        footprint path changed since the transaction started."""
+    def commit(self, transaction: Transaction,
+               daemon: XenstoreDaemon) -> None:
+        """Apply atomically to ``daemon``; raises
+        :class:`TransactionConflict` if any footprint path changed since
+        the transaction started."""
         if transaction.closed:
             raise XenstoreError(f"transaction {transaction.tid} is closed")
         try:
@@ -112,8 +118,7 @@ class TransactionManager:
             # counts as a conflict and closes the transaction, so the
             # client must restart it (which is what run_transaction's
             # bounded retry does).
-            self.daemon.faults.fire("xenstore.txn_commit",
-                                    tid=transaction.tid)
+            daemon.faults.fire("xenstore.txn_commit", tid=transaction.tid)
         except TransactionConflict:
             self.stats["conflicts"] += 1
             self._close(transaction)
@@ -147,10 +152,9 @@ class TransactionManager:
             self.generation += 1
             self._path_generation[op.path] = self.generation
             if op.kind == "write":
-                self.daemon.write_node(op.path, op.value)
-            else:
-                if self.daemon.exists(op.path):
-                    self.daemon.remove_node(op.path)
+                daemon.write_node(op.path, op.value)
+            elif daemon.exists(op.path):
+                daemon.remove_node(op.path)
         self.stats["commits"] += 1
         self._close(transaction)
 

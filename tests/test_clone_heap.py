@@ -1,35 +1,22 @@
 """Per-clone heap and lifetime: a clone holds only what it cannot share,
-and a destroyed domain is freed by reference count, not by the cyclic
-collector.
+and a destroyed domain -- or a closed session's whole platform -- is
+freed by reference count, not by the cyclic collector.
 
-Counts are deterministic per interpreter, so the budgets below give the
-same verdict on any machine.
+The per-clone measurement and its budgets live in ``tests.heap_budget``,
+which runs without pytest.
 """
 
 from __future__ import annotations
 
 import gc
 import sys
-import tracemalloc
 import weakref
 
 import pytest
 
-from repro import DomainConfig, NepheleSession, P9Config, Platform, VifConfig
+from repro import NepheleSession, P9Config
 from repro.apps.udp_server import UdpServerApp
-from repro.sim.units import GIB
-
-SEED = 0xC10E
-
-#: (gc-tracked objects, tracemalloc bytes) per clone of the clone_burst
-#: parent, per CPython minor version: the measured value plus 2 objects
-#: and plus 3% bytes (measured: 97 / 15,103 on 3.10.13, 83 / 13,267 on
-#: 3.11.7, 83 / 12,938 on 3.12.1).
-BUDGETS = {
-    (3, 10): (99, 15_556),
-    (3, 11): (85, 13_665),
-    (3, 12): (85, 13_327),
-}
+from tests.heap_budget import BUDGETS, per_clone_heap
 
 
 @pytest.fixture
@@ -100,36 +87,17 @@ def test_destroyed_cold_boot_with_vif_and_9pfs_dies_at_destroy(gc_off):
         _assert_no_cyclic_garbage()
 
 
-def per_clone_heap(warmup: int = 20, clones: int = 200) -> tuple[float, float]:
-    """(gc-tracked objects, tracemalloc bytes) held per clone of the
-    ``clone_burst`` parent: a 4 MiB minios-udp guest with one vif on an
-    8 GiB host, cloned ``warmup`` times before measuring."""
-    platform = Platform.create(total_memory_bytes=8 * GIB,
-                               dom0_memory_bytes=4 * GIB, seed=SEED)
-    config = DomainConfig(
-        name="burst", memory_mb=4, kernel="minios-udp",
-        vifs=[VifConfig(ip=f"10.{1 + SEED % 250}.0.1")],
-        max_clones=10_000_000)
-    parent = platform.xl.create(config, app=UdpServerApp()).domid
-    clone = platform.cloneop.clone
-    for _ in range(warmup):
-        clone(parent, count=1)
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        gc.collect()
-        objects = len(gc.get_objects())
-        held = tracemalloc.get_traced_memory()[0]
-        for _ in range(clones):
-            clone(parent, count=1)
-        gc.collect()
-        objects = len(gc.get_objects()) - objects
-        held = tracemalloc.get_traced_memory()[0] - held
-    finally:
-        if not tracing:
-            tracemalloc.stop()
-    return objects / clones, held / clones
+def test_closed_session_platform_dies_at_close(gc_off):
+    session = NepheleSession()
+    parent = session.boot("p", ip="10.0.1.1", max_clones=16,
+                          app=UdpServerApp())
+    session.clone(parent, count=4)
+    del parent
+    platform = weakref.ref(session.platform)
+    session.close()
+    del session
+    assert platform() is None, "closed session's platform still alive"
+    _assert_no_cyclic_garbage()
 
 
 @pytest.mark.skipif(sys.implementation.name != "cpython"
@@ -140,8 +108,3 @@ def test_per_clone_heap_budget():
     max_objects, max_bytes = BUDGETS[sys.version_info[:2]]
     assert objects <= max_objects, f"{objects:.2f} objects per clone"
     assert held <= max_bytes, f"{held:.0f} bytes per clone"
-
-
-if __name__ == "__main__":  # pragma: no cover - budget re-measurement
-    print("%s objects/clone %.2f bytes/clone %.1f"
-          % (sys.version.split()[0], *per_clone_heap()))

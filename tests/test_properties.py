@@ -100,8 +100,7 @@ class FrameMachine(RuleBasedStateMachine):
             if not seg.extent.shared:
                 self.frames.share_to_cow(seg.extent)
             self.frames.add_sharer(seg.extent)
-            child.adopt_segment(seg.pfn_start, seg.extent,
-                                seg.extent_offset, seg.npages)
+            child.adopt_segment(seg)
         self.domains[child.domid] = child
 
     @rule(data=st.data(), offset=st.integers(0, 63), count=st.integers(1, 16))

@@ -102,6 +102,28 @@ def test_restore_slower_than_boot(platform):
     assert restore_ms > boot_ms
 
 
+def test_saved_clones_restore_under_their_own_names(platform):
+    """xencloned names a clone's config with the clone, so ``xl save``
+    writes one image per clone and ``xl restore`` brings each back
+    under its own name, not a shared placeholder."""
+    parent = platform.xl.create(udp_config("p", max_clones=4),
+                                app=UdpServerApp())
+    assert parent.domid == 1
+    children = platform.cloneop.clone(parent.domid, count=2)
+    for domid in children:
+        domain = platform.hypervisor.get_domain(domid)
+        assert domain.config.name is domain.name
+    images = [platform.xl.save(domid) for domid in children]
+    assert [image.path for image in images] == [
+        f"/srv/images/p-c{domid}-{image.image_id}.img"
+        for domid, image in zip(children, images)]
+    restored = [platform.xl.restore(image) for image in images]
+    assert sorted(domain.name for domain in restored) == ["p-c2", "p-c3"]
+    assert sorted(name for _, name, _ in platform.xl.list_domains()) == [
+        "p", "p-c2", "p-c3"]
+    platform.check_invariants()
+
+
 def test_restore_twice_from_one_image(platform):
     domain = platform.xl.create(udp_config("udp0"), app=UdpServerApp())
     image = platform.xl.save(domain.domid)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.xen.errors import XenInvalidError, XenNoEntryError
 from repro.xen.frames import PageType
-from repro.xen.memory import GuestMemory
+from repro.xen.memory import GuestMemory, Segment
 
 
 @pytest.fixture
@@ -137,7 +137,7 @@ def test_release_with_remaining_sharer_keeps_pages(mem, frames):
     frames.share_to_cow(seg.extent)
     other = GuestMemory(domid=2, frame_table=frames)
     frames.add_sharer(seg.extent)
-    other.adopt_segment(0, seg.extent, 0, 8)
+    other.adopt_segment(Segment(0, 8, seg.extent, 0))
     mem.release()
     # The other domain still references the pages.
     assert frames.pages_owned(2) == 0  # shared pages belong to dom_cow
@@ -156,7 +156,7 @@ def test_write_range_rejects_nonpositive(mem):
 def test_adopt_segment_keeps_order(mem, frames):
     extent = frames.alloc(owner=2, count=4)
     mem.populate(4)
-    mem.adopt_segment(100, extent, 0, 4, label="foreign")
+    mem.adopt_segment(Segment(100, 4, extent, 0, "foreign"))
     seg, local = mem.find(102)
     assert seg.label == "foreign"
     assert local == 2

@@ -4,6 +4,10 @@
 lazily on the first write that touches a shared path. These tests pin
 the user-visible contract of that optimization: clones behave exactly
 as if the subtree had been deep-copied.
+
+A leaf is its value string, stored in its parent's ``children`` dict;
+only directories are ``Node`` objects. Strings are immutable, so the
+sharing properties below are stated for nodes, and a leaf counts 1.
 """
 
 from __future__ import annotations
@@ -14,8 +18,8 @@ import pytest
 
 from repro.sim import CostModel, VirtualClock
 from repro.xenstore.client import XsHandle
-from repro.xenstore.clone import XsCloneOp, xs_clone
-from repro.xenstore.store import XenstoreDaemon, XenstoreError
+from repro.xenstore.clone import XsCloneOp, _rewrite_value, xs_clone
+from repro.xenstore.store import Node, XenstoreDaemon, XenstoreError
 
 BASE = "/local/domain/0/backend/9pfs"
 
@@ -35,20 +39,58 @@ def clone(daemon, child, source_domid=5):
              f"{BASE}/{source_domid}", f"{BASE}/{child}")
 
 
+def _count(entry) -> int:
+    return 1 if isinstance(entry, str) else entry.count
+
+
+def _nodes_by_path(daemon):
+    """Every ``Node`` reachable from the root, once per path to it."""
+    stack = [daemon.root]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(child for child in node.children.values()
+                     if isinstance(child, Node))
+
+
 def assert_counts_consistent(daemon):
     """Every node's ``count`` equals one plus its children's counts,
     even where subtrees are shared between several parents."""
-    stack = [daemon.root]
     total = 0
-    while stack:
-        node = stack.pop()
-        total += 1
-        assert node.count == 1 + sum(c.count for c in node.children.values())
-        stack.extend(node.children.values())
+    for node in _nodes_by_path(daemon):
+        total += 1 + sum(1 for c in node.children.values()
+                         if isinstance(c, str))
+        assert node.count == 1 + sum(_count(c)
+                                     for c in node.children.values())
     # The reachable-tree total counts shared nodes once per path, so it
     # can only exceed the daemon's (deduplicated) bookkeeping when
     # sharing is in effect -- never undershoot it.
     assert total >= daemon.node_count
+
+
+def assert_shared_nodes_marked(daemon):
+    """Every node referenced from two parents is marked ``shared`` (the
+    entry-point half of the COW invariant, and the half a mutating
+    descent relies on to know when to copy). Leaf strings are exempt:
+    they are immutable, so aliasing one needs no mark."""
+    parents: dict[int, int] = {}
+    marked: dict[int, bool] = {}
+    seen: set[int] = set()
+    stack = [daemon.root]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        for child in node.children.values():
+            if isinstance(child, Node):
+                parents[id(child)] = parents.get(id(child), 0) + 1
+                marked[id(child)] = child.shared
+                stack.append(child)
+    for node_id, nparents in parents.items():
+        if nparents > 1:
+            assert marked[node_id], \
+                "multiply-referenced node not marked shared"
 
 
 # ----------------------------------------------------------------------
@@ -178,50 +220,90 @@ def _model_remove(model: dict, path: str) -> None:
             del model[p]
 
 
-def _model_clone(model: dict, src: str, dst: str) -> None:
-    _model_write(model, dst, model[src])
+def _model_clone(model: dict, src: str, dst: str,
+                 rewrite: tuple[int, int] | None = None) -> None:
+    """Deep copy ``src`` to ``dst``; a device op rewrites every value
+    with the domid heuristics, keyed by the node's own name (the copy's
+    root by the source's name, as ``xs_clone`` does)."""
+    def copied(path: str, value: str) -> str:
+        if rewrite is None or not value:
+            return value
+        key = path.rsplit("/", 1)[-1]
+        return _rewrite_value(key, value, *rewrite)
+
+    _model_write(model, dst, copied(src, model[src]))
     prefix = src + "/"
     for p, v in list(model.items()):
         if p.startswith(prefix):
-            model[dst + p[len(src):]] = v
+            model[dst + p[len(src):]] = copied(p, v)
 
 
 def test_random_interleavings_match_deep_copy_model():
     """Random writes, removes and clones over a shared tree must stay
-    byte-identical to a flat path->value model with deep-copy clones."""
+    byte-identical to a flat path->value model with deep-copy clones.
+
+    Clones use the basic op and the device ops (whose rewrite sites the
+    model reproduces with ``_rewrite_value``); writes land on leaves,
+    below existing leaves (turning them into nodes) and on domid-bearing
+    keys; removes take leaves and whole interior directories."""
     keys = ["state", "tag", "ring-ref", "path", "mode"]
+    device_ops = [XsCloneOp.DEV_9PFS, XsCloneOp.DEV_VIF,
+                  XsCloneOp.DEV_CONSOLE]
     for seed in range(6):
         rng = random.Random(0xC10E + seed)
         daemon = XenstoreDaemon(VirtualClock(), CostModel())
         model: dict[str, str] = {}
-        for key in keys:
+        initial = {key: key for key in keys}
+        # Rewrite sites: a bare domid reference and a path-shaped value
+        # with the domid in domid position.
+        initial["frontend-id"] = "5"
+        initial["backend"] = "/local/domain/0/backend/9pfs/5/0"
+        for key, value in initial.items():
             path = f"{BASE}/5/0/{key}"
-            daemon.write_node(path, key)
-            _model_write(model, path, key)
+            daemon.write_node(path, value)
+            _model_write(model, path, value)
         roots = [5]
         next_domid = 20
-        for step in range(120):
+        for step in range(160):
             op = rng.random()
-            if op < 0.25 and len(roots) < 24:
-                src = rng.choice(roots)
+            root = rng.choice(roots)
+            if op < 0.2 and len(roots) < 24:
                 dst = next_domid
                 next_domid += 1
-                xs_clone(daemon, src, dst, XsCloneOp.BASIC,
-                         f"{BASE}/{src}", f"{BASE}/{dst}")
-                _model_clone(model, f"{BASE}/{src}", f"{BASE}/{dst}")
+                clone_op = (XsCloneOp.BASIC if rng.random() < 0.4
+                            else rng.choice(device_ops))
+                xs_clone(daemon, root, dst, clone_op,
+                         f"{BASE}/{root}", f"{BASE}/{dst}")
+                _model_clone(model, f"{BASE}/{root}", f"{BASE}/{dst}",
+                             None if clone_op is XsCloneOp.BASIC
+                             else (root, dst))
                 roots.append(dst)
-            elif op < 0.75:
-                path = (f"{BASE}/{rng.choice(roots)}/0/"
-                        f"{rng.choice(keys)}")
+            elif op < 0.5:
+                path = f"{BASE}/{root}/0/{rng.choice(keys)}"
                 value = f"v{step}"
                 daemon.write_node(path, value)
                 _model_write(model, path, value)
-            elif op < 0.9:
-                path = (f"{BASE}/{rng.choice(roots)}/0/"
+            elif op < 0.6:
+                # Re-point a domid key at the owner, making a new site.
+                path = f"{BASE}/{root}/0/frontend-id"
+                daemon.write_node(path, str(root))
+                _model_write(model, path, str(root))
+            elif op < 0.72:
+                # Below a leaf (or a directory made that way earlier).
+                path = (f"{BASE}/{root}/0/{rng.choice(keys)}/"
                         f"{rng.choice(keys)}")
+                value = f"w{step}"
+                daemon.write_node(path, value)
+                _model_write(model, path, value)
+            elif op < 0.84:
+                path = f"{BASE}/{root}/0/{rng.choice(keys)}"
+                if rng.random() < 0.3:
+                    path = f"{BASE}/{root}/0"
                 if daemon.exists(path):
-                    daemon.remove_node(path)
+                    removed = daemon.remove_node(path)
+                    before = len(model)
                     _model_remove(model, path)
+                    assert removed == before - len(model)
             elif len(roots) > 1:
                 victim = roots.pop(rng.randrange(1, len(roots)))
                 daemon.remove_node(f"{BASE}/{victim}")
@@ -241,12 +323,9 @@ def test_random_interleavings_match_deep_copy_model():
                     if p == f"{BASE}/{domid}"
                     or p.startswith(f"{BASE}/{domid}/"))
                 assert daemon.subtree_nodes(f"{BASE}/{domid}") == count
-        stack = [daemon.root]
-        while stack:
-            node = stack.pop()
-            assert node.count == \
-                1 + sum(c.count for c in node.children.values())
-            stack.extend(node.children.values())
+            assert daemon.node_count == len(model)
+            assert_shared_nodes_marked(daemon)
+        assert_counts_consistent(daemon)
 
 
 # ----------------------------------------------------------------------
@@ -274,14 +353,32 @@ def test_clone_shares_nodes_by_reference(daemon):
 
 
 def test_shared_leaf_unshared_on_write(daemon):
+    """A leaf is its value: the clone aliases the very same string, and
+    a write replaces the entry in the (un-shared) parent only."""
     clone(daemon, 9)
     source = daemon._lookup(f"{BASE}/5/0")
     child = daemon._lookup(f"{BASE}/9/0")
     assert child.children["tag"] is source.children["tag"]
     daemon.write_node(f"{BASE}/9/0/tag", "fs9")
     child = daemon._lookup(f"{BASE}/9/0")
-    assert child.children["tag"] is not source.children["tag"]
-    assert source.children["tag"].value == "fs0"
+    assert child.children["tag"] == "fs9"
+    assert source.children["tag"] == "fs0"
+
+
+def test_write_below_shared_leaf_makes_private_node(daemon):
+    """A write below a leaf turns the leaf into a node -- in the
+    writer's tree only; the parent keeps its leaf string."""
+    clone(daemon, 9)
+    daemon.write_node(f"{BASE}/9/0/tag/sub", "x")
+    assert isinstance(daemon._lookup(f"{BASE}/9/0/tag"), Node)
+    assert daemon.read_node(f"{BASE}/9/0/tag") == "fs0"
+    assert daemon.directory(f"{BASE}/9/0/tag") == ["sub"]
+    assert daemon._lookup(f"{BASE}/5/0/tag") == "fs0"
+    assert daemon.directory(f"{BASE}/5/0/tag") == []
+    assert not daemon.exists(f"{BASE}/5/0/tag/sub")
+    assert daemon.subtree_nodes(f"{BASE}/9") == \
+        daemon.subtree_nodes(f"{BASE}/5") + 1
+    assert_counts_consistent(daemon)
 
 
 def test_graft_rejects_cycle_via_nested_destination(clock, costs):
@@ -327,36 +424,32 @@ def test_shared_nodes_marked(daemon):
     each aliased entry point (the COW invariant)."""
     clone(daemon, 9)
     clone(daemon, 10)
-    # Any node referenced from two parents must itself be marked shared:
-    # that is the entry-point half of the COW invariant, and the half a
-    # mutating descent relies on to know when to copy.
-    parents: dict[int, int] = {}
-    shared_flags: dict[int, bool] = {}
-    stack = [daemon.root]
-    visited: set[int] = set()
-    while stack:
-        node = stack.pop()
-        if id(node) in visited:
-            continue
-        visited.add(id(node))
-        for child in node.children.values():
-            parents[id(child)] = parents.get(id(child), 0) + 1
-            shared_flags[id(child)] = child.shared
-            stack.append(child)
-    for node_id, nparents in parents.items():
-        if nparents > 1:
-            assert shared_flags[node_id], \
-                "multiply-referenced node not marked shared"
+    xs_clone(daemon, 5, 11, XsCloneOp.BASIC, f"{BASE}/5", f"{BASE}/11")
+    daemon.write_node(f"{BASE}/10/0/state", "6")
+    assert_shared_nodes_marked(daemon)
+    # Clone leaves are aliased strings, not per-clone objects.
+    assert daemon._lookup(f"{BASE}/11/0") is daemon._lookup(f"{BASE}/5/0")
+    for name in ("state", "path", "tag"):
+        assert daemon._lookup(f"{BASE}/9/0/{name}") is \
+            daemon._lookup(f"{BASE}/5/0/{name}")
 
 
 def test_deep_copy_ablation_unaffected(daemon):
-    """The paper's deep-copy baseline still produces private trees."""
+    """The paper's deep-copy baseline still produces private trees:
+    every directory is a node of its own, nothing is marked shared,
+    and the values match (the domid ones rewritten)."""
     handle = XsHandle(daemon)
     handle.deep_copy(5, 9, f"{BASE}/5", f"{BASE}/9")
+    for suffix in ("", "/0"):
+        source = daemon._lookup(f"{BASE}/5{suffix}")
+        child = daemon._lookup(f"{BASE}/9{suffix}")
+        assert isinstance(child, Node) and child is not source
+        assert not child.shared and not source.shared
     source = daemon._lookup(f"{BASE}/5/0")
     child = daemon._lookup(f"{BASE}/9/0")
-    for name in source.children:
-        assert child.children[name] is not source.children[name]
+    assert sorted(child.children) == sorted(source.children)
+    assert child.children["frontend-id"] == "9"
+    assert child.children["state"] == source.children["state"]
 
 
 def test_clone_missing_source_still_raises(daemon):
