@@ -67,25 +67,6 @@ class ControlPlane:
         self.fleet = fleet
         self.frontdoor = (frontdoor if frontdoor is not None
                           else FrontDoor(fleet))
-        #: The route table, openvim-style: first match wins.
-        self._routes: list[tuple[str, re.Pattern[str], Callable[..., Any]]]
-        self._routes = [
-            ("GET", re.compile(r"^/hosts$"), self._route_hosts),
-            ("GET", re.compile(r"^/hosts/(?P<name>[^/]+)$"),
-             self._route_host),
-            ("POST", re.compile(r"^/hosts/(?P<name>[^/]+)/drain$"),
-             self._route_drain),
-            ("GET", re.compile(r"^/status$"), self._route_status),
-            ("GET", re.compile(r"^/families$"), self._route_families),
-            ("POST", re.compile(r"^/families$"), self._route_create),
-            ("GET", re.compile(r"^/families/(?P<name>[^/]+)$"),
-             self._route_family),
-            ("DELETE", re.compile(r"^/families/(?P<name>[^/]+)$"),
-             self._route_destroy),
-            ("POST", re.compile(r"^/families/(?P<name>[^/]+)/clone$"),
-             self._route_clone),
-            ("POST", re.compile(r"^/dispatch$"), self._route_dispatch),
-        ]
 
     # ------------------------------------------------------------------
     # the router
@@ -95,7 +76,7 @@ class ControlPlane:
         """Route one request; never raises — errors become statuses."""
         method = method.upper()
         matched_path = False
-        for route_method, pattern, handler in self._routes:
+        for route_method, pattern, handler in self._ROUTES:
             match = pattern.match(path)
             if match is None:
                 continue
@@ -103,7 +84,7 @@ class ControlPlane:
             if route_method != method:
                 continue
             try:
-                return handler(body or {}, **match.groupdict())
+                return handler(self, body or {}, **match.groupdict())
             except Overloaded as exc:
                 # Shed by admission control: 429, not 503 — the
                 # capacity exists, the client is asked to back off for
@@ -317,3 +298,23 @@ class ControlPlane:
                     family, body.get("workload", "faas")), 6),
                 "result": result.to_dict()})
         return Response(200, result.to_dict())
+
+    #: The route table, openvim-style: first match wins. Handlers are
+    #: the plain functions above, called with the control plane, so an
+    #: instance holds no bound methods of itself.
+    _ROUTES: tuple[tuple[str, re.Pattern[str], Callable[..., Response]],
+                   ...] = (
+        ("GET", re.compile(r"^/hosts$"), _route_hosts),
+        ("GET", re.compile(r"^/hosts/(?P<name>[^/]+)$"), _route_host),
+        ("POST", re.compile(r"^/hosts/(?P<name>[^/]+)/drain$"),
+         _route_drain),
+        ("GET", re.compile(r"^/status$"), _route_status),
+        ("GET", re.compile(r"^/families$"), _route_families),
+        ("POST", re.compile(r"^/families$"), _route_create),
+        ("GET", re.compile(r"^/families/(?P<name>[^/]+)$"), _route_family),
+        ("DELETE", re.compile(r"^/families/(?P<name>[^/]+)$"),
+         _route_destroy),
+        ("POST", re.compile(r"^/families/(?P<name>[^/]+)/clone$"),
+         _route_clone),
+        ("POST", re.compile(r"^/dispatch$"), _route_dispatch),
+    )

@@ -301,10 +301,15 @@ class ReplicaServer:
         self._heap_dead += 1
         heap = self._heap
         if self._heap_dead * 2 > len(heap) and len(heap) >= _HEAP_COMPACT_MIN:
-            rebuilt = [(c.vkey, c.seq, c) for c in self.jobs]
-            heapq.heapify(rebuilt)
-            self._heap = rebuilt
-            self._heap_dead = 0
+            self._compact()
+
+    def _compact(self) -> None:
+        """Rebuild the departure heap from the jobs in service, dropping
+        every dead entry."""
+        rebuilt = [(c.vkey, c.seq, c) for c in self.jobs]
+        heapq.heapify(rebuilt)
+        self._heap = rebuilt
+        self._heap_dead = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"ReplicaServer({self.host}/{self.domid}, "
@@ -497,6 +502,7 @@ class FrontDoor:
             request = copy.request
             if not request.resolved and not request.active_copies():
                 self._fail(request, self._run)
+        server._compact()
 
     # ------------------------------------------------------------------
     # workload runs
@@ -668,6 +674,12 @@ class FrontDoor:
             self._dep_heap = None
             for handle in periodic:
                 handle.cancel()
+            # Between runs no copy is in service: drop the dead heap
+            # entries, whose copies point back at their server.
+            for pool in self._pools.values():
+                for server in pool.values():
+                    if server._heap_dead:
+                        server._compact()
         self._flush_run(run)
         self._run = None
         self._active_res = None

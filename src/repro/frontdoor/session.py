@@ -67,17 +67,24 @@ class FleetSession:
         return False
 
     def close(self, check: bool = True) -> None:
-        """Quiesce the fleet; optionally run the fleet-wide leak oracle."""
+        """Quiesce the fleet; optionally run the fleet-wide leak oracle;
+        then take every host apart (:meth:`Platform.close`), so the
+        fleet is freed by reference count once the session is dropped.
+        """
         if self._closed:
             return
         self._closed = True
         self.fleet.shutdown()
-        if check:
-            violations = audit_fleet(self.fleet, self.frontdoor)
-            if violations:
-                raise FrontDoorError(
-                    "fleet audit failed on session close: "
-                    + "; ".join(violations))
+        try:
+            if check:
+                violations = audit_fleet(self.fleet, self.frontdoor)
+                if violations:
+                    raise FrontDoorError(
+                        "fleet audit failed on session close: "
+                        + "; ".join(violations))
+        finally:
+            for host in self.fleet.hosts:
+                host.platform.close()
 
     # ------------------------------------------------------------------
     # control-plane verbs

@@ -55,22 +55,28 @@ class Histogram:
         return self.total / self.count if self.count else 0.0
 
     def quantile(self, q: float) -> float:
-        """Approximate quantile from the bucket counts.
+        """Approximate quantile from the bucket counts, inside the
+        observed range.
 
-        Returns the upper bound of the bucket containing the ``q``-th
-        observation (the exact max for the open-ended last bucket).
+        ``q`` = 0 and 1 give the exact min and max. In between, the
+        result is the upper bound of the bucket holding the ``q``-th
+        observation, clamped to ``[min, max]`` (so the open-ended last
+        bucket, or a bucket bound above every observation, gives the
+        exact max). 0.0 when nothing was observed.
         """
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile out of range: {q}")
         if self.count == 0:
             return 0.0
+        if q == 0.0:
+            return self.min
         target = q * self.count
         seen = 0
-        for i, n in enumerate(self.buckets):
+        for i, n in enumerate(self.buckets[:-1]):
             seen += n
             if seen >= target:
-                return (DEFAULT_BUCKET_BOUNDS[i]
-                        if i < len(DEFAULT_BUCKET_BOUNDS) else self.max)
+                return min(max(DEFAULT_BUCKET_BOUNDS[i], self.min),
+                           self.max)
         return self.max
 
     def to_dict(self) -> dict[str, Any]:

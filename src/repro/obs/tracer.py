@@ -7,6 +7,13 @@ xencloned while the CLONEOP hypercall is in flight is recorded as a
 child of the clone operation's span - the per-stage breakdowns of the
 paper's Fig 6 fall directly out of this structure.
 
+Tracing is cheap enough to leave on. A probe allocates one object, the
+open span (its own context manager), besides its keyword dict; an
+event allocates none. A finished span is packed into the
+:class:`~repro.obs.span.SpanRing` (no ``Span`` is kept), and each kind
+keeps one running aggregate, its self-time total, beside the
+``span_ms.<kind>`` histogram that holds its count, total and max.
+
 Tracing must cost (virtually) nothing when off: the module-level
 :data:`NULL_TRACER` implements the same surface as no-op methods
 returning a shared singleton span, so instrumented hot paths run a
@@ -65,48 +72,52 @@ class NullTracer:
 NULL_TRACER = NullTracer()
 
 
-class _OpenSpan:
-    """Context manager for one in-flight span of a real tracer."""
+class _OpenSpan(Span):
+    """One in-flight span of a real tracer, and its own context manager.
 
-    __slots__ = ("_tracer", "_kind", "_attrs", "_span")
+    :meth:`Tracer.span` builds it, so a probe allocates this one object
+    (plus its keyword dict). On exit its fields, attributes included,
+    are packed into the tracer's ring and the object is left to the
+    caller, closed: attributes set after that are not recorded.
+    """
 
-    def __init__(self, tracer: "Tracer", kind: str,
-                 attrs: dict[str, Any]) -> None:
-        self._tracer = tracer
-        self._kind = kind
-        self._attrs = attrs
-        self._span: Span | None = None
+    __slots__ = ("_tracer",)
 
-    def __enter__(self) -> Span:
-        # The body of Tracer._open, inlined: spans bracket the hottest
-        # simulated paths, so entering one must cost a fixed handful of
-        # calls. ``clock._now`` is the VirtualClock backing field (the
-        # tracer is documented as keyed to a VirtualClock), and the Span
-        # is built by direct slot assignment to skip the dataclass
-        # ``__init__``'s keyword plumbing.
+    def __enter__(self) -> "_OpenSpan":
+        # Spans bracket the hottest simulated paths, so entering one
+        # must cost a fixed handful of operations. ``clock._now`` is the
+        # VirtualClock backing field (the tracer is documented as keyed
+        # to a VirtualClock).
         tracer = self._tracer
         stack = tracer._stack
-        span = self._span = Span.__new__(Span)
-        span.kind = self._kind
-        span.start_ms = tracer.clock._now
-        span.span_id = tracer._next_id
-        span.parent_id = stack[-1].span_id if stack else None
-        span.depth = len(stack)
-        span.end_ms = None
-        span.children_ms = 0.0
-        span.attrs = self._attrs
+        self.start_ms = tracer.clock._now
+        self.span_id = tracer._next_id
+        self.parent_id = stack[-1].span_id if stack else None
+        self.depth = len(stack)
         tracer._next_id += 1
-        stack.append(span)
-        return span
+        stack.append(self)
+        return self
 
     def __exit__(self, *exc_info: object) -> bool:
-        self._tracer._close(self._span)
+        tracer = self._tracer
+        now = tracer.clock._now
+        self.end_ms = now
+        # Unwind to (and including) this span; tolerate callers that
+        # closed out of order by closing the intermediates too.
+        stack = tracer._stack
+        while stack:
+            top = stack.pop()
+            end = top.end_ms
+            if end is None:
+                end = top.end_ms = now
+            start = top.start_ms
+            if stack:
+                stack[-1].children_ms += end - start
+            tracer._record(top.kind, start, end, top.children_ms,
+                           top.span_id, top.parent_id, top.depth, top.attrs)
+            if top is self:
+                break
         return False
-
-    def set(self, **attrs: Any) -> "_OpenSpan":
-        """Attach attributes before (or instead of) entering."""
-        self._attrs.update(attrs)
-        return self
 
 
 class Tracer:
@@ -129,10 +140,11 @@ class Tracer:
         self.host = host
         self.ring = SpanRing(capacity)
         self.registry = MetricsRegistry()
-        self._stack: list[Span] = []
+        self._stack: list[_OpenSpan] = []
         self._next_id = 1
         #: Per-kind running aggregates, immune to ring eviction:
-        #: kind -> [count, total_ms, self_ms, max_ms, histogram].
+        #: kind -> [self_ms, histogram]. The ``span_ms.<kind>`` histogram
+        #: holds the count, total and max.
         self._agg: dict[str, list] = {}
 
     # ------------------------------------------------------------------
@@ -140,72 +152,51 @@ class Tracer:
     # ------------------------------------------------------------------
     def span(self, kind: str, **attrs: Any) -> _OpenSpan:
         """A context manager recording one nested span of kind ``kind``."""
-        return _OpenSpan(self, kind, attrs)
+        span = _OpenSpan.__new__(_OpenSpan)
+        span._tracer = self
+        span.kind = kind
+        span.attrs = attrs
+        span.end_ms = None
+        span.children_ms = 0.0
+        return span
 
-    def _close(self, span: Span | None) -> None:
-        if span is None:  # pragma: no cover - defensive
-            return
-        now = self.clock._now
-        span.end_ms = now
-        # Unwind to (and including) this span; tolerate callers that
-        # closed out of order by closing the intermediates too.
-        stack = self._stack
-        while stack:
-            top = stack.pop()
-            end = top.end_ms
-            if end is None:
-                end = top.end_ms = now
-            duration = end - top.start_ms
-            if stack:
-                stack[-1].children_ms += duration
-            self._record(top, duration)
-            if top is span:
-                break
-
-    def _record(self, span: Span, duration: float | None = None) -> None:
-        if duration is None:
-            end = span.end_ms
-            duration = 0.0 if end is None else end - span.start_ms
-        ring = self.ring
-        ring._spans.append(span)
-        ring.pushed += 1
-        agg = self._agg.get(span.kind)
+    def _record(self, kind: str, start_ms: float, end_ms: float,
+                children_ms: float, span_id: int, parent_id: int | None,
+                depth: int, attrs: dict[str, Any]) -> None:
+        self.ring.write(kind, start_ms, end_ms, children_ms, span_id,
+                        parent_id, depth, attrs)
+        agg = self._agg.get(kind)
         if agg is None:
             # The per-kind histogram rides along in the aggregate slot
             # so steady-state recording skips the registry lookup (and
             # its name formatting) entirely.
-            agg = self._agg[span.kind] = [
-                0, 0.0, 0.0, 0.0,
-                self.registry.histogram(f"span_ms.{span.kind}")]
-        agg[0] += 1
-        agg[1] += duration
-        self_ms = duration - span.children_ms
-        agg[2] += self_ms if self_ms > 0.0 else 0.0
-        if duration > agg[3]:
-            agg[3] = duration
-        agg[4].observe(duration)
+            agg = self._agg[kind] = [
+                0.0, self.registry.histogram(f"span_ms.{kind}")]
+        duration = end_ms - start_ms
+        self_ms = duration - children_ms
+        if self_ms > 0.0:
+            agg[0] += self_ms
+        agg[1].observe(duration)
 
     def event(self, kind: str, **attrs: Any) -> None:
         """Record an instantaneous (zero-duration) span."""
         now = self.clock._now
         stack = self._stack
-        span = Span.__new__(Span)
-        span.kind = kind
-        span.start_ms = now
-        span.span_id = self._next_id
-        span.parent_id = stack[-1].span_id if stack else None
-        span.depth = len(stack)
-        span.end_ms = now
-        span.children_ms = 0.0
-        span.attrs = attrs
-        self._next_id += 1
-        self._record(span)
+        span_id = self._next_id
+        self._next_id = span_id + 1
+        self._record(kind, now, now, 0.0, span_id,
+                     stack[-1].span_id if stack else None, len(stack),
+                     attrs)
 
     # ------------------------------------------------------------------
     # introspection / export
     # ------------------------------------------------------------------
     def spans(self, kind: str | None = None) -> list[Span]:
-        """Stored spans, optionally filtered by kind, oldest first."""
+        """Stored spans, optionally filtered by kind, oldest first.
+
+        Each call builds fresh ``Span`` objects from the ring's packed
+        records; changing one changes nothing recorded.
+        """
         if kind is None:
             return list(self.ring)
         return self.ring.by_kind(kind)
@@ -221,14 +212,17 @@ class Tracer:
         span ring has started evicting old spans.
         """
         result: dict[str, dict[str, float]] = {}
-        for kind in sorted(self._agg, key=lambda k: -self._agg[k][1]):
-            count, total, self_total, max_ms = self._agg[kind][:4]
+        agg = self._agg
+        for kind in sorted(agg, key=lambda k: -agg[k][1].total):
+            self_total, histogram = agg[kind]
+            count = histogram.count
+            total = histogram.total
             result[kind] = {
-                "count": int(count),
+                "count": count,
                 "total_ms": total,
                 "self_ms": self_total,
-                "mean_ms": total / count if count else 0.0,
-                "max_ms": max_ms,
+                "mean_ms": total / count,
+                "max_ms": histogram.max,
             }
         return result
 

@@ -1,9 +1,10 @@
 """Per-clone heap and lifetime: a clone holds only what it cannot share,
-and a destroyed domain -- or a closed session's whole platform -- is
-freed by reference count, not by the cyclic collector.
+a kept span only its packed record, and a destroyed domain -- or a
+closed session's whole platform -- is freed by reference count, not by
+the cyclic collector.
 
-The per-clone measurement and its budgets live in ``tests.heap_budget``,
-which runs without pytest.
+The per-clone and per-span measurements and their budgets live in
+``tests.heap_budget``, which runs without pytest.
 """
 
 from __future__ import annotations
@@ -14,9 +15,14 @@ import weakref
 
 import pytest
 
-from repro import NepheleSession, P9Config
+from repro import FleetSession, NepheleSession, P9Config
 from repro.apps.udp_server import UdpServerApp
-from tests.heap_budget import BUDGETS, per_clone_heap
+from tests.heap_budget import (
+    BUDGETS,
+    SPAN_BUDGETS,
+    per_clone_heap,
+    per_span_heap,
+)
 
 
 @pytest.fixture
@@ -100,6 +106,26 @@ def test_closed_session_platform_dies_at_close(gc_off):
     _assert_no_cyclic_garbage()
 
 
+@pytest.mark.parametrize("dispatch", [False, True])
+def test_closed_fleet_session_dies_at_close(gc_off, dispatch):
+    session = FleetSession(hosts=2)
+    session.create_family("f", ip="10.9.0.1")
+    session.clone("f", count=2)
+    if dispatch:
+        result = session.dispatch("f", "faas", requests=200,
+                                  arrival_rps=100.0, clone_factor=2)
+        assert result.completed == 200
+        del result
+    refs = [(host.name, weakref.ref(host.platform))
+            for host in session.fleet.hosts]
+    refs += [("fleet", weakref.ref(session.fleet)),
+             ("frontdoor", weakref.ref(session.frontdoor))]
+    session.close()
+    del session
+    _assert_dead(refs)
+    _assert_no_cyclic_garbage()
+
+
 @pytest.mark.skipif(sys.implementation.name != "cpython"
                     or sys.version_info[:2] not in BUDGETS,
                     reason="budgets are pinned for CPython 3.10-3.12")
@@ -108,3 +134,12 @@ def test_per_clone_heap_budget():
     max_objects, max_bytes = BUDGETS[sys.version_info[:2]]
     assert objects <= max_objects, f"{objects:.2f} objects per clone"
     assert held <= max_bytes, f"{held:.0f} bytes per clone"
+
+
+@pytest.mark.skipif(sys.implementation.name != "cpython"
+                    or sys.version_info[:2] not in SPAN_BUDGETS,
+                    reason="budgets are pinned for CPython 3.10-3.12")
+def test_per_span_heap_budget():
+    held = per_span_heap()
+    assert held <= SPAN_BUDGETS[sys.version_info[:2]], (
+        f"{held:.1f} bytes per span")

@@ -96,6 +96,28 @@ def test_open_span_duration_is_zero(clock):
     assert span.self_ms == 0.0
 
 
+def test_open_span_is_its_own_context_manager(tracer, clock):
+    probe = tracer.span("k", a=1)
+    with probe as span:
+        assert span is probe
+        assert isinstance(span, Span)
+        clock.charge(1.0)
+        assert span.end_ms is None and span.duration_ms == 0.0
+    assert span.duration_ms == 1.0
+
+
+def test_spans_returns_fresh_snapshots(tracer, clock):
+    with tracer.span("k", a=1) as live:
+        clock.charge(2.0)
+    (first,) = tracer.spans("k")
+    assert first.to_dict() == live.to_dict()
+    first.attrs["a"] = 9
+    first.end_ms = 0.0
+    (again,) = tracer.spans("k")
+    assert again is not first
+    assert again.to_dict() == live.to_dict()
+
+
 # ----------------------------------------------------------------------
 # ring buffer
 # ----------------------------------------------------------------------
@@ -140,6 +162,16 @@ def test_histogram_stats_and_quantile():
     assert histogram.quantile(1.0) >= 8.0
     with pytest.raises(ValueError):
         histogram.quantile(1.5)
+
+
+def test_histogram_quantile_stays_inside_observed_range():
+    histogram = Histogram("h")
+    for value in (5.0, 6.0, 7.0):
+        histogram.observe(value)
+    assert histogram.quantile(0.0) == 5.0
+    assert histogram.quantile(1.0) == 7.0
+    assert all(5.0 <= histogram.quantile(q / 20) <= 7.0 for q in range(21))
+    assert Histogram("empty").quantile(0.5) == 0.0
 
 
 def test_histogram_default_bounds_cover_microseconds_to_seconds():
