@@ -20,6 +20,9 @@ class UdpServerApp(GuestApp):
 
     image_name = "minios-udp"
 
+    __slots__ = ("host_ip", "notify_port", "listen_port",
+                 "requests_served", "_api")
+
     def __init__(self, host_ip: str = HOST_IP, notify_port: int = 9999,
                  listen_port: int = 9000) -> None:
         self.host_ip = host_ip

@@ -148,12 +148,6 @@ class CloneOp:
             children: list[Domain] = []
             for i in range(count):
                 child_index = parent.clones_created
-                # Domids are allocated monotonically, so "domains that
-                # appeared during this first stage" is just "domid >=
-                # the allocator's current value" — snapshotting the
-                # whole domain set per child would be O(fleet) on the
-                # success path.
-                known_mark = hyp._next_domid
                 try:
                     with tracer.span("clone.first_stage",
                                      parent=parent.domid) as span:
@@ -161,13 +155,13 @@ class CloneOp:
                             hyp, parent, child_index, self.stats)
                         span.set(child=child.domid)
                 except Exception:
-                    # Unwind the partial child (ENOMEM mid-stage, ...) and
-                    # every earlier sibling whose second stage has not run
-                    # yet: the parent must come back runnable and nothing
-                    # may leak (domains, ring entries, pending records).
+                    # The failed stage destroyed its partial child
+                    # (ENOMEM mid-stage, ...); unwind every earlier
+                    # sibling whose second stage has not run yet: the
+                    # parent must come back runnable and nothing may
+                    # leak (domains, ring entries, pending records).
                     hyp.faults.aborted("clone.first_stage")
                     self._abort_unplumbed_children(parent, children)
-                    self._abort_partial_clone(known_mark)
                     self._restore_parent(parent, previous_state)
                     raise
                 parent.clones_created += 1
@@ -184,7 +178,7 @@ class CloneOp:
                     self._failed.pop(child.domid, None)
                     parent.clones_created -= 1
                     self._abort_unplumbed_children(parent, children)
-                    self._abort_partial_clone(known_mark)
+                    hyp.destroy_domain(child.domid)
                     self._restore_parent(parent, previous_state)
                     raise
                 children.append(child)
@@ -264,14 +258,6 @@ class CloneOp:
             self.hypervisor.unpause_domain(parent.domid)
         else:
             parent.state = previous_state
-
-    def _abort_partial_clone(self, known_mark: int) -> None:
-        """Destroy every domain allocated at or after ``known_mark``
-        (the domid allocator's value when the failed first stage
-        began); only runs on the failure path."""
-        hyp = self.hypervisor
-        for domid in [d for d in hyp.domains if d >= known_mark]:
-            hyp.destroy_domain(domid)
 
     def _notify(self, parent: Domain, child: Domain) -> None:
         """Queue a child's second-stage notification.

@@ -21,91 +21,100 @@ def clone_domain(hypervisor: Hypervisor, parent: Domain,
 
     The caller (CLONEOP) is responsible for policy checks, pausing the
     parent, pushing the notification and raising VIRQ_CLONED. The
-    pages shared and copied are added to the caller's ``stats``.
+    pages shared and copied are added to the caller's ``stats``. A
+    failing stage destroys the child it created before it re-raises.
     """
     costs = hypervisor.costs
     clock = hypervisor.clock
     tracer = hypervisor.tracer
 
-    with tracer.span("first_stage.domain_copy"):
-        clock.charge(costs.clone_first_stage_fixed)
+    child = None
+    try:
+        with tracer.span("first_stage.domain_copy"):
+            clock.charge(costs.clone_first_stage_fixed)
 
-        # struct domain copy + special pages + paging frames. Copying the
-        # parent's structures is cheaper than creating them from scratch,
-        # so the creation fixed cost is not charged here.
-        child = hypervisor.create_domain(
-            name="",  # xencloned generates and sets the clone's name
-            memory_bytes=parent.memory_bytes,
-            vcpus=len(parent.vcpus),
-            populate=False,
-            overhead_pages=costs.hyp_per_clone_overhead_pages,
-            charge_create=False,
-        )
-        # Unnamed, like the domain, until xencloned names both.
-        child.config = (parent.config.for_clone(child.name)
-                        if parent.config is not None else None)
+            # struct domain copy + special pages + paging frames. Copying the
+            # parent's structures is cheaper than creating them from scratch,
+            # so the creation fixed cost is not charged here.
+            child = hypervisor.create_domain(
+                name="",  # xencloned generates and sets the clone's name
+                memory_bytes=parent.memory_bytes,
+                vcpus=len(parent.vcpus),
+                populate=False,
+                overhead_pages=costs.hyp_per_clone_overhead_pages,
+                charge_create=False,
+            )
+            # Unnamed, like the domain, until xencloned names both.
+            child.config = (parent.config.for_clone(child.name)
+                            if parent.config is not None else None)
 
-        # vCPUs: affinity and user registers, rax fixed up (paper §5.2).
-        child.vcpus = [vcpu.clone_for_child(child_index)
-                       for vcpu in parent.vcpus]
+            # vCPUs: affinity and user registers, rax fixed up (paper §5.2).
+            child.vcpus = [vcpu.clone_for_child(child_index)
+                           for vcpu in parent.vcpus]
 
-        # Private Xen pages were freshly allocated by create_domain; their
-        # contents are rewritten from the parent's (domid references etc.).
-        clock.charge(costs.page_copy * len(child.special))
+            # Private Xen pages were freshly allocated by create_domain; their
+            # contents are rewritten from the parent's (domid references etc.).
+            clock.charge(costs.page_copy * len(child.special))
 
-    # Memory: share every shareable parent segment with the child.
-    with tracer.span("first_stage.memory_share") as span:
-        shared_pages = 0
-        newly_shared = 0
-        for segment in parent.memory.shareable_segments():
-            extent = segment.extent
-            if not extent.shared:
-                hypervisor.frames.share_to_cow(extent)
-                newly_shared += segment.npages
-            hypervisor.frames.add_sharer(extent)
-            child.memory.adopt_segment(segment)
-            shared_pages += segment.npages
-        clock.charge(costs.share_page * newly_shared)
-        span.set(shared_pages=shared_pages, newly_shared=newly_shared)
+        # Memory: share every shareable parent segment with the child.
+        with tracer.span("first_stage.memory_share") as span:
+            shared_pages = 0
+            newly_shared = 0
+            for segment in parent.memory.shareable_segments():
+                extent = segment.extent
+                if not extent.shared:
+                    hypervisor.frames.share_to_cow(extent)
+                    newly_shared += segment.npages
+                hypervisor.frames.add_sharer(extent)
+                child.memory.adopt_segment(segment)
+                shared_pages += segment.npages
+            clock.charge(costs.share_page * newly_shared)
+            span.set(shared_pages=shared_pages, newly_shared=newly_shared)
 
-    # Page table and p2m cloning: the per-entry work that dominates for
-    # large guests (paper §4.1 and Fig 6).
-    with tracer.span("first_stage.pt_clone", pages=shared_pages):
-        clock.charge((costs.pt_entry_clone + costs.p2m_entry_clone)
-                     * shared_pages)
+        # Page table and p2m cloning: the per-entry work that dominates for
+        # large guests (paper §4.1 and Fig 6).
+        with tracer.span("first_stage.pt_clone", pages=shared_pages):
+            clock.charge((costs.pt_entry_clone + costs.p2m_entry_clone)
+                         * shared_pages)
 
-    # Grant table and event channels.
-    with tracer.span("first_stage.grants_events"):
-        if hypervisor.faults.enabled:
-            hypervisor.faults.fire("grants.clone", parent=parent.domid,
-                                   child=child.domid)
-        child.grants = parent.grants.clone_for_child(child.domid)
-        clock.charge(costs.grant_entry_clone * len(parent.grants))
-        if hypervisor.faults.enabled:
-            hypervisor.faults.fire("events.clone", parent=parent.domid,
-                                   child=child.domid)
-        child.events = parent.events.clone_for_child(child.domid)
-        clock.charge(costs.evtchn_op * len(parent.events))
-        hypervisor.connect_idc_child(parent, child)
+        # Grant table and event channels.
+        with tracer.span("first_stage.grants_events"):
+            if hypervisor.faults.enabled:
+                hypervisor.faults.fire("grants.clone", parent=parent.domid,
+                                       child=child.domid)
+            child.grants = parent.grants.clone_for_child(child.domid)
+            clock.charge(costs.grant_entry_clone * len(parent.grants))
+            if hypervisor.faults.enabled:
+                hypervisor.faults.fire("events.clone", parent=parent.domid,
+                                       child=child.domid)
+            child.events = parent.events.clone_for_child(child.domid)
+            clock.charge(costs.evtchn_op * len(parent.events))
+            hypervisor.connect_idc_child(parent, child)
 
-    # Family bookkeeping.
-    child.parent_id = parent.domid
-    parent.children.append(child.domid)
-    child.enable_cloning(parent.max_clones)
+        # Family bookkeeping.
+        child.parent_id = parent.domid
+        parent.children.append(child.domid)
+        child.enable_cloning(parent.max_clones)
 
-    # Guest-level state: device frontends (rings and RX buffers are
-    # copied - the clone's dominant private memory) and the application.
-    copied_pages = 0
-    if parent.guest is not None:
-        with tracer.span("first_stage.guest_copy") as span:
-            copied_pages = parent.guest.clone_for_child(child, child_index)
-            clock.charge(costs.page_copy * copied_pages)
-            span.set(copied_pages=copied_pages)
+        # Guest-level state: device frontends (rings and RX buffers are
+        # copied - the clone's dominant private memory) and the application.
+        copied_pages = 0
+        if parent.guest is not None:
+            with tracer.span("first_stage.guest_copy") as span:
+                copied_pages = parent.guest.clone_for_child(child, child_index)
+                clock.charge(costs.page_copy * copied_pages)
+                span.set(copied_pages=copied_pages)
 
-    stats["pages_shared"] += shared_pages
-    stats["pages_copied"] += copied_pages
-    child.state = DomainState.PAUSED
-    return child
+        stats["pages_shared"] += shared_pages
+        stats["pages_copied"] += copied_pages
+        child.state = DomainState.PAUSED
+        return child
+    except Exception:
+        # The stage unwinds the one domain it created, through the
+        # destroy path, before the error reaches CLONEOP.
+        if child is not None:
+            hypervisor.destroy_domain(child.domid)
+        raise
 
 
 def make_notification(parent: Domain, child: Domain) -> CloneNotification:

@@ -13,6 +13,7 @@ completion back to the hypervisor via CLONEOP.
 from __future__ import annotations
 
 import enum
+import weakref
 
 from repro.core.cloneop import CloneOp
 from repro.errors import ReproError
@@ -61,8 +62,10 @@ class Xencloned:
         self.handle = XsHandle(dom0.xenstore, client="xencloned")
         #: Parents whose Xenstore info is cached ("on first cloning the
         #: parent Xenstore information is read and cached by xencloned to
-        #: speed up future invocations", paper §6.2).
-        self._parent_cache: set[int] = set()
+        #: speed up future invocations", paper §6.2). Held weakly: an
+        #: entry dies with its domain, so a domain that later gets the
+        #: same domid reads its info again.
+        self._parent_cache: weakref.WeakSet[Domain] = weakref.WeakSet()
         self.clones_completed = 0
 
         hypervisor.register_virq_handler(VIRQ_CLONED, self._on_virq)
@@ -121,10 +124,10 @@ class Xencloned:
                 # 2. Parent-info cache: the first clone of a parent reads
                 # the parent's Xenstore info (one extra request); later
                 # clones skip it.
-                if parent_domid not in self._parent_cache:
+                if parent not in self._parent_cache:
                     self.handle.read_maybe(
                         f"/local/domain/{parent_domid}/name")
-                    self._parent_cache.add(parent_domid)
+                    self._parent_cache.add(parent)
 
             with tracer.span("clone.second_stage.name"):
                 # 3. Generate + set the clone's name. xencloned guarantees

@@ -29,6 +29,8 @@ class ConsoleFrontend:
 
     device_class = "console"
 
+    __slots__ = ("domid", "output", "sink", "__weakref__")
+
     def __init__(self, domain: Domain) -> None:
         self.domid = domain.domid
         # The ring lives in the domain's dedicated console page

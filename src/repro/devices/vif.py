@@ -49,6 +49,10 @@ class NetFrontend:
 
     device_class = "vif"
 
+    __slots__ = ("domid", "index", "mac", "ip", "tx_ring", "rx_ring",
+                 "rx_buffers", "tx_buffers", "guest", "backend",
+                 "tx_count", "rx_count", "__weakref__")
+
     def __init__(self, domain: Domain, index: int, mac: str, ip: str) -> None:
         self.domid = domain.domid
         self.index = index

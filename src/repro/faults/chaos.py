@@ -44,13 +44,10 @@ def audit_platform(platform: Any) -> list[str]:
     from repro.xen.domid import DOM0, DOMID_COW, XEN_OWNER
 
     accounted = live | {DOM0, DOMID_COW, XEN_OWNER}
-    for domid in range(1, hyp._next_domid):
-        if domid in accounted:
+    for owner, owned in sorted(frames._owned.items()):
+        if owner in accounted:
             continue
-        owned = frames.pages_owned(domid)
-        if owned:
-            violations.append(
-                f"dead domain {domid} still owns {owned} frames")
+        violations.append(f"dead domain {owner} still owns {owned} frames")
 
     for domain in hyp.domains.values():
         for channel in domain.events.ports.values():

@@ -136,8 +136,9 @@ SITES: dict[str, InjectionSite] = {
             "Cloning the parent's grant table into the child fails.",
             "gnttab_init/grow failing for the child during the "
             "first-stage grant-table copy (paper §5.2.2).",
-            "CLONEOP destroys the half-built child via the domid-diff "
-            "unwind; the parent's grant table is never mutated.",
+            "The first stage destroys the half-built child it created "
+            "and CLONEOP unwinds the batch; the parent's grant table "
+            "is never mutated.",
         ),
         _site(
             "events.clone", SiteMode.RAISE, FaultKind.ENOMEM,
@@ -146,8 +147,8 @@ SITES: dict[str, InjectionSite] = {
             "wiring) into the child fails.",
             "evtchn allocation failure while replicating the parent's "
             "ports and binding the clone to its IDC channels (§5.2.2).",
-            "Same domid-diff unwind; IDC child endpoints are only "
-            "linked after success, so siblings keep their fan-out.",
+            "Same unwind; IDC child endpoints are only linked after "
+            "success, so siblings keep their fan-out.",
         ),
         _site(
             "grants.map", SiteMode.RAISE, FaultKind.EIO,

@@ -42,6 +42,8 @@ class GuestAPI:
     ``domain.guest``, so the pair dies by refcount.
     """
 
+    __slots__ = ("platform", "domain", "__weakref__")
+
     def __init__(self, vm: "UnikernelVM") -> None:
         self.platform = vm.platform
         self.domain = vm.domain

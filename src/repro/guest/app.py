@@ -23,6 +23,10 @@ class GuestApp:
     #: Image the app is built into (key of repro.guest.image.IMAGES).
     image_name = "minios-udp"
 
+    # Slotless, so a subclass that declares ``__slots__`` is slotted;
+    # one that does not gets its ``__dict__`` as usual.
+    __slots__ = ()
+
     def main(self, api: "GuestAPI") -> None:
         """Entry point; runs once at boot (or restore). Event-driven
         apps register handlers here and return."""

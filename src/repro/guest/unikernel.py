@@ -28,6 +28,10 @@ class UnikernelVM:
     #: the ~1.4 MiB per-clone private memory of Fig 5.
     RESUME_DIRTY_PAGES = 28
 
+    __slots__ = ("platform", "domain", "image", "app", "udp_handlers",
+                 "_api", "kernel_pages", "heap_base_pfn", "heap_npages",
+                 "heap_cursor", "__weakref__")
+
     def __init__(self, platform: Any, domain: Domain, image: UnikernelImage,
                  app: "GuestApp | None" = None) -> None:
         self.platform = platform

@@ -13,6 +13,8 @@ from typing import Iterator
 class IntervalSet:
     """Set of non-overlapping half-open integer intervals ``[start, end)``."""
 
+    __slots__ = ("_starts", "_ends", "_count")
+
     def __init__(self) -> None:
         self._starts: list[int] = []
         self._ends: list[int] = []

@@ -9,7 +9,7 @@ domctl (paper §5.1, toolstack-hypervisor interface).
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from repro.xen.errors import XenInvalidError, XenNoMemoryError
 from repro.xen.events import EventChannelTable
@@ -18,9 +18,6 @@ from repro.xen.grants import GrantTable
 from repro.xen.memory import GuestMemory
 from repro.xen.paging import PagingState
 from repro.xen.vcpu import VCPU
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.units import PAGE_SIZE  # noqa: F401
 
 
 class DomainState(enum.Enum):
@@ -48,10 +45,17 @@ SPECIAL_PAGES = (
 class Domain:
     """One guest VM (or Dom0)."""
 
+    __slots__ = (
+        "domid", "name", "privileged", "state", "memory_bytes",
+        "ram_budget_pages", "vcpus", "memory", "paging", "grants",
+        "events", "foreign_maps", "special", "overhead_extent",
+        "cloning_enabled", "max_clones", "clones_created", "parent_id",
+        "children", "frontends", "guest", "config", "__weakref__")
+
     def __init__(self, domid: int, name: str, frame_table: FrameTable,
                  memory_bytes: int, vcpu_count: int = 1,
                  privileged: bool = False) -> None:
-        from repro.sim.units import PAGE_SIZE, pages_of
+        from repro.sim.units import pages_of
 
         if vcpu_count < 1:
             raise XenInvalidError(f"domain needs at least one vCPU: {vcpu_count}")
@@ -86,7 +90,6 @@ class Domain:
         self.guest: Any = None
         #: Toolstack configuration this domain was created from.
         self.config: Any = None
-        self._page_size = PAGE_SIZE
 
     # ------------------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

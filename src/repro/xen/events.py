@@ -74,6 +74,8 @@ class EventChannel:
 class EventChannelTable:
     """Per-domain port table."""
 
+    __slots__ = ("domid", "ports", "_next_port")
+
     def __init__(self, domid: int) -> None:
         self.domid = domid
         self.ports: dict[int, EventChannel] = {}

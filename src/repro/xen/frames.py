@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 import itertools
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.faults.injector import NULL_INJECTOR
 from repro.xen.domid import DOMID_COW, DOMID_INVALID
@@ -58,8 +58,6 @@ PRIVATE_PAGE_TYPES = frozenset(
     }
 )
 
-
-_extent_ids = itertools.count(1)
 
 #: Run value of pages freed or adopted out of their extent.
 _DEAD = None
@@ -176,6 +174,9 @@ class Extent:
     count: int
     owner: int
     page_type: PageType
+    #: Drawn from the owning :class:`FrameTable`: ids, like frame
+    #: numbers, are per host.
+    extent_id: int
     writable: bool = True
     label: str = ""
     #: True once ownership moved to dom_cow and refcounting is active.
@@ -184,7 +185,6 @@ class Extent:
     refs: PageRefs | None = None
     #: True once the extent was split; its pages live on in the parts.
     retired: bool = False
-    extent_id: int = field(default_factory=lambda: next(_extent_ids))
 
     base_ref = _refs_field("base_ref", 0)
     freed = _refs_field("freed", 0)
@@ -321,6 +321,7 @@ class FrameTable:
         #: the platform injector here, everyone else gets the no-op.
         self.faults = NULL_INJECTOR
         self._owned: dict[int, int] = {}
+        self._extent_ids = itertools.count(1)
         #: Cumulative counters, for tests and experiment reporting.
         self.stats = {
             "allocs": 0,
@@ -355,7 +356,8 @@ class FrameTable:
         self._credit(owner, count)
         self.stats["allocs"] += count
         return Extent(count=count, owner=owner, page_type=page_type,
-                      writable=writable, label=label)
+                      extent_id=next(self._extent_ids), writable=writable,
+                      label=label)
 
     def split_private(self, extent: Extent,
                       parts: list[tuple[int, PageType, str]]) -> list[Extent]:
@@ -378,6 +380,7 @@ class FrameTable:
                 f"extent has {extent.count}")
         pieces = [
             Extent(count=count, owner=extent.owner, page_type=page_type,
+                   extent_id=next(self._extent_ids),
                    writable=extent.writable, label=label)
             for count, page_type, label in parts if count > 0
         ]
@@ -547,7 +550,7 @@ class FrameTable:
         self._credit(new_owner, count)
         self.stats["cow_adoptions"] += count
         return Extent(count=count, owner=new_owner, page_type=PageType.NORMAL,
-                      writable=True,
+                      extent_id=next(self._extent_ids), writable=True,
                       label=f"adopted:{extent.label or extent.extent_id}")
 
     # ------------------------------------------------------------------

@@ -46,6 +46,8 @@ class GrantTable:
     #: Frames backing the grant table itself (private memory on clone).
     TABLE_FRAMES = 1
 
+    __slots__ = ("domid", "_entries", "_source_items", "_next_gref")
+
     def __init__(self, domid: int) -> None:
         self.domid = domid
         self._entries: dict[int, GrantEntry] = {}

@@ -14,10 +14,11 @@ from repro.faults.injector import NULL_INJECTOR
 from repro.obs.tracer import NULL_TRACER
 from repro.sim import CostModel, VirtualClock, pages_of
 from repro.xen.domain import SPECIAL_PAGES, Domain, DomainState
-from repro.xen.domid import DOM0, DOMID_CHILD, XEN_OWNER
+from repro.xen.domid import DOM0, DOMID_CHILD, DOMID_FIRST_RESERVED, XEN_OWNER
 from repro.xen.errors import (
     XenInvalidError,
     XenNoEntryError,
+    XenNoMemoryError,
     XenPermissionError,
 )
 from repro.xen.events import (
@@ -59,7 +60,8 @@ class Hypervisor:
         #: Live unprivileged domains, maintained on create/destroy so
         #: per-sample accounting never scans the domain table.
         self.guest_count = 0
-        self._next_domid = 1
+        #: The domid allocator's rover: the last domid handed out.
+        self._domid_rover = 0
         #: Host-side vIRQ subscribers (e.g. xencloned on VIRQ_CLONED),
         #: keyed by virq number. Delivery also goes through guest
         #: event-channel bindings made via :meth:`bind_virq`.
@@ -84,10 +86,20 @@ class Hypervisor:
     # domain lifecycle
     # ------------------------------------------------------------------
     def allocate_domid(self) -> int:
-        """Hand out the next domain ID."""
-        domid = self._next_domid
-        self._next_domid += 1
-        return domid
+        """Hand out a free domain ID the way Xen's domctl rover does:
+        the first one after the last handed out that no live domain
+        holds, wrapping to 1 before ``DOMID_FIRST_RESERVED`` (a reserved
+        ID never names a guest). ENOMEM when every ID is live."""
+        domains = self.domains
+        domid = self._domid_rover
+        for _ in range(DOMID_FIRST_RESERVED - 1):
+            domid += 1
+            if domid == DOMID_FIRST_RESERVED:
+                domid = 1
+            if domid not in domains:
+                self._domid_rover = domid
+                return domid
+        raise XenNoMemoryError("no free domain ID")
 
     def create_domain(self, name: str, memory_bytes: int, vcpus: int = 1,
                       privileged: bool = False, populate: bool = False,
@@ -192,6 +204,14 @@ class Hypervisor:
             except XenNoEntryError:
                 pass
         domain.foreign_maps.clear()
+        # Drop its guest vIRQ bindings: a domain that later gets the
+        # same domid (the allocator recycles them) must not inherit
+        # them.
+        bindings = self._virq_bindings
+        for virq, bound in bindings.items():
+            if any(owner == domid for owner, _port in bound):
+                bindings[virq] = [entry for entry in bound
+                                  if entry[0] != domid]
         # Unlink from the family tree, including the parent's IDC
         # wildcard endpoints pointing at this clone (send_event already
         # skips dead domains; this keeps the endpoint lists from
@@ -208,6 +228,18 @@ class Hypervisor:
                             (child, port)
                             for child, port in channel.child_endpoints
                             if child != domid]
+        # Orphan its live children: a domain that later gets this
+        # domid is no parent of theirs, and their IDC ports bound to it
+        # fall back to unbound, as Xen's do when the remote end dies.
+        for child_domid in domain.children:
+            child = self.domains.get(child_domid)
+            if child is None:
+                continue
+            child.parent_id = None
+            for channel in child.events.ports.values():
+                if (channel.state is ChannelState.INTERDOMAIN
+                        and channel.remote_domid == domid):
+                    channel.state = ChannelState.UNBOUND
         domain.state = DomainState.DEAD
         self.scheduler.remove_domain(domid)
         del self.domains[domid]

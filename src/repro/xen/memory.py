@@ -66,6 +66,10 @@ class Segment:
 class GuestMemory:
     """The pseudo-physical memory map of one domain."""
 
+    __slots__ = ("domid", "frames", "segments", "_starts_cache",
+                 "_next_pfn", "dirty", "cow_copied_total",
+                 "cow_adopted_total")
+
     def __init__(self, domid: int, frame_table: FrameTable) -> None:
         self.domid = domid
         self.frames = frame_table

@@ -47,6 +47,8 @@ def p2m_pages(guest_pages: int) -> int:
 class PagingState:
     """A domain's page-table and p2m frames."""
 
+    __slots__ = ("guest_pages", "pt_extent", "p2m_extent")
+
     guest_pages: int
     pt_extent: Extent
     p2m_extent: Extent

@@ -19,13 +19,18 @@ from repro.xen.errors import XenInvalidError
 DEFAULT_WEIGHT = 256
 
 
-@dataclass
 class SchedulerEntry:
-    domain: Domain
-    vcpu_index: int
-    weight: int = DEFAULT_WEIGHT
-    #: Cap as a fraction of one CPU (0 = uncapped).
-    cap: float = 0.0
+    """One vCPU of a domain, as the scheduler sees it."""
+
+    __slots__ = ("domain", "vcpu_index", "weight", "cap")
+
+    def __init__(self, domain: Domain, vcpu_index: int,
+                 weight: int = DEFAULT_WEIGHT, cap: float = 0.0) -> None:
+        self.domain = domain
+        self.vcpu_index = vcpu_index
+        self.weight = weight
+        #: Cap as a fraction of one CPU (0 = uncapped).
+        self.cap = cap
 
     @property
     def runnable(self) -> bool:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 from sys import intern
 
-from repro.xenstore.store import Node, XenstoreDaemon, XenstoreError
+from repro.xenstore.store import Node, Overlay, XenstoreDaemon, XenstoreError
 
 
 class XsCloneOp(enum.Enum):
@@ -30,10 +30,6 @@ class XsCloneOp(enum.Enum):
 #: Ops that apply the device heuristics (domid rewriting).
 _DEVICE_OPS = frozenset({XsCloneOp.DEV_CONSOLE, XsCloneOp.DEV_VIF,
                          XsCloneOp.DEV_9PFS})
-
-#: ``site_cache`` miss sentinel (``None`` is a valid cached value: it
-#: means the scan found no rewrite sites).
-_UNSCANNED = object()
 
 
 #: Keys whose value is a bare domid reference.
@@ -55,6 +51,23 @@ def _is_domid_position(parts: list[str], index: int) -> bool:
             and parts[index - 2] == "backend")
 
 
+def _rewrite(key: str, value: str, parent: str, child: str) -> str:
+    """The heuristics of :func:`_rewrite_value` over domid strings; an
+    unchanged value comes back as the same object."""
+    if key in DOMID_KEYS and value == parent:
+        return child
+    if "/" in value and parent in value:
+        parts = value.split("/")
+        changed = False
+        for i, part in enumerate(parts):
+            if part == parent and _is_domid_position(parts, i):
+                parts[i] = child
+                changed = True
+        if changed:
+            return "/".join(parts)
+    return value
+
+
 def _rewrite_value(key: str, value: str, parent_domid: int,
                    child_domid: int) -> str:
     """Rewrite guest-ID references inside a value.
@@ -74,18 +87,23 @@ def _rewrite_value(key: str, value: str, parent_domid: int,
     The child domid string is interned: it is the same object as the
     clone's ``"<domid>"`` directory keys.
     """
-    parent = str(parent_domid)
-    child = intern(str(child_domid))
-    if key in DOMID_KEYS and value == parent:
-        return child
-    if "/" in value:
-        parts = value.split("/")
-        rewritten = [
-            child if part == parent and _is_domid_position(parts, i) else part
-            for i, part in enumerate(parts)
-        ]
-        return "/".join(rewritten)
-    return value
+    return _rewrite(key, value, str(parent_domid), intern(str(child_domid)))
+
+
+class DomidRewrite:
+    """One clone's domid rewrite, ``(key, value) -> value``: what every
+    :class:`~repro.xenstore.store.Overlay` of that clone's device grafts
+    applies on read. Both domid strings are interned, so the record
+    holds no string of its own."""
+
+    __slots__ = ("parent", "child")
+
+    def __init__(self, parent_domid: int, child_domid: int) -> None:
+        self.parent = intern(str(parent_domid))
+        self.child = intern(str(child_domid))
+
+    def __call__(self, key: str, value: str) -> str:
+        return _rewrite(key, value, self.parent, self.child)
 
 
 def xs_clone(daemon: XenstoreDaemon, parent_domid: int, child_domid: int,
@@ -99,14 +117,16 @@ def xs_clone(daemon: XenstoreDaemon, parent_domid: int, child_domid: int,
 
     The copy is structural sharing, not a deep copy: the parent subtree
     is grafted into the child by reference and marked shared, so the
-    host-side work is O(#rewrite sites), not O(subtree). For device ops
-    the few values the domid heuristics actually change are found once
-    per clone source (cached on the source node — shared subtrees are
-    immutable, so the scan cannot go stale) and only those paths are
-    materialized per child. Virtual cost and store accounting are
-    unchanged: the request still charges ``xs_clone_per_node`` per
-    logical node, and write stats / conflict generations advance by the
-    full subtree size exactly as the per-node copy did.
+    host-side work is one pass over the source directory's own
+    entries, not over its subtree. A device op grafts it
+    inside an :class:`~repro.xenstore.store.Overlay` that carries the
+    domid rewrite as a rule, one :class:`DomidRewrite` per clone shared
+    by all its grafts: values are rewritten when read, walked or
+    copied, and a write below the overlay opens it along the written
+    path only. Virtual cost and store accounting are unchanged: the
+    request still charges ``xs_clone_per_node`` per logical node, and
+    write stats / conflict generations advance by the full subtree size
+    exactly as the per-node copy did.
     """
     if not daemon.exists(parent_path):
         raise XenstoreError(f"xs_clone: ENOENT {parent_path!r}")
@@ -120,23 +140,19 @@ def xs_clone(daemon: XenstoreDaemon, parent_domid: int, child_domid: int,
     source = daemon._lookup(parent_path)
     leaf = source.__class__ is str
     created = 1 if leaf else source.count
-    key = parent_path.rstrip("/").rsplit("/", 1)[-1]
+    # Interned: an overlay keeps the source's name for good.
+    key = intern(parent_path.rstrip("/").rsplit("/", 1)[-1])
     graft_root = source
     if op in _DEVICE_OPS:
-        if leaf:
-            sites = _scan_sites(key, source, parent_domid)
-        else:
-            cache = source.site_cache
-            if cache is None:
-                cache = source.site_cache = {}
-            cache_key = (parent_domid, key)
-            sites = cache.get(cache_key, _UNSCANNED)
-            if sites is _UNSCANNED:
-                sites = cache[cache_key] = _scan_sites(key, source,
-                                                       parent_domid)
-        if sites is not None:
-            graft_root = _materialize(source, key, sites, parent_domid,
-                                      child_domid)
+        # The clone's device directories are cloned back to back, so
+        # the last request's record is the one to share.
+        rewrite = daemon._clone_rewrite
+        if (rewrite is None or rewrite.child != str(child_domid)
+                or rewrite.parent != str(parent_domid)):
+            rewrite = daemon._clone_rewrite = DomidRewrite(parent_domid,
+                                                           child_domid)
+        graft_root = (rewrite(key, source) if leaf
+                      else Overlay(source, rewrite, key))
     parent_norm = parent_path.rstrip("/")
     child_norm = child_path.rstrip("/")
     if not parent_norm or child_norm.startswith(f"{parent_norm}/"):
@@ -144,7 +160,7 @@ def xs_clone(daemon: XenstoreDaemon, parent_domid: int, child_domid: int,
         # root): sharing would create a cycle, so snapshot eagerly the
         # way the pre-sharing implementation did.
         graft_root = _copy_tree(graft_root)
-    elif graft_root is source and not leaf:
+    elif source.__class__ is Node:
         source.shared = True
     daemon.graft(child_path, graft_root)
     daemon.stats["writes"] += created
@@ -185,82 +201,14 @@ def xs_clone_txn(daemon: XenstoreDaemon, transaction, parent_domid: int,
     return created
 
 
-def _needs_rewrite(key: str, value: str, parent: str) -> bool:
-    """Would ``_rewrite_value`` change this value for *any* child domid?
-
-    The rewrite condition only compares against the parent domid, so
-    the set of rewrite sites in a subtree is a property of the (source,
-    parent) pair and can be cached across every clone taken from it.
-    """
-    if key in DOMID_KEYS and value == parent:
-        return True
-    if "/" in value:
-        parts = value.split("/")
-        for i, part in enumerate(parts):
-            if part == parent and _is_domid_position(parts, i):
-                return True
-    return False
-
-
-def _scan_sites(key: str, entry: Node | str, parent_domid: int):
-    """Site tree of ``entry``: ``(is_site, {name: subtree})`` nesting
-    that covers every node whose value the device heuristics rewrite.
-
-    Returned pre-nested (rather than as flat relative paths) so
-    :func:`_materialize` — which runs once per *clone*, while this scan
-    runs once per clone *source* — never regroups paths per call. An
-    empty tree is returned as ``None`` branches all the way down;
-    callers treat a root of ``(False, {})`` as "no sites".
-    """
-    parent = str(parent_domid)
-    leaf = entry.__class__ is str
-    value = entry if leaf else entry.value
-    is_site = bool(value) and _needs_rewrite(key, value, parent)
-    branches = {}
-    if not leaf:
-        for name, child in entry.children.items():
-            # Node names under a device directory are indices, never
-            # domids (the domid sits in the cloned root, chosen by the
-            # caller).
-            sub = _scan_sites(name, child, parent_domid)
-            if sub is not None:
-                branches[name] = sub
-    if not is_site and not branches:
-        return None
-    return (is_site, branches)
-
-
-def _materialize(entry: Node | str, key: str, site_tree, parent_domid: int,
-                 child_domid: int) -> Node | str:
-    """Copy ``entry`` along the cached rewrite-site tree only.
-
-    Site values are rewritten for this child (a site leaf becomes its
-    rewritten string); every child node hanging off the copied spine is
-    aliased by reference and marked shared (it is now reachable from
-    both the source and the copy), and leaves are aliased as they are.
-    """
-    if entry.__class__ is str:
-        return _rewrite_value(key, entry, parent_domid, child_domid)
-    is_site, branches = site_tree
-    value = entry.value
-    if is_site and value:
-        value = _rewrite_value(key, value, parent_domid, child_domid)
-    children = dict(entry.children)
-    for name, child in children.items():
-        sub = branches.get(name)
-        if sub is not None:
-            children[name] = _materialize(child, name, sub,
-                                          parent_domid, child_domid)
-        elif child.__class__ is not str:
-            child.shared = True
-    return Node(value, children, entry.count)
-
-
-def _copy_tree(entry: Node | str) -> Node | str:
-    """Eager private deep copy (the nested-destination slow path); leaf
-    strings are immutable and kept as they are."""
+def _copy_tree(entry: Node | Overlay | str) -> Node | str:
+    """Eager private deep copy (the nested-destination slow path), with
+    every overlay's rewrite applied; leaf strings are immutable and kept
+    as they are."""
     if entry.__class__ is str:
         return entry
+    if entry.__class__ is Overlay:
+        entry = entry.open()
     return Node(entry.value,
                 {name: _copy_tree(child)
                  for name, child in entry.children.items()},

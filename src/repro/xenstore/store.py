@@ -33,15 +33,14 @@ class XenstoreError(ReproError):
 class Node:
     """A directory of the store tree: a value plus named children.
 
-    A child is either a ``Node`` or a ``str``: a leaf *is* its value,
-    stored directly in its parent's ``children`` dict. Strings are
-    immutable, so a leaf carries no ``count``, ``shared`` flag or site
-    cache and never needs un-sharing; a write below a leaf turns it
-    into a ``Node``. Every leaf the daemon creates is a string; a node
-    left childless by a remove stays a ``Node``. Keys are interned
-    where a child is inserted, so the names every domain repeats
-    (``name``, ``store``, a clone's ``"<domid>"``, ...) are one object
-    each.
+    A child is a ``Node``, an :class:`Overlay` or a ``str``: a leaf *is*
+    its value, stored directly in its parent's ``children`` dict.
+    Strings are immutable, so a leaf carries no ``count`` or ``shared``
+    flag and never needs un-sharing; a write below a leaf turns it into
+    a ``Node``. Every leaf the daemon creates is a string; a node left
+    childless by a remove stays a ``Node``. Keys are interned where a
+    child is inserted, so the names every domain repeats (``name``,
+    ``store``, a clone's ``"<domid>"``, ...) are one object each.
 
     ``count`` caches the size of the subtree rooted here (this node
     included; a leaf counts 1). It is maintained incrementally by every
@@ -51,28 +50,88 @@ class Node:
     Nodes are copy-on-write: ``xs_clone`` grafts a parent subtree into
     the child by *reference* and marks it ``shared``. The invariant is
     that every path from the root to a multiply-referenced node passes
-    through a node with ``shared`` set (usually the grafted subtree
-    root); a shared node is immutable. Mutating walks un-share each
-    shared node they descend through — copy the node, alias its child
-    dict entries, and mark the aliased child nodes shared — so only the
-    touched path is ever duplicated.
-
-    ``site_cache`` memoizes, per clone-source root, where the device
-    domid-rewrite heuristics actually change a value (keyed by parent
-    domid); safe to cache precisely because shared subtrees never
-    mutate in place. See :mod:`repro.xenstore.clone`.
+    through a shared entry (a ``Node`` with ``shared`` set, usually the
+    grafted subtree root, or an ``Overlay``); a shared entry is
+    immutable. Mutating walks un-share each shared entry they descend
+    through — copy the node, alias its child dict entries, and mark the
+    aliased child nodes shared — so only the touched path is ever
+    duplicated.
     """
 
-    __slots__ = ("value", "children", "count", "shared", "site_cache")
+    __slots__ = ("value", "children", "count", "shared")
 
     def __init__(self, value: str = "", children: dict | None = None,
                  count: int = 1) -> None:
         self.value = value
-        self.children: dict[str, Node | str] = (
+        self.children: dict[str, Node | Overlay | str] = (
             {} if children is None else children)
         self.count = count
         self.shared = False
-        self.site_cache = None
+
+
+class Overlay(Node):
+    """A shared entry read through one clone's domid rewrite.
+
+    A device ``xs_clone`` grafts ``Overlay(source, rewrite, key)``
+    instead of copying the directories whose values name the parent's
+    domid: ``source`` (a ``Node`` or another overlay) stays shared, and
+    ``rewrite(name, value)`` -- one record per clone, shared by all its
+    grafts -- is applied whenever a value is read, walked or copied.
+    ``key`` is the name the source had where it was cloned from; the
+    rewrite of the overlay's own value is keyed by it, as a deep copy's
+    would be. Overlays nest: cloning an overlaid directory wraps the
+    overlay, so the rewrites compose innermost first.
+
+    An overlay is always ``shared``: a write below it opens it
+    (:meth:`open`) along the written path only. ``children`` and
+    ``count`` are the source's -- names and shape, with the values
+    *before* the rewrite (their child nodes are marked shared, since
+    the overlay aliases them); ``value``, :meth:`child` and
+    :meth:`open` read through the rewrite. The overlay's subtree counts
+    as nodes of its own, as a deep copy's would.
+    """
+
+    __slots__ = ("source", "rewrite", "key")
+
+    def __init__(self, source: Node, rewrite, key: str) -> None:
+        self.source = source
+        self.rewrite = rewrite
+        self.key = key
+        children = self.children = source.children
+        self.count = source.count
+        self.shared = True
+        for child in children.values():
+            if child.__class__ is Node:
+                child.shared = True
+
+    @property
+    def value(self) -> str:
+        return self.rewrite(self.key, self.source.value)
+
+    def child(self, name: str) -> "Overlay | str":
+        """The entry ``name`` below this overlay, rewritten (KeyError if
+        absent): a leaf as its rewritten string, a directory as an
+        overlay of its own."""
+        source = self.source
+        entry = (source.child(name) if source.__class__ is Overlay
+                 else self.children[name])
+        if entry.__class__ is str:
+            return self.rewrite(name, entry)
+        return Overlay(entry, self.rewrite, name)
+
+    def open(self) -> Node:
+        """A private ``Node`` that reads like this overlay: its value and
+        leaves rewritten, its child directories overlays with the same
+        rewrite (the un-share of an overlay, one level deep)."""
+        source = self.source
+        if source.__class__ is Overlay:
+            source = source.open()
+        rewrite = self.rewrite
+        children = {
+            name: (rewrite(name, child) if child.__class__ is str
+                   else Overlay(child, rewrite, name))
+            for name, child in source.children.items()}
+        return Node(rewrite(self.key, source.value), children, source.count)
 
 
 def _nodes(entry: Node | str) -> int:
@@ -133,6 +192,10 @@ class XenstoreDaemon:
         self.transactions = TransactionManager()
         #: Domains introduced to the daemon (domid -> parent domid or None).
         self.introduced: dict[int, int | None] = {}
+        #: The domid rewrite of the last device ``xs_clone``: a clone's
+        #: device directories are cloned back to back, so they share it
+        #: (see :mod:`repro.xenstore.clone`).
+        self._clone_rewrite = None
         self.stats = {"requests": 0, "writes": 0, "reads": 0, "clones": 0}
 
     # ------------------------------------------------------------------
@@ -163,8 +226,10 @@ class XenstoreDaemon:
     # ------------------------------------------------------------------
     # tree primitives (no request accounting; used server-side)
     # ------------------------------------------------------------------
-    def _lookup(self, path: str) -> Node | str:
-        """The entry at ``path``: a ``Node``, or a leaf's value string."""
+    def _lookup(self, path: str) -> Node | Overlay | str:
+        """The entry at ``path``: a ``Node``, an ``Overlay``, or a leaf's
+        value string. Below an overlay the entry is rewritten (see
+        :meth:`Overlay.child`)."""
         cache = self._path_cache
         hit = cache.get(path)
         if hit is not None:
@@ -180,10 +245,18 @@ class XenstoreDaemon:
                 # nothing exists below a leaf.
                 if node.shared:
                     write_safe = False
+                    if node.__class__ is Overlay:
+                        node = node.child(part)
+                        parent = None
+                        continue
                 parent = node
                 node = node.children[part]
         except (KeyError, AttributeError):
             raise XenstoreError(f"ENOENT: {path!r}") from None
+        if parent is None:
+            # Below an overlay: the memo's (parent, name) pair would
+            # hand back the unrewritten source entry.
+            return node
         # Path memo: path -> (parent node, name, write_safe). Writes
         # replace a leaf in, or set a value on, an entry of a cached
         # parent, so the mapping stays truthful until a node object on
@@ -198,15 +271,18 @@ class XenstoreDaemon:
         cache[path] = (parent, part, write_safe)
         return node
 
-    def _unshare(self, node: Node) -> Node:
-        """Private copy of a shared node: alias its children (marking
-        the child nodes shared so the laziness recurses) and return the
-        copy. The caller re-links it into the (already private) parent."""
+    def _unshare(self, node: Node | Overlay) -> Node:
+        """Private copy of a shared entry: a node's children aliased
+        (the child nodes marked shared so the laziness recurses), an
+        overlay opened. The caller re-links it into the (already
+        private) parent."""
         if self._path_cache:
             self._path_cache.clear()
+        if node.__class__ is Overlay:
+            return node.open()
         children = dict(node.children)
         for child in children.values():
-            if child.__class__ is not str:
+            if child.__class__ is Node:
                 child.shared = True
         return Node(node.value, children, node.count)
 
@@ -395,20 +471,23 @@ class XenstoreDaemon:
         return added
 
     def walk(self, path: str) -> list[tuple[str, str]]:
-        """All (path, value) pairs under ``path``, including it.
+        """All (path, value) pairs under ``path``, including it, with
+        overlaid values rewritten.
 
         Iterative pre-order with children in sorted name order (the
         same visit order the old recursive version produced), so it
         works on arbitrarily deep trees.
         """
         result: list[tuple[str, str]] = []
-        stack = [(path.rstrip("/") or "/", self._lookup(path))]
+        stack = [(path.rstrip("/"), self._lookup(path))]
         while stack:
             prefix, entry = stack.pop()
             if entry.__class__ is str:
-                result.append((prefix, entry))
+                result.append((prefix or "/", entry))
                 continue
-            result.append((prefix, entry.value))
+            if entry.__class__ is Overlay:
+                entry = entry.open()
+            result.append((prefix or "/", entry.value))
             children = entry.children
             if children:
                 stack.extend((f"{prefix}/{name}", children[name])

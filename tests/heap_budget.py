@@ -1,18 +1,23 @@
-"""Per-clone heap of the ``clone_burst`` parent, per-span heap of a full
-span ring, and their pinned budgets.
+"""Per-clone heap of two parent shapes, per-span heap of a full span
+ring, and their pinned budgets.
 
 Kept apart from the pytest module so the budgets can be re-measured on
 any interpreter, with or without pytest installed::
 
     PYTHONPATH=src python -m tests.heap_budget
 
-Counts are deterministic per interpreter, so a budget gives the same
-verdict on any machine.
+prints, per shape, the figures next to their budgets and the source
+files that hold the most bytes per clone. Counts are deterministic per
+interpreter in a fresh process, so a budget gives the same verdict on
+any machine; :func:`fresh` runs a measurement in one.
 """
 
 from __future__ import annotations
 
 import gc
+import json
+import os
+import subprocess
 import sys
 import tracemalloc
 
@@ -23,14 +28,26 @@ from repro.sim.units import GIB, PAGE_SIZE
 
 SEED = 0xC10E
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
+
 #: (gc-tracked objects, tracemalloc bytes) per clone of the clone_burst
-#: parent, per CPython minor version: the measured value plus 2 objects
-#: and plus 3% bytes (measured: 81 / 12,489 on 3.10.13, 68 / 10,819 on
-#: 3.11.7, 68 / 10,602 on 3.12.1).
+#: parent (one vif), per CPython minor version: the measured value plus
+#: 2 objects and plus 3% bytes (measured: 66 / 8,676 on 3.10.13,
+#: 65 / 8,287 on 3.11.7, 65 / 8,239 on 3.12.1).
 BUDGETS = {
-    (3, 10): (83, 12_863),
-    (3, 11): (70, 11_143),
-    (3, 12): (70, 10_920),
+    (3, 10): (68, 8_936),
+    (3, 11): (67, 8_535),
+    (3, 12): (67, 8_485),
+}
+
+#: The same per clone of a parent with a vif and a 9pfs mount, the
+#: clone_churn/FaaS shape (measured: 77 / 10,091 on 3.10.13,
+#: 75 / 9,538 on 3.11.7, 75 / 9,481 on 3.12.1).
+P9FS_BUDGETS = {
+    (3, 10): (79, 10_393),
+    (3, 11): (77, 9_823),
+    (3, 12): (77, 9_765),
 }
 
 
@@ -45,18 +62,26 @@ SPAN_BUDGETS = {
 }
 
 
-def per_clone_heap(warmup: int = 20, clones: int = 200) -> tuple[float, float]:
-    """(gc-tracked objects, tracemalloc bytes) held per clone of the
-    ``clone_burst`` parent: a 4 MiB minios-udp guest with one vif on an
-    8 GiB host, cloned ``warmup`` times before measuring."""
+def _clone_parent(p9fs: bool):
+    """The cloned parent: a 4 MiB minios-udp guest with one vif (and a
+    9pfs mount if ``p9fs``) on an 8 GiB host. Returns the clone call
+    and the parent's domid."""
     platform = Platform.create(total_memory_bytes=8 * GIB,
                                dom0_memory_bytes=4 * GIB, seed=SEED)
     config = DomainConfig(
         name="burst", memory_mb=4, kernel="minios-udp",
         vifs=[VifConfig(ip=f"10.{1 + SEED % 250}.0.1")],
-        max_clones=10_000_000)
+        p9fs=[P9Config()] if p9fs else [], max_clones=10_000_000)
     parent = platform.xl.create(config, app=UdpServerApp()).domid
-    clone = platform.cloneop.clone
+    return platform.cloneop.clone, parent
+
+
+def per_clone_heap(p9fs: bool = False, warmup: int = 20,
+                   clones: int = 200) -> tuple[float, float]:
+    """(gc-tracked objects, tracemalloc bytes) held per clone of the
+    ``clone_burst`` parent (with a 9pfs mount too if ``p9fs``), cloned
+    ``warmup`` times before measuring."""
+    clone, parent = _clone_parent(p9fs)
     for _ in range(warmup):
         clone(parent, count=1)
     tracing = tracemalloc.is_tracing()
@@ -75,6 +100,31 @@ def per_clone_heap(warmup: int = 20, clones: int = 200) -> tuple[float, float]:
         if not tracing:
             tracemalloc.stop()
     return objects / clones, held / clones
+
+
+def per_clone_files(p9fs: bool = False, top: int = 6, warmup: int = 20,
+                    clones: int = 200) -> list[tuple[str, float]]:
+    """The ``top`` source files by tracemalloc bytes held per clone, as
+    (path below ``src/``, bytes) pairs: where :func:`per_clone_heap`'s
+    bytes go."""
+    clone, parent = _clone_parent(p9fs)
+    for _ in range(warmup):
+        clone(parent, count=1)
+    own = [tracemalloc.Filter(False, tracemalloc.__file__)]
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.take_snapshot().filter_traces(own)
+        for _ in range(clones):
+            clone(parent, count=1)
+        gc.collect()
+        after = tracemalloc.take_snapshot().filter_traces(own)
+    finally:
+        tracemalloc.stop()
+    stats = sorted(after.compare_to(before, "filename"),
+                   key=lambda stat: -stat.size_diff)[:top]
+    return [(os.path.relpath(stat.traceback[0].filename, SRC),
+             stat.size_diff / clones) for stat in stats]
 
 
 def per_span_heap() -> float:
@@ -119,11 +169,33 @@ def per_span_heap() -> float:
     return held / ring.capacity
 
 
+def fresh(function: str, *args):
+    """``function(*args)`` of this module, run in a new interpreter.
+
+    The per-clone figures repeat exactly only in a fresh process: in a
+    long-lived one, a process-wide table can resize inside the measured
+    window. On 3.11.7 a second measurement in one process caught a
+    resize of the interned-string dict (a new platform's clones intern
+    their domids again): 2,075 B more per clone, once.
+    """
+    code = ("import json, sys\n"
+            "from tests import heap_budget\n"
+            f"json.dump(heap_budget.{function}(*{args!r}), sys.stdout)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, ROOT]))
+    out = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                         check=True, capture_output=True, text=True).stdout
+    return json.loads(out)
+
+
 if __name__ == "__main__":  # pragma: no cover - budget re-measurement
     version = sys.version_info[:2]
-    objects, held = per_clone_heap()
-    print("%s objects/clone %.2f bytes/clone %.1f budget %s"
-          % (sys.version.split()[0], objects, held, BUDGETS.get(version)))
+    python = sys.version.split()[0]
+    for shape, p9fs, budgets in (("clone_burst", False, BUDGETS),
+                                 ("vif+9pfs", True, P9FS_BUDGETS)):
+        objects, held = fresh("per_clone_heap", p9fs)
+        print("%s %s objects/clone %.2f bytes/clone %.1f budget %s"
+              % (python, shape, objects, held, budgets.get(version)))
+        for path, size in fresh("per_clone_files", p9fs):
+            print("    %8.1f  %s" % (size, path))
     print("%s bytes/span %.1f budget %s"
-          % (sys.version.split()[0], per_span_heap(),
-             SPAN_BUDGETS.get(version)))
+          % (python, per_span_heap(), SPAN_BUDGETS.get(version)))

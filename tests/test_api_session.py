@@ -82,6 +82,21 @@ def test_snapshot_reports_guests(session):
     assert snap.virtual_time_ms == session.now
 
 
+def test_same_seed_sessions_in_one_process_build_the_same_xenstore():
+    """Extent ids reach Xenstore as ``store/ring-ref``; they are drawn
+    per host, so a second session of the same seed in the same process
+    builds the same tree, not one with the first session's ids added."""
+    def tree() -> list[tuple[str, str]]:
+        with NepheleSession(seed=7) as active:
+            parent = boot_parent(active)
+            active.clone(parent, count=2)
+            return active.xenstore.walk("/")
+
+    first = tree()
+    assert ("/local/domain/1/store/ring-ref", "5") in first
+    assert tree() == first
+
+
 def test_platform_knobs_pass_through():
     with NepheleSession(cpus=8, use_xs_clone=False) as active:
         assert active.hypervisor.cpus == 8

@@ -123,3 +123,22 @@ def test_xs_clone_faster_than_deep_copy(clock, costs):
                      "/local/domain/0/backend/vif/11")
     deep_cost = clock.now - t0
     assert deep_cost > 3 * xs_cost
+
+
+def test_a_new_rewrite_site_in_the_source_reaches_later_clones(clock, costs):
+    """The source of a device clone may be written after it was cloned:
+    a value that now names the parent is rewritten in the next clone,
+    as a deep copy would rewrite it."""
+    daemon = XenstoreDaemon(clock, costs)
+    vif = "/local/domain/5/device/vif"
+    daemon.write_node(f"{vif}/0/backend", "/local/domain/0/backend/vif/5/0")
+    daemon.write_node(f"{vif}/0/backend-id", "0")
+    xs_clone(daemon, 5, 9, XsCloneOp.DEV_VIF, vif,
+             "/local/domain/9/device/vif")
+    daemon.write_node(f"{vif}/0/backend-id", "5")
+    xs_clone(daemon, 5, 10, XsCloneOp.DEV_VIF, vif,
+             "/local/domain/10/device/vif")
+    assert daemon.read_node("/local/domain/9/device/vif/0/backend-id") == "0"
+    assert daemon.read_node("/local/domain/10/device/vif/0/backend-id") == "10"
+    assert daemon.read_node("/local/domain/10/device/vif/0/backend") == \
+        "/local/domain/0/backend/vif/10/0"

@@ -238,28 +238,79 @@ def _model_clone(model: dict, src: str, dst: str,
             model[dst + p[len(src):]] = copied(p, v)
 
 
+#: The frontend device directories xencloned clones for a child, as
+#: (xs_clone op, ``%`` template over the domid); their ``backend``
+#: values name the owner's backend directory.
+FRONTENDS = ((XsCloneOp.DEV_VIF, "/local/domain/%d/device/vif"),
+             (XsCloneOp.DEV_CONSOLE, "/local/domain/%d/console"))
+
+
+def _device_dirs(domid: int) -> list[str]:
+    """The directories random writes and removes land in."""
+    return [f"{BASE}/{domid}/0", f"/local/domain/{domid}/device/vif/0",
+            f"/local/domain/{domid}/console"]
+
+
+def _domid_sites(domid: int) -> list[tuple[str, str]]:
+    """(path, value) writes that point a domid reference at the owner."""
+    vif = f"/local/domain/{domid}/device/vif/0"
+    return [(f"{BASE}/{domid}/0/frontend-id", str(domid)),
+            (f"{vif}/backend-id", str(domid)),
+            (f"{vif}/backend", f"/local/domain/0/backend/vif/{domid}/0"),
+            (f"/local/domain/{domid}/console/backend",
+             f"/local/domain/0/backend/console/{domid}/0")]
+
+
+def assert_reads_match(daemon, model: dict) -> None:
+    """``read_node``, ``exists`` and ``directory`` agree with the model
+    at every model path. These go through the ``_lookup`` path memo,
+    which ``walk`` does not."""
+    listing: dict[str, list[str]] = {path: [] for path in model}
+    for path in model:
+        parent, _, name = path.rpartition("/")
+        if parent in listing:
+            listing[parent].append(name)
+    for path, value in model.items():
+        assert daemon.read_node(path) == value, path
+        assert daemon.exists(path), path
+        assert daemon.directory(path) == sorted(listing[path]), path
+        assert not daemon.exists(f"{path}/absent"), path
+
+
 def test_random_interleavings_match_deep_copy_model():
     """Random writes, removes and clones over a shared tree must stay
     byte-identical to a flat path->value model with deep-copy clones.
 
-    Clones use the basic op and the device ops (whose rewrite sites the
-    model reproduces with ``_rewrite_value``); writes land on leaves,
-    below existing leaves (turning them into nodes) and on domid-bearing
-    keys; removes take leaves and whole interior directories."""
-    keys = ["state", "tag", "ring-ref", "path", "mode"]
+    Each clone copies a backend directory (basic op or a device op) and
+    the frontend ``device/vif`` and ``console`` directories (their
+    device ops), as xencloned does; the model reproduces the rewrite
+    sites with ``_rewrite_value``. Writes land on leaves, below existing
+    leaves (turning them into nodes) and on domid-bearing keys; removes
+    take leaves and whole interior directories. After every step the
+    tree is walked and every model path read back."""
+    keys = ["state", "tag", "ring-ref", "path", "mode", "backend"]
     device_ops = [XsCloneOp.DEV_9PFS, XsCloneOp.DEV_VIF,
                   XsCloneOp.DEV_CONSOLE]
     for seed in range(6):
         rng = random.Random(0xC10E + seed)
         daemon = XenstoreDaemon(VirtualClock(), CostModel())
         model: dict[str, str] = {}
-        initial = {key: key for key in keys}
+        initial = {f"{BASE}/5/0/{key}": key for key in keys}
         # Rewrite sites: a bare domid reference and a path-shaped value
-        # with the domid in domid position.
-        initial["frontend-id"] = "5"
-        initial["backend"] = "/local/domain/0/backend/9pfs/5/0"
-        for key, value in initial.items():
-            path = f"{BASE}/5/0/{key}"
+        # with the domid in domid position, in each directory.
+        initial[f"{BASE}/5/0/frontend-id"] = "5"
+        initial[f"{BASE}/5/0/backend"] = "/local/domain/0/backend/9pfs/5/0"
+        vif = "/local/domain/5/device/vif/0"
+        initial[f"{vif}/backend"] = "/local/domain/0/backend/vif/5/0"
+        initial[f"{vif}/backend-id"] = "0"
+        initial[f"{vif}/mac"] = "00:16:3e:00:05:00"
+        initial[f"{vif}/state"] = "4"
+        console = "/local/domain/5/console"
+        initial[f"{console}/backend"] = "/local/domain/0/backend/console/5/0"
+        initial[f"{console}/port"] = "2"
+        initial[f"{console}/ring-ref"] = "501"
+        initial[f"{console}/type"] = "xenconsoled"
+        for path, value in initial.items():
             daemon.write_node(path, value)
             _model_write(model, path, value)
         roots = [5]
@@ -277,37 +328,48 @@ def test_random_interleavings_match_deep_copy_model():
                 _model_clone(model, f"{BASE}/{root}", f"{BASE}/{dst}",
                              None if clone_op is XsCloneOp.BASIC
                              else (root, dst))
+                for front_op, template in FRONTENDS:
+                    if template % root in model:
+                        xs_clone(daemon, root, dst, front_op,
+                                 template % root, template % dst)
+                        _model_clone(model, template % root,
+                                     template % dst, (root, dst))
                 roots.append(dst)
             elif op < 0.5:
-                path = f"{BASE}/{root}/0/{rng.choice(keys)}"
+                path = f"{rng.choice(_device_dirs(root))}/{rng.choice(keys)}"
                 value = f"v{step}"
                 daemon.write_node(path, value)
                 _model_write(model, path, value)
             elif op < 0.6:
-                # Re-point a domid key at the owner, making a new site.
-                path = f"{BASE}/{root}/0/frontend-id"
-                daemon.write_node(path, str(root))
-                _model_write(model, path, str(root))
+                # Re-point a domid reference at the owner: a new site.
+                path, value = rng.choice(_domid_sites(root))
+                daemon.write_node(path, value)
+                _model_write(model, path, value)
             elif op < 0.72:
                 # Below a leaf (or a directory made that way earlier).
-                path = (f"{BASE}/{root}/0/{rng.choice(keys)}/"
-                        f"{rng.choice(keys)}")
+                path = (f"{rng.choice(_device_dirs(root))}/"
+                        f"{rng.choice(keys)}/{rng.choice(keys)}")
                 value = f"w{step}"
                 daemon.write_node(path, value)
                 _model_write(model, path, value)
             elif op < 0.84:
-                path = f"{BASE}/{root}/0/{rng.choice(keys)}"
+                directory = rng.choice(_device_dirs(root))
+                path = f"{directory}/{rng.choice(keys)}"
                 if rng.random() < 0.3:
-                    path = f"{BASE}/{root}/0"
+                    path = directory
                 if daemon.exists(path):
                     removed = daemon.remove_node(path)
                     before = len(model)
                     _model_remove(model, path)
                     assert removed == before - len(model)
+                assert not daemon.exists(path)
             elif len(roots) > 1:
                 victim = roots.pop(rng.randrange(1, len(roots)))
                 daemon.remove_node(f"{BASE}/{victim}")
                 _model_remove(model, f"{BASE}/{victim}")
+                if f"/local/domain/{victim}" in model:
+                    daemon.remove_node(f"/local/domain/{victim}")
+                    _model_remove(model, f"/local/domain/{victim}")
             # Full-state equivalence after every step. The model keeps
             # every intermediate directory as an explicit "" entry, so a
             # straight dict compare covers paths and values both.
@@ -317,14 +379,16 @@ def test_random_interleavings_match_deep_copy_model():
             }
             assert dict(daemon.walk(BASE)) == expected, \
                 f"seed {seed} step {step}"
+            assert dict(daemon.walk("/local")) == model, \
+                f"seed {seed} step {step}"
             for domid in roots:
-                count = sum(
-                    1 for p in model
-                    if p == f"{BASE}/{domid}"
-                    or p.startswith(f"{BASE}/{domid}/"))
-                assert daemon.subtree_nodes(f"{BASE}/{domid}") == count
+                for top in (f"{BASE}/{domid}", f"/local/domain/{domid}"):
+                    count = sum(1 for p in model
+                                if p == top or p.startswith(f"{top}/"))
+                    assert daemon.subtree_nodes(top) == count
             assert daemon.node_count == len(model)
             assert_shared_nodes_marked(daemon)
+            assert_reads_match(daemon, model)
         assert_counts_consistent(daemon)
 
 
