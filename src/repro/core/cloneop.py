@@ -441,23 +441,19 @@ class CloneOp:
 
         # A segment identical to its baseline snapshot would be dropped
         # and immediately re-added - skip the pair (pfn_start makes the
-        # key unique within a domain).
-        def seg_key(pfn_start, npages, extent, offset):
-            return (pfn_start, npages, extent.extent_id, offset)
-
+        # key unique within a domain; extents hash by identity).
         baseline_keys = {
-            seg_key(s.pfn_start, s.npages, s.extent, s.extent_offset)
+            (s.pfn_start, s.npages, s.extent, s.extent_offset)
             for s in baseline
         }
-        keep_extents = {snap.extent.extent_id for snap in baseline}
+        keep_extents = {snap.extent for snap in baseline}
         survivors: list[Segment] = []
         unchanged: set = set()
         for seg in target.memory.segments:
             if seg.extent.page_type is not PageType.NORMAL:
                 survivors.append(seg)
                 continue
-            key = seg_key(seg.pfn_start, seg.npages, seg.extent,
-                          seg.extent_offset)
+            key = (seg.pfn_start, seg.npages, seg.extent, seg.extent_offset)
             if key in baseline_keys:
                 survivors.append(seg)
                 unchanged.add(key)
@@ -465,14 +461,14 @@ class CloneOp:
             if seg.extent.shared:
                 frames.drop_ref_range(seg.extent, seg.extent_offset,
                                       seg.npages)
-            elif seg.extent.extent_id not in keep_extents:
+            elif seg.extent not in keep_extents:
                 frames.free_extent(seg.extent)
             # Baseline-private extents are kept; they get re-mapped below.
 
         restored: list[Segment] = []
         for snap in baseline:
-            key = seg_key(snap.pfn_start, snap.npages, snap.extent,
-                          snap.extent_offset)
+            key = (snap.pfn_start, snap.npages, snap.extent,
+                   snap.extent_offset)
             if key in unchanged:
                 continue
             if snap.extent.shared:
@@ -483,7 +479,6 @@ class CloneOp:
         merged = survivors + restored
         merged.sort(key=lambda s: s.pfn_start)
         target.memory.segments = merged
-        target.memory._starts_cache = None
 
         self.hypervisor.clock.charge(
             self.hypervisor.costs.hypercall_base

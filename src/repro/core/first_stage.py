@@ -118,11 +118,11 @@ def clone_domain(hypervisor: Hypervisor, parent: Domain,
 
 
 def make_notification(parent: Domain, child: Domain) -> CloneNotification:
-    """Build the ring entry for xencloned (start_info frame numbers are
-    identified by their extent ids in the simulation)."""
+    """Build the ring entry for xencloned (a start_info frame number is
+    its extent's number in the simulation)."""
     return CloneNotification(
         parent_domid=parent.domid,
         child_domid=child.domid,
-        parent_start_info_mfn=parent.special["start_info"].extent_id,
-        child_start_info_mfn=child.special["start_info"].extent_id,
+        parent_start_info_mfn=parent.start_info_mfn,
+        child_start_info_mfn=child.start_info_mfn,
     )

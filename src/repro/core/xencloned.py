@@ -144,7 +144,7 @@ class Xencloned:
                 # event port for communication with the Xenstore daemon,
                 # etc.").
                 self.handle.write(f"{child.store_path}/store/ring-ref",
-                                  str(child.special["xenstore"].extent_id))
+                                  str(child.store_mfn))
                 self.handle.write(f"{child.store_path}/store/port", "1")
 
             # 4. Device cloning (skippable per config: the Fig 6 probe

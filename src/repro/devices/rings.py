@@ -54,12 +54,17 @@ class SharedRing:
         return len(self.entries)
 
     def clone_for(self, child: Domain, copy_contents: bool) -> "SharedRing":
-        """Create the clone's ring.
+        """Create the clone's ring, on fresh pages at this ring's pfns.
 
         ``copy_contents=True`` replicates in-flight entries (network
         rings); ``False`` yields an empty ring (console).
         """
-        ring = SharedRing(child, self.npages, self.label, self.page_type)
-        if copy_contents and self.entries:
-            ring.entries = deque(self.entries)
+        ring = SharedRing.__new__(SharedRing)
+        ring.domain = child
+        ring.npages = self.npages
+        ring.label = self.label
+        ring.page_type = self.page_type
+        ring.extent = child.memory.populate_like(self.extent)
+        ring.entries = (deque(self.entries) if copy_contents and self.entries
+                        else ())
         return ring

@@ -119,7 +119,8 @@ class NetFrontend:
         guest.dispatch_packet(packet)
 
     def clone_for(self, child: Domain) -> "NetFrontend":
-        """Child-side device state: rings and buffers copied (paper §4.2)."""
+        """Child-side device state: rings and buffers copied (paper
+        §4.2), on fresh pages at the parent's pfns."""
         clone = NetFrontend.__new__(NetFrontend)
         clone.domid = child.domid
         clone.index = self.index
@@ -127,12 +128,9 @@ class NetFrontend:
         clone.ip = self.ip
         clone.tx_ring = self.tx_ring.clone_for(child, copy_contents=True)
         clone.rx_ring = self.rx_ring.clone_for(child, copy_contents=True)
-        clone.rx_buffers = child.populate_ram(
-            self.rx_buffers.npages, PageType.RX_BUFFER,
-            label=f"vif{self.index}-rxbuf")
-        clone.tx_buffers = child.populate_ram(
-            self.tx_buffers.npages, PageType.IO_RING,
-            label=f"vif{self.index}-txbuf")
+        memory = child.memory
+        clone.rx_buffers = memory.populate_like(self.rx_buffers)
+        clone.tx_buffers = memory.populate_like(self.tx_buffers)
         clone.guest = None
         clone.backend = None
         clone.tx_count = 0

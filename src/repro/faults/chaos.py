@@ -49,6 +49,18 @@ def audit_platform(platform: Any) -> list[str]:
             continue
         violations.append(f"dead domain {owner} still owns {owned} frames")
 
+    # The frame ledger per owner: what a guest maps privately (RAM,
+    # paging, special pages) is what the frame table charges it.
+    for domain in hyp.domains.values():
+        if domain.privileged:
+            continue
+        held = domain.machine_pages()
+        owned = frames.pages_owned(domain.domid)
+        if held != owned:
+            violations.append(
+                f"domain {domain.domid} holds {held} machine pages, the "
+                f"frame table charges it {owned}")
+
     for domain in hyp.domains.values():
         for channel in domain.events.ports.values():
             for child_domid, _port in channel.child_endpoints:

@@ -180,8 +180,7 @@ class KvmCloneOp:
                     host.faults.fire("paging.build", domid=child.pid,
                                      pages=guest_pages)
                 child.paging = build_paging(host.frames, child.pid,
-                                            guest_pages,
-                                            label=child.name or "kvm-clone")
+                                            guest_pages)
                 host.clock.charge((costs.pt_entry_clone
                                    + costs.p2m_entry_clone) * guest_pages)
 
@@ -189,8 +188,7 @@ class KvmCloneOp:
                 # but the runtime dirties most of it immediately;
                 # account it private.
                 child.vmm_extent = host.frames.alloc(
-                    child.pid, parent.vmm_extent.count,
-                    label=f"vmm:{child.pid}")
+                    child.pid, parent.vmm_extent.count, label="vmm")
 
                 # Devices.
                 if parent.net is not None:

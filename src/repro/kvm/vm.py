@@ -50,11 +50,10 @@ class KvmVm:
         guest_pages = pages_of(memory_bytes)
         self.memory.populate(guest_pages, label="guest-ram")
         # EPT/shadow structures: same order of magnitude as PV paging.
-        self.paging = build_paging(host.frames, self.pid, guest_pages,
-                                   label=name)
+        self.paging = build_paging(host.frames, self.pid, guest_pages)
         # The VMM process's own resident memory.
         self.vmm_extent = host.frames.alloc(
-            self.pid, pages_of(VMM_RESIDENT_BYTES), label=f"vmm:{name}")
+            self.pid, pages_of(VMM_RESIDENT_BYTES), label="vmm")
         host.clock.charge(host.costs.hyp_domain_create
                           + host.costs.hyp_vcpu_init * vcpus
                           + host.costs.page_alloc * guest_pages

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 from repro.sim.units import MIB, PAGE_SIZE
 from repro.xen.domid import DOMID_COW, XEN_OWNER
+from repro.xen.frames import Extent
 
 
 @dataclass
@@ -128,14 +129,15 @@ def snapshot(platform) -> PlatformSnapshot:
             continue
         member_ids = {domain.domid} | hyp.descendants(domain.domid)
         shared = private = 0
-        seen_extents: set[int] = set()
+        seen_extents: set[Extent] = set()
         for member_id in member_ids:
             member = hyp.domains[member_id]
             private += member.memory.private_pages()
             for seg in member.memory.segments:
-                if seg.shared and seg.extent.extent_id not in seen_extents:
-                    seen_extents.add(seg.extent.extent_id)
-                    shared += seg.extent.live_pages
+                extent = seg.extent
+                if extent.shared and extent not in seen_extents:
+                    seen_extents.add(extent)
+                    shared += extent.live_pages
         families.append(FamilyStats(
             root_domid=domain.domid, root_name=domain.name,
             members=len(member_ids), shared_pages=shared,

@@ -173,8 +173,7 @@ class XL:
         self.handle.write(f"{base}/control/platform-feature-xs_reset_watches", "1")
         self.handle.write(f"{base}/control/shutdown", "")
         self.handle.write(f"{base}/store/port", "1")
-        self.handle.write(f"{base}/store/ring-ref",
-                          str(domain.special["xenstore"].extent_id))
+        self.handle.write(f"{base}/store/ring-ref", str(domain.store_mfn))
 
     def _setup_devices(self, domain: Domain, config: DomainConfig) -> None:
         write_console_entries(self.handle, domain.domid)

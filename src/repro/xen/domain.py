@@ -48,9 +48,10 @@ class Domain:
     __slots__ = (
         "domid", "name", "privileged", "state", "memory_bytes",
         "ram_budget_pages", "vcpus", "memory", "paging", "grants",
-        "events", "foreign_maps", "special", "overhead_extent",
-        "cloning_enabled", "max_clones", "clones_created", "parent_id",
-        "children", "frontends", "guest", "config", "__weakref__")
+        "events", "foreign_maps", "special", "start_info_mfn", "store_mfn",
+        "overhead_extent", "cloning_enabled", "max_clones", "clones_created",
+        "parent_id", "children", "frontends", "guest", "config",
+        "__weakref__")
 
     def __init__(self, domid: int, name: str, frame_table: FrameTable,
                  memory_bytes: int, vcpu_count: int = 1,
@@ -74,6 +75,11 @@ class Domain:
         #: scrubbed from the granters' tables when this domain dies.
         self.foreign_maps: list[tuple[int, int]] = []
         self.special: dict[str, Extent] = {}
+        #: The frame numbers Xen publishes (see :mod:`repro.xen.frames`):
+        #: the start_info page's, carried by clone notifications, and
+        #: the Xenstore ring page's, written as ``store/ring-ref``.
+        self.start_info_mfn = 0
+        self.store_mfn = 0
         self.overhead_extent: Extent | None = None
 
         # --- Nephele clone state ---

@@ -12,14 +12,23 @@ with identical state) rather than one object per frame. Reference counts
 are stored as a per-extent base count plus a run-length map of per-page
 offsets and dead pages, so cloning a whole guest is O(#extents), while
 COW faults and teardown stay exact per page at a cost of O(runs).
+
+An extent is four fields: its page count, owner, page type and share
+record. Being shared (owned by dom_cow) and being writable are derived
+from them, and no extent stores a number or a label (the label only
+names the allocation to the ``frames.alloc`` fault site). The frame
+table still numbers the extents it creates, 1, 2, 3, ... in creation
+order (:attr:`FrameTable.extents_created`), and the simulation uses an
+extent's number as its first frame number. Only the numbers Xen
+publishes are kept, on the domain: its start_info page's, which the
+clone notification carries, and its Xenstore ring page's, which the
+toolstack writes as ``store/ring-ref``.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 from bisect import bisect_right
-from dataclasses import dataclass
 
 from repro.faults.injector import NULL_INJECTOR
 from repro.xen.domid import DOMID_COW, DOMID_INVALID
@@ -127,15 +136,17 @@ class _RefRuns:
 
 
 class PageRefs:
-    """Per-page reference state of an extent whose pages are shared or
-    dead: what a live private extent does not carry.
+    """Per-page reference state of an extent whose pages are shared,
+    dead or split off: what a live private extent does not carry.
 
-    :meth:`FrameTable.share_to_cow` creates it (``base_ref`` 1), and
+    :meth:`FrameTable.share_to_cow` creates it (``base_ref`` 1),
     :meth:`FrameTable.free_extent` creates it for a private extent
-    whose pages all died.
+    whose pages all died, and :meth:`FrameTable.split_private` for the
+    extent it retires.
     """
 
-    __slots__ = ("base_ref", "freed", "adopted", "runs", "cow_protected")
+    __slots__ = ("base_ref", "freed", "adopted", "runs", "cow_protected",
+                 "retired")
 
     def __init__(self) -> None:
         #: Whole-extent reference count (number of domains mapping
@@ -156,6 +167,10 @@ class PageRefs:
         #: §5.2.2: IDC pages move to dom_cow "just like for any shared
         #: page", but both ends keep writing to them).
         self.cow_protected = True
+        #: True once the extent was split; its pages live on in the
+        #: parts. A retired extent may still be shared (it then shares
+        #: no live page).
+        self.retired = False
 
 
 def _refs_field(name: str, private):
@@ -167,39 +182,50 @@ def _refs_field(name: str, private):
     return property(get, doc=f"``PageRefs.{name}`` ({private!r} if none).")
 
 
-@dataclass(slots=True)
 class Extent:
-    """A run of machine pages in identical ownership state."""
+    """A run of machine pages in identical ownership state.
 
-    count: int
-    owner: int
-    page_type: PageType
-    #: Drawn from the owning :class:`FrameTable`: ids, like frame
-    #: numbers, are per host.
-    extent_id: int
-    writable: bool = True
-    label: str = ""
-    #: True once ownership moved to dom_cow and refcounting is active.
-    shared: bool = False
-    #: Share and dead-page state; ``None`` for a live private extent.
-    refs: PageRefs | None = None
-    #: True once the extent was split; its pages live on in the parts.
-    retired: bool = False
+    Compared and hashed by identity: a domain's memory map, the clone
+    reset and the family metrics test membership with the extent
+    itself.
+    """
+
+    __slots__ = ("count", "owner", "page_type", "refs")
+
+    def __init__(self, count: int, owner: int, page_type: PageType) -> None:
+        self.count = count
+        self.owner = owner
+        self.page_type = page_type
+        #: Share, dead-page and split state; ``None`` for a live private
+        #: extent.
+        self.refs: PageRefs | None = None
 
     base_ref = _refs_field("base_ref", 0)
     freed = _refs_field("freed", 0)
     adopted = _refs_field("adopted", 0)
     runs = _refs_field("runs", None)
     cow_protected = _refs_field("cow_protected", True)
+    retired = _refs_field("retired", False)
+
+    @property
+    def shared(self) -> bool:
+        """Ownership moved to dom_cow and refcounting is active."""
+        return self.owner == DOMID_COW
+
+    @property
+    def writable(self) -> bool:
+        """May the mapping domains write without a COW fault? Private
+        pages and shared IDC pages, yes; other shared pages, no."""
+        return self.owner != DOMID_COW or not self.refs.cow_protected
 
     @property
     def live_pages(self) -> int:
         """Pages still accounted to this extent."""
-        if self.retired:
-            return 0
         refs = self.refs
         if refs is None:
             return self.count
+        if refs.retired:
+            return 0
         return self.count - refs.freed - refs.adopted
 
     def effective_ref(self, index: int) -> int:
@@ -290,17 +316,11 @@ class Extent:
         if runs.values == [0]:
             self.refs.runs = None
 
-    def __hash__(self) -> int:
-        return self.extent_id
-
-    def __eq__(self, other: object) -> bool:
-        return self is other
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "shared" if self.shared else "private"
         return (
-            f"Extent(#{self.extent_id} {self.label or self.page_type.value} "
-            f"{state} owner={self.owner} count={self.count} live={self.live_pages})"
+            f"Extent({self.page_type.value} {state} owner={self.owner} "
+            f"count={self.count} live={self.live_pages})"
         )
 
 
@@ -321,7 +341,10 @@ class FrameTable:
         #: the platform injector here, everyone else gets the no-op.
         self.faults = NULL_INJECTOR
         self._owned: dict[int, int] = {}
-        self._extent_ids = itertools.count(1)
+        #: Extents created so far, so also the number of the newest
+        #: one: extents are numbered 1, 2, 3, ... in creation order.
+        #: Numbers, like frames, are per host.
+        self.extents_created = 0
         #: Cumulative counters, for tests and experiment reporting.
         self.stats = {
             "allocs": 0,
@@ -339,12 +362,13 @@ class FrameTable:
         return self._owned.get(domid, 0)
 
     def alloc(self, owner: int, count: int, page_type: PageType = PageType.NORMAL,
-              writable: bool = True, label: str = "") -> Extent:
-        """Allocate ``count`` frames for ``owner``."""
+              label: str = "") -> Extent:
+        """Allocate ``count`` frames for ``owner``; ``label`` names the
+        allocation to the ``frames.alloc`` fault site only."""
         if count <= 0:
             raise XenInvalidError(f"non-positive page count: {count}")
-        if owner == DOMID_INVALID:
-            raise XenInvalidError("cannot allocate for DOMID_INVALID")
+        if owner == DOMID_INVALID or owner == DOMID_COW:
+            raise XenInvalidError(f"cannot allocate for domain {owner:#x}")
         if self.faults.enabled:
             self.faults.fire("frames.alloc", owner=owner, count=count,
                              page_type=page_type.value, label=label)
@@ -355,17 +379,16 @@ class FrameTable:
         self.free_frames -= count
         self._credit(owner, count)
         self.stats["allocs"] += count
-        return Extent(count=count, owner=owner, page_type=page_type,
-                      extent_id=next(self._extent_ids), writable=writable,
-                      label=label)
+        self.extents_created += 1
+        return Extent(count, owner, page_type)
 
     def split_private(self, extent: Extent,
-                      parts: list[tuple[int, PageType, str]]) -> list[Extent]:
+                      parts: list[tuple[int, PageType]]) -> list[Extent]:
         """Split an unshared extent into consecutive new extents.
 
         No frames move; the original extent is retired and each
-        ``(count, page_type, label)`` part takes over its share of the
-        pages. Used to retype a sub-range (e.g. carving an IDC area out
+        ``(count, page_type)`` part with pages takes over its share of
+        them. Used to retype a sub-range (e.g. carving an IDC area out
         of the guest heap).
         """
         if extent.shared:
@@ -374,17 +397,15 @@ class FrameTable:
             raise XenInvalidError(f"{extent!r} is already retired")
         if extent.refs is not None:
             raise XenInvalidError(f"cannot split partially-dead {extent!r}")
-        if sum(count for count, _, _ in parts) != extent.count:
+        covered = sum(count for count, _ in parts)
+        if covered != extent.count:
             raise XenInvalidError(
-                f"split parts cover {sum(c for c, _, _ in parts)} pages, "
-                f"extent has {extent.count}")
-        pieces = [
-            Extent(count=count, owner=extent.owner, page_type=page_type,
-                   extent_id=next(self._extent_ids),
-                   writable=extent.writable, label=label)
-            for count, page_type, label in parts if count > 0
-        ]
-        extent.retired = True
+                f"split parts cover {covered} pages, extent has {extent.count}")
+        pieces = [Extent(count, extent.owner, page_type)
+                  for count, page_type in parts if count > 0]
+        self.extents_created += len(pieces)
+        refs = extent.refs = PageRefs()
+        refs.retired = True
         return pieces
 
     def free_extent(self, extent: Extent) -> int:
@@ -420,17 +441,16 @@ class FrameTable:
             raise XenInvalidError(
                 f"page type {extent.page_type.value} is private memory"
             )
-        self._debit(extent.owner, extent.live_pages)
-        self._credit(DOMID_COW, extent.live_pages)
+        live = extent.live_pages
+        self._debit(extent.owner, live)
+        self._credit(DOMID_COW, live)
         extent.owner = DOMID_COW
-        extent.shared = True
         refs = extent.refs
         if refs is None:
             refs = extent.refs = PageRefs()
         refs.base_ref = 1
         refs.cow_protected = extent.page_type is not PageType.IDC_SHM
-        extent.writable = not refs.cow_protected
-        self.stats["shares"] += extent.live_pages
+        self.stats["shares"] += live
 
     def add_sharer(self, extent: Extent) -> None:
         """Register one more domain mapping every live page of ``extent``."""
@@ -518,8 +538,7 @@ class FrameTable:
         Allocates fresh private frames for ``new_owner`` and drops the
         writer's references on the shared originals.
         """
-        copy = self.alloc(new_owner, count, PageType.NORMAL, writable=True,
-                          label=f"cow:{extent.label or extent.extent_id}")
+        copy = self.alloc(new_owner, count, PageType.NORMAL, label="cow")
         self.drop_ref_range(extent, index, count)
         self.stats["cow_copies"] += count
         return copy
@@ -549,9 +568,8 @@ class FrameTable:
         self._debit(DOMID_COW, count)
         self._credit(new_owner, count)
         self.stats["cow_adoptions"] += count
-        return Extent(count=count, owner=new_owner, page_type=PageType.NORMAL,
-                      extent_id=next(self._extent_ids), writable=True,
-                      label=f"adopted:{extent.label or extent.extent_id}")
+        self.extents_created += 1
+        return Extent(count, new_owner, PageType.NORMAL)
 
     # ------------------------------------------------------------------
     # invariants

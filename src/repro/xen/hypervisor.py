@@ -128,22 +128,26 @@ class Hypervisor:
 
         overhead = (costs.hyp_per_domain_overhead_pages
                     if overhead_pages is None else overhead_pages)
+        frames = self.frames
         try:
-            # Labels name the kind only; nothing reads a per-domid
-            # label, and each would be one more string per domain.
-            domain.overhead_extent = self.frames.alloc(
+            domain.overhead_extent = frames.alloc(
                 XEN_OWNER, overhead, PageType.NORMAL, label="xen-overhead")
             for name_, page_type in SPECIAL_PAGES:
-                domain.special[name_] = self.frames.alloc(
+                domain.special[name_] = frames.alloc(
                     domid, 1, page_type, label=name_)
                 self.clock.charge(costs.page_alloc)
+                # The two frame numbers Xen publishes.
+                if page_type is PageType.START_INFO:
+                    domain.start_info_mfn = frames.extents_created
+                elif page_type is PageType.XENSTORE_RING:
+                    domain.store_mfn = frames.extents_created
 
             ram_pages = domain.ram_budget_pages
             if self.faults.enabled:
                 self.faults.fire("paging.build", domid=domid,
                                  pages=ram_pages)
             domain.paging = build_paging(
-                self.frames, domid, ram_pages, label=name,
+                frames, domid, ram_pages,
                 skeleton=self.paging_skeletons.get(ram_pages))
             self.clock.charge(costs.pt_entry_build * ram_pages)
             if populate:

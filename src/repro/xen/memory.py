@@ -2,14 +2,16 @@
 
 A domain's pseudo-physical address space is a list of segments, each
 mapping a contiguous pfn range onto a contiguous range of an
-:class:`~repro.xen.frames.Extent`. COW faults split segments so that a
-segment is always either fully private or fully shared.
+:class:`~repro.xen.frames.Extent`, sorted by start pfn. COW faults split
+segments so that a segment is always either fully private or fully
+shared.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from operator import attrgetter
 
 from repro.sim.intervals import IntervalSet
 from repro.xen.errors import XenInvalidError, XenNoEntryError
@@ -63,18 +65,21 @@ class Segment:
         )
 
 
+#: The bisection key of a segment list.
+_pfn_start = attrgetter("pfn_start")
+
+
 class GuestMemory:
     """The pseudo-physical memory map of one domain."""
 
-    __slots__ = ("domid", "frames", "segments", "_starts_cache",
-                 "_next_pfn", "dirty", "cow_copied_total",
-                 "cow_adopted_total")
+    __slots__ = ("domid", "frames", "segments", "_next_pfn", "dirty",
+                 "cow_copied_total", "cow_adopted_total")
 
     def __init__(self, domid: int, frame_table: FrameTable) -> None:
         self.domid = domid
         self.frames = frame_table
+        #: Sorted by ``pfn_start``; ranges never overlap.
         self.segments: list[Segment] = []
-        self._starts_cache: list[int] | None = None
         self._next_pfn = 0
         #: Pages written since the last :meth:`clear_dirty` (pfn intervals).
         self.dirty = IntervalSet()
@@ -104,36 +109,40 @@ class GuestMemory:
         segment = Segment(self._next_pfn, npages, extent, 0, label)
         self._next_pfn += npages
         self.segments.append(segment)
-        self._starts_cache = None
         return segment
+
+    def populate_like(self, segment: Segment) -> Segment:
+        """Allocate fresh frames for a private copy of ``segment`` (a
+        parent's device area) and map them at its pfn range, under its
+        label: a clone's layout is its parent's."""
+        extent = self.frames.alloc(self.domid, segment.npages,
+                                   segment.extent.page_type,
+                                   label=segment.label)
+        return self._insert(Segment(segment.pfn_start, segment.npages,
+                                    extent, 0, segment.label))
 
     def adopt_segment(self, segment: Segment) -> Segment:
         """Map ``segment`` (e.g. a parent's shared segment) at its pfn
         range. Segments are never mutated (COW faults and retypes splice
         in new ones), so the object itself is shared, not copied."""
-        starts = self._starts()
-        index = bisect.bisect_left(starts, segment.pfn_start)
+        return self._insert(segment)
+
+    def _insert(self, segment: Segment) -> Segment:
+        """Map ``segment`` at its pfn range, which must be unmapped."""
+        index = bisect.bisect_left(self.segments, segment.pfn_start,
+                                   key=_pfn_start)
         self.segments.insert(index, segment)
-        starts.insert(index, segment.pfn_start)
         self._next_pfn = max(self._next_pfn, segment.pfn_end)
         return segment
 
-    def _starts(self) -> list[int]:
-        """Sorted segment start pfns, rebuilt after a wholesale change."""
-        if self._starts_cache is None:
-            self._starts_cache = [s.pfn_start for s in self.segments]
-        return self._starts_cache
-
     def _splice(self, seg: Segment, pieces: list[Segment]) -> None:
-        """Replace ``seg`` with ``pieces``, keeping the start cache."""
-        starts = self._starts()
-        i = bisect.bisect_left(starts, seg.pfn_start)  # starts are unique
+        """Replace ``seg`` with ``pieces``."""
+        i = bisect.bisect_left(self.segments, seg.pfn_start, key=_pfn_start)
         self.segments[i:i + 1] = pieces
-        starts[i:i + 1] = [piece.pfn_start for piece in pieces]
 
     def find(self, pfn: int) -> tuple[Segment, int]:
         """Locate the segment covering ``pfn``; returns (segment, local index)."""
-        i = bisect.bisect_right(self._starts(), pfn) - 1
+        i = bisect.bisect_right(self.segments, pfn, key=_pfn_start) - 1
         if i >= 0:
             seg = self.segments[i]
             if seg.pfn_start <= pfn < seg.pfn_end:
@@ -245,9 +254,9 @@ class GuestMemory:
             raise XenInvalidError(
                 "retype requires a segment covering its whole extent")
         parts = [
-            (local, seg.extent.page_type, seg.label),
-            (npages, page_type, label),
-            (seg.npages - local - npages, seg.extent.page_type, seg.label),
+            (local, seg.extent.page_type),
+            (npages, page_type),
+            (seg.npages - local - npages, seg.extent.page_type),
         ]
         pieces = self.frames.split_private(seg.extent, parts)
         # Rebuild the segment list: map each piece at its pfn.
@@ -279,17 +288,16 @@ class GuestMemory:
     def release(self) -> int:
         """Tear down the address space; returns frames actually freed."""
         freed = 0
-        released: set[int] = set()
+        released: set[Extent] = set()
         for seg in self.segments:
             extent = seg.extent
             if extent.shared:
                 freed += self.frames.drop_ref_range(
                     extent, seg.extent_offset, seg.npages
                 )
-            elif extent.extent_id not in released:
+            elif extent not in released:
                 freed += self.frames.free_extent(extent)
-                released.add(extent.extent_id)
+                released.add(extent)
         self.segments.clear()
-        self._starts_cache = None
         self.dirty.clear()
         return freed

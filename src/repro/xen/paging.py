@@ -119,7 +119,6 @@ class SkeletonCache:
 
 
 def build_paging(frames: FrameTable, domid: int, guest_pages: int,
-                 label: str = "",
                  skeleton: PagingSkeleton | None = None) -> PagingState:
     """Allocate page-table and p2m frames for a domain.
 
@@ -133,11 +132,9 @@ def build_paging(frames: FrameTable, domid: int, guest_pages: int,
     else:
         pt_count = page_table_pages(guest_pages)
         p2m_count = p2m_pages(guest_pages)
-    pt = frames.alloc(domid, pt_count, PageType.PAGE_TABLE,
-                      label=f"pt:{label}")
+    pt = frames.alloc(domid, pt_count, PageType.PAGE_TABLE, label="pt")
     try:
-        p2m = frames.alloc(domid, p2m_count, PageType.P2M,
-                           label=f"p2m:{label}")
+        p2m = frames.alloc(domid, p2m_count, PageType.P2M, label="p2m")
     except Exception:
         # ENOMEM between the two allocations: nothing references the pt
         # extent yet (PagingState is never built), so free it here or it

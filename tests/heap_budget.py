@@ -1,5 +1,5 @@
-"""Per-clone heap of two parent shapes, per-span heap of a full span
-ring, and their pinned budgets.
+"""Per-clone heap of two parent shapes, per-extent heap of the frame
+table, per-span heap of a full span ring, and their pinned budgets.
 
 Kept apart from the pytest module so the budgets can be re-measured on
 any interpreter, with or without pytest installed::
@@ -7,7 +7,8 @@ any interpreter, with or without pytest installed::
     PYTHONPATH=src python -m tests.heap_budget
 
 prints, per shape, the figures next to their budgets and the source
-files that hold the most bytes per clone. Counts are deterministic per
+files that hold the most bytes per clone, then the per-extent and
+per-span figures next to theirs. Counts are deterministic per
 interpreter in a fresh process, so a budget gives the same verdict on
 any machine; :func:`fresh` runs a measurement in one.
 """
@@ -25,6 +26,7 @@ from repro import DomainConfig, NepheleSession, P9Config, Platform, VifConfig
 from repro.apps.udp_server import UdpServerApp
 from repro.guest.api import Region
 from repro.sim.units import GIB, PAGE_SIZE
+from repro.xen.frames import FrameTable
 
 SEED = 0xC10E
 
@@ -33,23 +35,33 @@ SRC = os.path.join(ROOT, "src")
 
 #: (gc-tracked objects, tracemalloc bytes) per clone of the clone_burst
 #: parent (one vif), per CPython minor version: the measured value plus
-#: 2 objects and plus 3% bytes (measured: 66 / 8,676 on 3.10.13,
-#: 65 / 8,287 on 3.11.7, 65 / 8,239 on 3.12.1).
+#: 2 objects and plus 3% bytes (measured: 65 / 7,345 on 3.10.13,
+#: 64 / 6,945 on 3.11.7, 64 / 6,937 on 3.12.1).
 BUDGETS = {
-    (3, 10): (68, 8_936),
-    (3, 11): (67, 8_535),
-    (3, 12): (67, 8_485),
+    (3, 10): (67, 7_565),
+    (3, 11): (66, 7_153),
+    (3, 12): (66, 7_144),
 }
 
 #: The same per clone of a parent with a vif and a 9pfs mount, the
-#: clone_churn/FaaS shape (measured: 77 / 10,091 on 3.10.13,
-#: 75 / 9,538 on 3.11.7, 75 / 9,481 on 3.12.1).
+#: clone_churn/FaaS shape (measured: 76 / 8,760 on 3.10.13,
+#: 74 / 8,196 on 3.11.7, 74 / 8,180 on 3.12.1).
 P9FS_BUDGETS = {
-    (3, 10): (79, 10_393),
-    (3, 11): (77, 9_823),
-    (3, 12): (77, 9_765),
+    (3, 10): (78, 9_023),
+    (3, 11): (76, 8_441),
+    (3, 12): (76, 8_424),
 }
 
+
+#: Tracemalloc bytes per private one-page extent, per CPython minor
+#: version: the measured value plus 3% (measured: 64.1 on 3.10.13, 64.0
+#: on 3.11.7 and 3.12.1; an extent with an id and nine fields held
+#: 131.4 / 131.3 / 131.3).
+EXTENT_BUDGETS = {
+    (3, 10): 66,
+    (3, 11): 66,
+    (3, 12): 66,
+}
 
 #: Tracemalloc bytes per span held by a full span ring, per CPython
 #: minor version: the measured value plus 3% (measured: 111.9 on
@@ -62,7 +74,7 @@ SPAN_BUDGETS = {
 }
 
 
-def _clone_parent(p9fs: bool):
+def clone_parent(p9fs: bool):
     """The cloned parent: a 4 MiB minios-udp guest with one vif (and a
     9pfs mount if ``p9fs``) on an 8 GiB host. Returns the clone call
     and the parent's domid."""
@@ -81,7 +93,7 @@ def per_clone_heap(p9fs: bool = False, warmup: int = 20,
     """(gc-tracked objects, tracemalloc bytes) held per clone of the
     ``clone_burst`` parent (with a 9pfs mount too if ``p9fs``), cloned
     ``warmup`` times before measuring."""
-    clone, parent = _clone_parent(p9fs)
+    clone, parent = clone_parent(p9fs)
     for _ in range(warmup):
         clone(parent, count=1)
     tracing = tracemalloc.is_tracing()
@@ -107,7 +119,7 @@ def per_clone_files(p9fs: bool = False, top: int = 6, warmup: int = 20,
     """The ``top`` source files by tracemalloc bytes held per clone, as
     (path below ``src/``, bytes) pairs: where :func:`per_clone_heap`'s
     bytes go."""
-    clone, parent = _clone_parent(p9fs)
+    clone, parent = clone_parent(p9fs)
     for _ in range(warmup):
         clone(parent, count=1)
     own = [tracemalloc.Filter(False, tracemalloc.__file__)]
@@ -125,6 +137,26 @@ def per_clone_files(p9fs: bool = False, top: int = 6, warmup: int = 20,
                    key=lambda stat: -stat.size_diff)[:top]
     return [(os.path.relpath(stat.traceback[0].filename, SRC),
              stat.size_diff / clones) for stat in stats]
+
+
+def per_extent_heap(extents: int = 10_000) -> float:
+    """Tracemalloc bytes per private one-page extent that
+    ``FrameTable.alloc`` hands out, kept in a list allocated
+    beforehand."""
+    table = FrameTable(extents)
+    held = [None] * extents
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for index in range(extents):
+            held[index] = table.alloc(1, 1)
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return (after - before) / extents
 
 
 def per_span_heap() -> float:
@@ -197,5 +229,7 @@ if __name__ == "__main__":  # pragma: no cover - budget re-measurement
               % (python, shape, objects, held, budgets.get(version)))
         for path, size in fresh("per_clone_files", p9fs):
             print("    %8.1f  %s" % (size, path))
+    print("%s bytes/extent %.1f budget %s"
+          % (python, fresh("per_extent_heap"), EXTENT_BUDGETS.get(version)))
     print("%s bytes/span %.1f budget %s"
           % (python, per_span_heap(), SPAN_BUDGETS.get(version)))

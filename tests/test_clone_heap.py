@@ -1,10 +1,10 @@
 """Per-clone heap and lifetime: a clone holds only what it cannot share,
-a kept span only its packed record, and a destroyed domain -- or a
-closed session's whole platform -- is freed by reference count, not by
-the cyclic collector.
+an extent only its four fields, a kept span only its packed record,
+and a destroyed domain -- or a closed session's whole platform -- is
+freed by reference count, not by the cyclic collector.
 
-The per-clone and per-span measurements and their budgets live in
-``tests.heap_budget``, which runs without pytest.
+The per-clone, per-extent and per-span measurements and their budgets
+live in ``tests.heap_budget``, which runs without pytest.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from repro import FleetSession, NepheleSession, P9Config
 from repro.apps.udp_server import UdpServerApp
 from tests.heap_budget import (
     BUDGETS,
+    EXTENT_BUDGETS,
     P9FS_BUDGETS,
     SPAN_BUDGETS,
     fresh,
@@ -150,6 +151,16 @@ def test_per_clone_heap_budget_with_9pfs():
     """The clone_churn/FaaS shape: its 9pfs directories are overlaid
     like the vif and console ones."""
     _assert_per_clone_heap_within(P9FS_BUDGETS, p9fs=True)
+
+
+@pytest.mark.skipif(sys.implementation.name != "cpython"
+                    or sys.version_info[:2] not in EXTENT_BUDGETS,
+                    reason="budgets are pinned for CPython 3.10-3.12")
+def test_per_extent_heap_budget():
+    """A private extent is its four slots: no id, no label, no flags."""
+    held = fresh("per_extent_heap")
+    assert held <= EXTENT_BUDGETS[sys.version_info[:2]], (
+        f"{held:.1f} bytes per extent")
 
 
 @pytest.mark.skipif(sys.implementation.name != "cpython"

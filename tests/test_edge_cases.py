@@ -18,23 +18,23 @@ from tests.conftest import udp_config
 def test_split_private_validates(frames):
     extent = frames.alloc(owner=1, count=10)
     with pytest.raises(XenInvalidError):
-        frames.split_private(extent, [(4, PageType.NORMAL, "a")])  # != 10
+        frames.split_private(extent, [(4, PageType.NORMAL)])  # != 10
     frames.share_to_cow(extent)
     with pytest.raises(XenInvalidError):
-        frames.split_private(extent, [(10, PageType.NORMAL, "a")])
+        frames.split_private(extent, [(10, PageType.NORMAL)])
 
 
 def test_split_retires_original(frames):
     extent = frames.alloc(owner=1, count=10)
     parts = frames.split_private(
-        extent, [(4, PageType.NORMAL, "a"), (6, PageType.IDC_SHM, "b")])
+        extent, [(4, PageType.NORMAL), (6, PageType.IDC_SHM)])
     assert extent.retired
     assert extent.live_pages == 0
     assert sum(p.count for p in parts) == 10
     with pytest.raises(XenInvalidError):
         frames.free_extent(extent)  # parts own the pages now
     with pytest.raises(XenInvalidError):
-        frames.split_private(extent, [(10, PageType.NORMAL, "x")])
+        frames.split_private(extent, [(10, PageType.NORMAL)])
     for part in parts:
         frames.free_extent(part)
     frames.check_invariants()
@@ -44,8 +44,8 @@ def test_split_conserves_frames(frames):
     extent = frames.alloc(owner=1, count=10)
     owned_before = frames.pages_owned(1)
     free_before = frames.free_frames
-    frames.split_private(extent, [(5, PageType.NORMAL, "a"),
-                                  (5, PageType.NORMAL, "b")])
+    frames.split_private(extent, [(5, PageType.NORMAL),
+                                  (5, PageType.NORMAL)])
     assert frames.pages_owned(1) == owned_before
     assert frames.free_frames == free_before
 

@@ -30,8 +30,9 @@ class RefExtent:
     count: int
     owner: int
     page_type: PageType
-    label: str = ""
     shared: bool = False
+    #: Shared pages are copied on write, except IDC pages.
+    writable: bool = True
     base_ref: int = 0
     ref_delta: dict[int, int] = field(default_factory=dict)
     freed: int = 0
@@ -79,7 +80,7 @@ class RefFrameTable:
     def pages_owned(self, domid: int) -> int:
         return self._owned.get(domid, 0)
 
-    def alloc(self, owner, count, page_type=PageType.NORMAL, label=""):
+    def alloc(self, owner, count, page_type=PageType.NORMAL):
         if count <= 0:
             raise XenInvalidError("non-positive page count")
         if count > self.free_frames:
@@ -87,17 +88,16 @@ class RefFrameTable:
         self.free_frames -= count
         self._credit(owner, count)
         self.stats["allocs"] += count
-        return RefExtent(count=count, owner=owner, page_type=page_type,
-                         label=label)
+        return RefExtent(count=count, owner=owner, page_type=page_type)
 
     def split_private(self, extent, parts):
         if extent.shared or extent.retired or extent.freed or extent.adopted:
             raise XenInvalidError("cannot split")
-        if sum(count for count, _, _ in parts) != extent.count:
+        if sum(count for count, _ in parts) != extent.count:
             raise XenInvalidError("split parts do not cover the extent")
         pieces = [RefExtent(count=count, owner=extent.owner,
-                            page_type=page_type, label=label)
-                  for count, page_type, label in parts if count > 0]
+                            page_type=page_type)
+                  for count, page_type in parts if count > 0]
         extent.retired = True
         return pieces
 
@@ -121,6 +121,7 @@ class RefFrameTable:
         self._credit(DOMID_COW, extent.live_pages)
         extent.owner = DOMID_COW
         extent.shared = True
+        extent.writable = extent.page_type is PageType.IDC_SHM
         extent.base_ref = 1
         self.stats["shares"] += extent.live_pages
 
@@ -181,7 +182,7 @@ class RefFrameTable:
         return freed
 
     def cow_copy(self, extent, index, new_owner, count=1):
-        copy = self.alloc(new_owner, count, label=f"cow:{extent.label}")
+        copy = self.alloc(new_owner, count)
         self.drop_ref_range(extent, index, count)
         self.stats["cow_copies"] += count
         return copy
@@ -200,8 +201,7 @@ class RefFrameTable:
         self._credit(new_owner, count)
         self.stats["cow_adoptions"] += count
         return RefExtent(count=count, owner=new_owner,
-                         page_type=PageType.NORMAL,
-                         label=f"adopted:{extent.label}")
+                         page_type=PageType.NORMAL)
 
     def check_invariants(self):
         owned = sum(self._owned.values())
@@ -255,20 +255,15 @@ class FrameRunsMachine(RuleBasedStateMachine):
         self.table = FrameTable(192)
         self.ref = RefFrameTable(192)
         self.pairs: list[tuple] = []
-        self.labels = 0
 
     @initialize(count=st.integers(1, 16))
     def shared_extent(self, count):
         """Start from one shared extent, the subject of most operations."""
-        new = self.table.alloc(1, count, label="s")
-        old = self.ref.alloc(1, count, label="s")
+        new = self.table.alloc(1, count)
+        old = self.ref.alloc(1, count)
         self.table.share_to_cow(new)
         self.ref.share_to_cow(old)
         self.pairs.append((new, old))
-
-    def _label(self) -> str:
-        self.labels += 1
-        return f"x{self.labels}"
 
     def _pair(self, pick: int) -> tuple:
         return self.pairs[pick % len(self.pairs)]
@@ -298,9 +293,8 @@ class FrameRunsMachine(RuleBasedStateMachine):
           page_type=st.sampled_from([PageType.NORMAL, PageType.NORMAL,
                                      PageType.IDC_SHM, PageType.PAGE_TABLE]))
     def alloc(self, owner, count, page_type):
-        label = self._label()
-        got = _outcome(self.table.alloc, owner, count, page_type, True, label)
-        want = _outcome(self.ref.alloc, owner, count, page_type, label)
+        got = _outcome(self.table.alloc, owner, count, page_type)
+        want = _outcome(self.ref.alloc, owner, count, page_type)
         assert got[0] == want[0]
         self._adopt_results(got, want)
 
@@ -311,9 +305,9 @@ class FrameRunsMachine(RuleBasedStateMachine):
         new, _ = self._pair(pick)
         a = cut_a % (new.count + 1)
         b = cut_b % (new.count - a + 1)
-        parts = [(a, PageType.NORMAL, self._label()),
-                 (b, PageType.IDC_SHM, self._label()),
-                 (new.count - a - b, PageType.NORMAL, self._label())]
+        parts = [(a, PageType.NORMAL),
+                 (b, PageType.IDC_SHM),
+                 (new.count - a - b, PageType.NORMAL)]
         self._adopt_results(*self._both("split_private", pick, parts))
 
     @precondition(lambda self: self.pairs)
@@ -380,9 +374,9 @@ class FrameRunsMachine(RuleBasedStateMachine):
     def extents_agree(self):
         for new, old in self.pairs:
             assert (new.count, new.owner, new.page_type, new.shared,
-                    new.retired, new.base_ref) == \
+                    new.writable, new.retired, new.base_ref) == \
                 (old.count, old.owner, old.page_type, old.shared,
-                 old.retired, old.base_ref)
+                 old.writable, old.retired, old.base_ref)
             assert (new.live_pages, new.freed, new.adopted) == \
                 (old.live_pages, old.freed, old.adopted)
             for i in range(new.count):
@@ -432,8 +426,8 @@ def test_touched_pages_keep_the_drop_fast_path_off():
     touched; a whole-extent drop then goes page by page, so dead pages
     still report the unchanged ``base_ref``, as with a per-page delta."""
     table, ref = FrameTable(64), RefFrameTable(64)
-    new = table.alloc(1, 8, label="t")
-    old = ref.alloc(1, 8, label="t")
+    new = table.alloc(1, 8)
+    old = ref.alloc(1, 8)
     for t, e in ((table, new), (ref, old)):
         t.share_to_cow(e)
         t.add_ref_range(e, 0, 4)
