@@ -8,7 +8,6 @@ and the host-side second stage run by the ``xencloned`` daemon
 """
 
 from repro.core.cloneop import CloneOp, CloneSubOp, CloneOpError
-from repro.core.family import family_of, is_family, share_allowed
 from repro.core.notify_ring import CloneNotification, CloneNotificationRing
 from repro.core.smp import CloneFleet, build_fleet
 from repro.core.xencloned import Xencloned
@@ -20,9 +19,6 @@ __all__ = [
     "Xencloned",
     "CloneNotification",
     "CloneNotificationRing",
-    "family_of",
-    "is_family",
-    "share_allowed",
     "CloneFleet",
     "build_fleet",
 ]

@@ -17,10 +17,43 @@ the audits does not pull in a platform stack.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, Mapping
 
 from repro.errors import ReproError
 from repro.faults.plan import FaultPlan
+
+
+def _audit_frames(frames: Any, live: set[int], guests: Mapping[int, Any],
+                 noun: str) -> list[str]:
+    """The frame-table half of both backends' audits, as strings.
+
+    Frame conservation; no frames left with an owner that is neither
+    ``live`` nor one of the host's own (Dom0, ``dom_cow``, Xen); and
+    the ledger per owner: what each of ``guests`` (the live
+    unprivileged guests, by id) maps privately is what the frame table
+    charges it. ``noun`` names a guest in the messages.
+    """
+    violations: list[str] = []
+    try:
+        frames.check_invariants()
+    except AssertionError as error:
+        violations.append(f"frame table: {error}")
+
+    from repro.xen.domid import DOM0, DOMID_COW, XEN_OWNER
+
+    accounted = live | {DOM0, DOMID_COW, XEN_OWNER}
+    for owner, owned in sorted(frames._owned.items()):
+        if owner not in accounted:
+            violations.append(f"dead {noun} {owner} still owns {owned} frames")
+
+    for guest_id, guest in guests.items():
+        held = guest.machine_pages()
+        owned = frames.pages_owned(guest_id)
+        if held != owned:
+            violations.append(
+                f"{noun} {guest_id} holds {held} machine pages, the frame "
+                f"table charges it {owned}")
+    return violations
 
 
 def audit_platform(platform: Any) -> list[str]:
@@ -31,35 +64,14 @@ def audit_platform(platform: Any) -> list[str]:
     any quiescent point — the rollback-invariant tests reuse it
     mid-scenario.
     """
-    violations: list[str] = []
+    from repro.xen.domid import DOM0
+
     hyp = platform.hypervisor
-    frames = hyp.frames
-
-    try:
-        frames.check_invariants()
-    except AssertionError as error:
-        violations.append(f"frame table: {error}")
-
     live = set(hyp.domains)
-    from repro.xen.domid import DOM0, DOMID_COW, XEN_OWNER
-
-    accounted = live | {DOM0, DOMID_COW, XEN_OWNER}
-    for owner, owned in sorted(frames._owned.items()):
-        if owner in accounted:
-            continue
-        violations.append(f"dead domain {owner} still owns {owned} frames")
-
-    # The frame ledger per owner: what a guest maps privately (RAM,
-    # paging, special pages) is what the frame table charges it.
-    for domain in hyp.domains.values():
-        if domain.privileged:
-            continue
-        held = domain.machine_pages()
-        owned = frames.pages_owned(domain.domid)
-        if held != owned:
-            violations.append(
-                f"domain {domain.domid} holds {held} machine pages, the "
-                f"frame table charges it {owned}")
+    violations = _audit_frames(
+        hyp.frames, live,
+        {domid: domain for domid, domain in hyp.domains.items()
+         if not domain.privileged}, noun="domain")
 
     for domain in hyp.domains.values():
         for channel in domain.events.ports.values():
@@ -133,27 +145,14 @@ def _domain_dirs(store: Any) -> list[int]:
 def audit_kvm_platform(platform: Any) -> list[str]:
     """Leak oracle for the KVM backend, mirroring :func:`audit_platform`.
 
-    Checks frame conservation, dead VMM processes still owning frames,
-    stale child links, and dead taps left on the host bridge or
-    enslaved in a family bond.
+    Checks the frame table as :func:`_audit_frames` does, stale child
+    links, and dead taps left on the host bridge or enslaved in a
+    family bond.
     """
-    violations: list[str] = []
     host = platform.host
-
-    try:
-        host.frames.check_invariants()
-    except AssertionError as error:
-        violations.append(f"frame table: {error}")
-
-    from repro.xen.domid import DOM0, DOMID_COW, XEN_OWNER
-
     live = set(host.vms)
-    accounted = live | {DOM0, DOMID_COW, XEN_OWNER}
-    for owner, owned in sorted(host.frames._owned.items()):
-        if owner in accounted or not owned:
-            continue
-        violations.append(
-            f"dead VMM process {owner} still owns {owned} frames")
+    violations = _audit_frames(host.frames, live, host.vms,
+                              noun="VMM process")
 
     for vm in host.vms.values():
         for child in vm.children:

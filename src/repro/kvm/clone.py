@@ -17,6 +17,7 @@ from __future__ import annotations
 from repro.errors import ReproError
 from repro.kvm.host import KvmHost
 from repro.kvm.vm import KvmVm, VmState
+from repro.sim.units import pages_of
 from repro.xen.paging import build_paging
 
 
@@ -121,36 +122,19 @@ class KvmCloneOp:
         costs = host.costs
 
         child = KvmVm.__new__(KvmVm)
-        child.host = host
-        child.name = ""
-        child.pid = host.allocate_pid()
-        child.memory_bytes = parent.memory_bytes
+        child.init_shell(host, "", parent.memory_bytes)
         child.state = VmState.PAUSED
-        child.net = None
-        child.p9 = None
-        child.children = []
         child.max_clones = parent.max_clones
-        child.clones_created = 0
-        child.app = None
-        child.heap_base_pfn = parent.heap_base_pfn
-        child.heap_npages = parent.heap_npages
         child.heap_cursor = parent.heap_cursor
-        child.console_output = []
         child.udp_handlers = dict(parent.udp_handlers)
-        child._api = None
-
-        # fork(): COW-share the parent's anonymous guest memory. Linux
-        # copies the page tables of the resident set (the same
-        # ON-DEMAND-FORK cost structure as the process baseline).
-        from repro.xen.memory import GuestMemory
-
-        child.memory = GuestMemory(child.pid, host.frames)
-        child.paging = None
-        child.vmm_extent = None
         tracer = host.tracer
         try:
             with tracer.span("clone.first_stage", parent=parent.pid,
                              child=child.pid) as span:
+                # fork(): COW-share the parent's anonymous guest memory.
+                # Linux copies the page tables of the resident set (the
+                # same ON-DEMAND-FORK cost structure as the process
+                # baseline).
                 shared_pages = 0
                 newly_shared = 0
                 for segment in parent.memory.shareable_segments():
@@ -173,8 +157,6 @@ class KvmCloneOp:
                 host.clock.charge(costs.hyp_vcpu_init * len(child.vcpus))
 
                 # EPT / shadow structures are rebuilt for the child fd.
-                from repro.sim.units import pages_of
-
                 guest_pages = pages_of(parent.memory_bytes)
                 if host.faults.enabled:
                     host.faults.fire("paging.build", domid=child.pid,
@@ -210,28 +192,6 @@ class KvmCloneOp:
                              child=child.pid):
                 self.daemon.second_stage(parent, child)
         except ReproError:
-            self._unwind_partial(parent, child)
+            child.release()
             raise
         return child
-
-    def _unwind_partial(self, parent: KvmVm, child: KvmVm) -> None:
-        """Release everything a half-built child acquired.
-
-        Mirrors the Xen first-stage unwind: COW sharer references,
-        EPT frames, the VMM extent, the tap and the registration are
-        each released only if the failed step reached them.
-        """
-        host = self.host
-        if child.net is not None:
-            host.detach_port(child.net.port)
-        if child.vmm_extent is not None:
-            host.frames.free_extent(child.vmm_extent)
-        if child.paging is not None:
-            from repro.xen.paging import release_paging
-
-            release_paging(host.frames, child.paging)
-        child.memory.release()
-        if child.pid in parent.children:
-            parent.children.remove(child.pid)
-        host.unregister(child.pid)
-        child.state = VmState.DEAD

@@ -9,13 +9,12 @@ pseudo-domain, but the accounting is identical.
 
 from __future__ import annotations
 
-import itertools
-
 from repro.faults.injector import NULL_INJECTOR
 from repro.net.bond import BondInterface
 from repro.net.bridge import Bridge
 from repro.obs.tracer import NULL_TRACER
 from repro.sim import CostModel, VirtualClock, pages_of
+from repro.xen.domid import live_descendants, next_free_id
 from repro.xen.errors import XenInvalidError, XenNoEntryError
 from repro.xen.frames import FrameTable
 
@@ -43,7 +42,10 @@ class KvmHost:
         self.frames = FrameTable(pages_of(memory_bytes))
         self.frames.faults = faults
         self.vms: dict[int, "object"] = {}
-        self._pids = itertools.count(2000)
+        #: The pid allocator's rover: the last pid handed out. VMM pids
+        #: come from Xen's domid rover, so they start at 2000 and wrap
+        #: to 1 before the reserved range, skipping live VMs.
+        self._pid_rover = 1999
         # Host networking: a default bridge plus per-family bonds,
         # exactly like Dom0's switching fabric.
         self.bridge = Bridge("br0")
@@ -61,8 +63,10 @@ class KvmHost:
         self.cloneop = None
 
     def allocate_pid(self) -> int:
-        """Hand out the next VMM process id."""
-        return next(self._pids)
+        """Hand out a free VMM process id
+        (:func:`repro.xen.domid.next_free_id`)."""
+        self._pid_rover = next_free_id(self._pid_rover, self.vms)
+        return self._pid_rover
 
     def register(self, vm) -> None:
         """Track a new VM."""
@@ -135,12 +139,4 @@ class KvmHost:
 
     def descendants(self, pid: int) -> frozenset[int]:
         """All live descendants of a VM (the family check)."""
-        result: set[int] = set()
-        stack = list(self.get_vm(pid).children)
-        while stack:
-            child = stack.pop()
-            if child in result or child not in self.vms:
-                continue
-            result.add(child)
-            stack.extend(self.vms[child].children)
-        return frozenset(result)
+        return live_descendants(self.vms, self.get_vm(pid).children)

@@ -53,21 +53,26 @@ class KvmPlatform:
                   max_clones: int = 0, app=None) -> KvmVm:
         """Launch a VMM process with the requested devices and boot it."""
         vm = KvmVm(self.host, name, memory_bytes, vcpus)
-        if ip:
-            net = VirtioNet(vm, mac=f"52:54:00:00:{vm.pid % 256:02x}:00",
-                            ip=ip)
-            self.host.bridge.attach(net.port)
-            net.attach(self.host.bridge)
-            self.clock.charge(self.costs.switch_attach)
-        if p9_export:
-            Virtio9p(vm, p9_export, self.hostfs)
-        vm.enable_cloning(max_clones)
-        vm.app = app
-        if vm.net is not None:
-            vm.net.rx_handler = vm.dispatch_packet
-        vm.boot()
-        if app is not None:
-            app.main(vm.api)
+        try:
+            if ip:
+                net = VirtioNet(vm, mac=f"52:54:00:00:{vm.pid % 256:02x}:00",
+                                ip=ip)
+                self.host.bridge.attach(net.port)
+                net.attach(self.host.bridge)
+                self.clock.charge(self.costs.switch_attach)
+            if p9_export:
+                Virtio9p(vm, p9_export, self.hostfs)
+            vm.enable_cloning(max_clones)
+            vm.app = app
+            if vm.net is not None:
+                vm.net.rx_handler = vm.dispatch_packet
+            vm.boot()
+            if app is not None:
+                app.main(vm.api)
+        except Exception:
+            # Roll the half-booted VM back, as xl create does.
+            vm.destroy()
+            raise
         return vm
 
     def clone(self, pid: int, count: int = 1) -> list[int]:

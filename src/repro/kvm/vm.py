@@ -7,8 +7,9 @@ from typing import TYPE_CHECKING, Any
 
 from repro.sim.units import MIB, pages_of
 from repro.xen.errors import XenInvalidError
+from repro.xen.frames import Extent
 from repro.xen.memory import GuestMemory
-from repro.xen.paging import build_paging
+from repro.xen.paging import PagingState, build_paging, release_paging
 from repro.xen.vcpu import VCPU
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -38,27 +39,43 @@ class KvmVm:
             # KVM has no hard 4 MB floor, but we keep guests comparable.
             raise XenInvalidError(
                 f"guest below the experiment minimum: {memory_bytes}")
+        self.init_shell(host, name, memory_bytes)
+        self.vcpus = [VCPU(i) for i in range(vcpus)]
+        guest_pages = pages_of(memory_bytes)
+        try:
+            # Guest memory is anonymous VMM-process memory; page
+            # accounting reuses the shared machinery (owner = the pid).
+            self.memory.populate(guest_pages, label="guest-ram")
+            # EPT/shadow structures: same order of magnitude as PV
+            # paging.
+            self.paging = build_paging(host.frames, self.pid, guest_pages)
+            # The VMM process's own resident memory.
+            self.vmm_extent = host.frames.alloc(
+                self.pid, pages_of(VMM_RESIDENT_BYTES), label="vmm")
+        except Exception:
+            self.release()
+            raise
+        host.clock.charge(host.costs.hyp_domain_create
+                          + host.costs.hyp_vcpu_init * vcpus
+                          + host.costs.page_alloc * guest_pages
+                          + host.costs.pt_entry_build * guest_pages)
+        host.register(self)
+
+    def init_shell(self, host: "KvmHost", name: str,
+                   memory_bytes: int) -> None:
+        """Set every field of a VM that holds nothing yet: a fresh pid,
+        empty guest memory, no paging, VMM extent, vCPUs or devices.
+        Booting and cloning both start here, so :meth:`release` can
+        take the VM apart from any point after it."""
         self.host = host
         self.name = name
         self.pid = host.allocate_pid()
         self.memory_bytes = memory_bytes
         self.state = VmState.CREATED
-        self.vcpus = [VCPU(i) for i in range(vcpus)]
-        # Guest memory is anonymous VMM-process memory; page accounting
-        # reuses the shared machinery (owner = the VMM pid).
+        self.vcpus: list[VCPU] = []
         self.memory = GuestMemory(self.pid, host.frames)
-        guest_pages = pages_of(memory_bytes)
-        self.memory.populate(guest_pages, label="guest-ram")
-        # EPT/shadow structures: same order of magnitude as PV paging.
-        self.paging = build_paging(host.frames, self.pid, guest_pages)
-        # The VMM process's own resident memory.
-        self.vmm_extent = host.frames.alloc(
-            self.pid, pages_of(VMM_RESIDENT_BYTES), label="vmm")
-        host.clock.charge(host.costs.hyp_domain_create
-                          + host.costs.hyp_vcpu_init * vcpus
-                          + host.costs.page_alloc * guest_pages
-                          + host.costs.pt_entry_build * guest_pages)
-
+        self.paging: PagingState | None = None
+        self.vmm_extent: Extent | None = None
         self.net: "VirtioNet | None" = None
         self.p9: "Virtio9p | None" = None
         self.parent_pid: int | None = None
@@ -69,12 +86,11 @@ class KvmVm:
         self.app: Any = None
         #: tinyalloc heap over the guest RAM (pfn range).
         self.heap_base_pfn = 0
-        self.heap_npages = guest_pages
+        self.heap_npages = pages_of(memory_bytes)
         self.heap_cursor = 0
         self.console_output: list[str] = []
         self.udp_handlers: dict[int, Any] = {}
         self._api = None
-        host.register(self)
 
     @property
     def api(self):
@@ -113,23 +129,40 @@ class KvmVm:
 
     def destroy(self) -> None:
         """Kill the VMM process; release memory, EPT and devices."""
+        freed = self.release()
+        self.host.clock.charge(self.host.costs.hyp_domain_destroy
+                               + self.host.costs.page_free * freed)
+
+    def release(self) -> int:
+        """Take the VM apart without charging for it; returns the frames
+        freed. Copes with a half-built VM: the tap, the EPT frames and
+        the VMM extent are each released only if the build reached
+        them. The family links go too: the parent forgets this VM, and
+        its live children are orphaned, so a VM that later gets this
+        pid is no parent of theirs."""
+        host = self.host
         if self.net is not None:
             # The tap goes away with the VMM: unplug it from the bridge
             # and from the family bond so neither keeps a dead slave.
-            self.host.detach_port(self.net.port)
+            host.detach_port(self.net.port)
         freed = self.memory.release()
-        from repro.xen.paging import release_paging
-
-        freed += release_paging(self.host.frames, self.paging)
-        freed += self.host.frames.free_extent(self.vmm_extent)
-        self.host.clock.charge(self.host.costs.hyp_domain_destroy
-                               + self.host.costs.page_free * freed)
+        if self.paging is not None:
+            freed += release_paging(host.frames, self.paging)
+            self.paging = None
+        if self.vmm_extent is not None:
+            freed += host.frames.free_extent(self.vmm_extent)
+            self.vmm_extent = None
         if self.parent_pid is not None:
-            parent = self.host.vms.get(self.parent_pid)
+            parent = host.vms.get(self.parent_pid)
             if parent is not None and self.pid in parent.children:
                 parent.children.remove(self.pid)
+        for child_pid in self.children:
+            child = host.vms.get(child_pid)
+            if child is not None:
+                child.parent_pid = None
         self.state = VmState.DEAD
-        self.host.unregister(self.pid)
+        host.unregister(self.pid)
+        return freed
 
     def machine_pages(self) -> int:
         """Host frames attributable to this VM (private + EPT + VMM)."""

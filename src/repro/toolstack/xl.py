@@ -10,6 +10,7 @@ it for the Fig 4 baseline, and so do the benchmarks here.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import weakref
 from dataclasses import dataclass, field
@@ -113,42 +114,62 @@ class XL:
     # ------------------------------------------------------------------
     def create(self, config: DomainConfig, app: GuestApp | None = None) -> Domain:
         """Boot a new guest; returns the running domain."""
-        tracer = self.hypervisor.tracer
-        with tracer.span("boot.xl_create", name=config.name):
-            config.validate()
-            self._clock.charge(self._costs.xl_create_fixed)
-            with tracer.span("boot.name_check"):
-                self._check_name(config.name)
-
-            with tracer.span("boot.domain_create"):
-                domain = self.hypervisor.create_domain(
-                    config.name, config.memory_bytes, vcpus=config.vcpus)
-                domain.config = config
-
-            try:
-                with tracer.span("boot.xenstore_entries"):
-                    self.handle.introduce_domain(domain.domid)
-                    self._write_base_entries(domain, config)
-
-                with tracer.span("boot.guest_load"):
-                    guest = UnikernelVM.from_config(self.platform, domain, app)
-                    guest.load()
-
-                with tracer.span("boot.devices"):
-                    self._setup_devices(domain, config)
-                if config.max_clones:
-                    # Nephele domctl: enable cloning for this domain (§5.1).
-                    self.platform.domctl.enable_cloning(0, domain.domid,
-                                                        config.max_clones)
-
-                with tracer.span("boot.guest_start"):
-                    guest.start()
-            except Exception:
-                # Roll the half-created guest back (e.g. ENOMEM while
-                # populating RAM): registry entries, backends, frames.
-                self.destroy(domain.domid)
-                raise
+        with self.hypervisor.tracer.span("boot.xl_create", name=config.name):
+            domain = self._build(config, app)
         self.creates += 1
+        return domain
+
+    def _build(self, config: DomainConfig, app: GuestApp | None,
+               image: SavedImage | None = None) -> Domain:
+        """The one build sequence of ``create`` and ``restore``: domain,
+        Xenstore entries, guest load, devices, start. The save
+        ``image`` decides only the load cost and whether the guest
+        boots or resumes. A failure destroys the half-built guest:
+        registry entries, backends, frames."""
+        tracer = self.hypervisor.tracer
+        config.validate()
+        self._clock.charge(self._costs.xl_create_fixed)
+        with tracer.span("boot.name_check"):
+            self._check_name(config.name)
+
+        with tracer.span("boot.domain_create"):
+            domain = self.hypervisor.create_domain(
+                config.name, config.memory_bytes, vcpus=config.vcpus)
+            domain.config = config
+
+        try:
+            with tracer.span("boot.xenstore_entries"):
+                self.handle.introduce_domain(domain.domid)
+                self._write_base_entries(domain, config)
+
+            with tracer.span("boot.guest_load"):
+                guest = UnikernelVM.from_config(self.platform, domain, app)
+                guest.load(restored=image is not None)
+                if image is not None:
+                    # "The entire allocated VM memory is copied back from
+                    # the image ... regardless of the amount of memory
+                    # that is actually used".
+                    self._clock.charge(
+                        self._costs.restore_fixed
+                        + self._costs.restore_per_page * image.n_pages)
+
+            with tracer.span("boot.devices"):
+                self._setup_devices(domain, config)
+            if config.max_clones:
+                # Nephele domctl: enable cloning for this domain (§5.1).
+                self.platform.domctl.enable_cloning(0, domain.domid,
+                                                    config.max_clones)
+
+            with tracer.span("boot.guest_start"):
+                if image is None:
+                    guest.start()
+                else:
+                    self._clock.charge(self._costs.restore_resume_fixed)
+                    domain.state = DomainState.RUNNING
+                    guest.on_resumed_after_restore()
+        except Exception:
+            self.destroy(domain.domid)
+            raise
         return domain
 
     def _check_name(self, name: str) -> None:
@@ -229,40 +250,13 @@ class XL:
             self.dom0.hostfs.unlink(image.path)
 
     def restore(self, image: SavedImage, name: str | None = None) -> Domain:
-        """xl restore: rebuild the domain and copy every allocated page
-        back from the image, then resume."""
+        """xl restore: rebuild the domain as ``create`` does, copying
+        every allocated page back from the image, then resume."""
         with self.hypervisor.tracer.span("xl.restore"):
             config = (image.config if name is None
                       else image.config.for_clone(name))
-            config.validate()
-            self._clock.charge(self._costs.xl_create_fixed)
-            self._check_name(config.name)
-
-            domain = self.hypervisor.create_domain(
-                config.name, config.memory_bytes, vcpus=config.vcpus)
-            domain.config = config
-            self.handle.introduce_domain(domain.domid)
-            self._write_base_entries(domain, config)
-
-            import copy
-
             app = copy.copy(image.app) if image.app is not None else None
-            guest = UnikernelVM.from_config(self.platform, domain, app)
-            guest.load(restored=True)
-            # "The entire allocated VM memory is copied back from the image
-            # ... regardless of the amount of memory that is actually used".
-            self._clock.charge(self._costs.restore_fixed
-                               + self._costs.restore_per_page * image.n_pages)
-
-            self._setup_devices(domain, config)
-            if config.max_clones:
-                self.platform.domctl.enable_cloning(0, domain.domid,
-                                                    config.max_clones)
-
-            self._clock.charge(self._costs.restore_resume_fixed)
-            domain.state = DomainState.RUNNING
-            guest.on_resumed_after_restore()
-            return domain
+            return self._build(config, app, image)
 
     # ------------------------------------------------------------------
     # misc commands

@@ -14,11 +14,16 @@ from repro.faults.injector import NULL_INJECTOR
 from repro.obs.tracer import NULL_TRACER
 from repro.sim import CostModel, VirtualClock, pages_of
 from repro.xen.domain import SPECIAL_PAGES, Domain, DomainState
-from repro.xen.domid import DOM0, DOMID_CHILD, DOMID_FIRST_RESERVED, XEN_OWNER
+from repro.xen.domid import (
+    DOM0,
+    DOMID_CHILD,
+    XEN_OWNER,
+    live_descendants,
+    next_free_id,
+)
 from repro.xen.errors import (
     XenInvalidError,
     XenNoEntryError,
-    XenNoMemoryError,
     XenPermissionError,
 )
 from repro.xen.events import (
@@ -28,7 +33,7 @@ from repro.xen.events import (
     VIRQ_CLONED,
 )
 from repro.xen.frames import FrameTable, PageType
-from repro.xen.paging import SkeletonCache, build_paging, release_paging
+from repro.xen.paging import build_paging, release_paging
 
 VirqHandler = Callable[[int], None]  # receives the virq number
 
@@ -74,32 +79,14 @@ class Hypervisor:
         self._cloned_pending = 0
         #: Guest exits awaiting toolstack handling: (domid, crashed).
         self.pending_exits: list[tuple[int, bool]] = []
-        #: Paging-skeleton templates keyed by guest geometry: every
-        #: identical-geometry domain (a clone fleet, typically) reuses
-        #: one precomputed page-table/p2m shape instead of rederiving
-        #: it. Frames are still allocated per domain — the template
-        #: holds geometry only, never extents, so per-domain frame
-        #: accounting (and release) is untouched.
-        self.paging_skeletons = SkeletonCache()
 
     # ------------------------------------------------------------------
     # domain lifecycle
     # ------------------------------------------------------------------
     def allocate_domid(self) -> int:
-        """Hand out a free domain ID the way Xen's domctl rover does:
-        the first one after the last handed out that no live domain
-        holds, wrapping to 1 before ``DOMID_FIRST_RESERVED`` (a reserved
-        ID never names a guest). ENOMEM when every ID is live."""
-        domains = self.domains
-        domid = self._domid_rover
-        for _ in range(DOMID_FIRST_RESERVED - 1):
-            domid += 1
-            if domid == DOMID_FIRST_RESERVED:
-                domid = 1
-            if domid not in domains:
-                self._domid_rover = domid
-                return domid
-        raise XenNoMemoryError("no free domain ID")
+        """Hand out a free domain ID (:func:`repro.xen.domid.next_free_id`)."""
+        self._domid_rover = next_free_id(self._domid_rover, self.domains)
+        return self._domid_rover
 
     def create_domain(self, name: str, memory_bytes: int, vcpus: int = 1,
                       privileged: bool = False, populate: bool = False,
@@ -146,9 +133,7 @@ class Hypervisor:
             if self.faults.enabled:
                 self.faults.fire("paging.build", domid=domid,
                                  pages=ram_pages)
-            domain.paging = build_paging(
-                frames, domid, ram_pages,
-                skeleton=self.paging_skeletons.get(ram_pages))
+            domain.paging = build_paging(frames, domid, ram_pages)
             self.clock.charge(costs.pt_entry_build * ram_pages)
             if populate:
                 domain.populate_ram(ram_pages, label="ram")
@@ -285,15 +270,8 @@ class Hypervisor:
     # ------------------------------------------------------------------
     def descendants(self, domid: int) -> frozenset[int]:
         """All live descendants of ``domid``."""
-        result: set[int] = set()
-        stack = list(self.get_domain(domid).children)
-        while stack:
-            child = stack.pop()
-            if child in result or child not in self.domains:
-                continue
-            result.add(child)
-            stack.extend(self.domains[child].children)
-        return frozenset(result)
+        return live_descendants(self.domains,
+                                self.get_domain(domid).children)
 
     def family_of(self, domid: int) -> frozenset[int]:
         """The family: all domains sharing a common ancestor with ``domid``

@@ -71,70 +71,14 @@ class PagingState:
         return 2 * self.guest_pages
 
 
-@dataclass(frozen=True)
-class PagingSkeleton:
-    """Prebuilt paging geometry for one guest size.
-
-    A skeleton is a pure shape — how many page-table and p2m frames a
-    guest of ``guest_pages`` needs — with no frames of its own.
-    Identical-geometry domains (a clone fleet) share one skeleton;
-    every domain still allocates and frees its *own* extents, so
-    releasing a templated clone cannot disturb the template or any
-    sibling's frame accounting.
-    """
-
-    guest_pages: int
-    pt_pages: int
-    p2m_pages: int
-
-    @property
-    def total_entries(self) -> int:
-        return 2 * self.guest_pages
-
-
-class SkeletonCache:
-    """Geometry-keyed cache of :class:`PagingSkeleton` templates."""
-
-    def __init__(self) -> None:
-        self._by_geometry: dict[int, PagingSkeleton] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, guest_pages: int) -> PagingSkeleton:
-        """The skeleton for ``guest_pages``, deriving it on first use."""
-        skeleton = self._by_geometry.get(guest_pages)
-        if skeleton is None:
-            self.misses += 1
-            skeleton = PagingSkeleton(
-                guest_pages=guest_pages,
-                pt_pages=page_table_pages(guest_pages),
-                p2m_pages=p2m_pages(guest_pages))
-            self._by_geometry[guest_pages] = skeleton
-        else:
-            self.hits += 1
-        return skeleton
-
-    def __len__(self) -> int:
-        return len(self._by_geometry)
-
-
-def build_paging(frames: FrameTable, domid: int, guest_pages: int,
-                 skeleton: PagingSkeleton | None = None) -> PagingState:
-    """Allocate page-table and p2m frames for a domain.
-
-    With ``skeleton`` (a template of matching ``guest_pages``), the
-    geometry derivation is skipped; the frames are still allocated
-    fresh for this domain.
-    """
-    if skeleton is not None and skeleton.guest_pages == guest_pages:
-        pt_count = skeleton.pt_pages
-        p2m_count = skeleton.p2m_pages
-    else:
-        pt_count = page_table_pages(guest_pages)
-        p2m_count = p2m_pages(guest_pages)
-    pt = frames.alloc(domid, pt_count, PageType.PAGE_TABLE, label="pt")
+def build_paging(frames: FrameTable, domid: int,
+                 guest_pages: int) -> PagingState:
+    """Allocate page-table and p2m frames for a domain."""
+    pt = frames.alloc(domid, page_table_pages(guest_pages),
+                      PageType.PAGE_TABLE, label="pt")
     try:
-        p2m = frames.alloc(domid, p2m_count, PageType.P2M, label="p2m")
+        p2m = frames.alloc(domid, p2m_pages(guest_pages), PageType.P2M,
+                           label="p2m")
     except Exception:
         # ENOMEM between the two allocations: nothing references the pt
         # extent yet (PagingState is never built), so free it here or it

@@ -4,7 +4,7 @@ Domids are handed out after the last one given, skip live domains and
 wrap to 1 before ``DOMID_FIRST_RESERVED``, so a long-lived session
 recycles the ids of destroyed guests instead of running into the
 reserved range. Everything keyed by a domid must then treat a recycled
-id as a new domain.
+id as a new domain. The KVM port's VMM pids come from the same rover.
 """
 
 from __future__ import annotations
@@ -15,8 +15,9 @@ from repro import NepheleSession
 from repro.apps.udp_server import UdpServerApp
 from repro.errors import ReproError
 from repro.faults import FaultPlan, FaultSpec
-from repro.faults.chaos import audit_platform
+from repro.faults.chaos import audit_kvm_platform, audit_platform
 from repro.idc.channel import IdcChannel
+from repro.kvm.platform import KvmPlatform
 from repro.platform import Platform
 from repro.sim.units import GIB, MIB
 from repro.toolstack.config import DomainConfig, VifConfig
@@ -157,3 +158,37 @@ def test_orphaned_clone_is_not_adopted_by_a_recycled_parent_domid():
         assert hits == []
         session.platform.check_invariants()
         assert audit_platform(session.platform) == []
+
+
+# ----------------------------------------------------------------------
+# KVM: VMM pids from the same rover
+# ----------------------------------------------------------------------
+def test_kvm_pids_wrap_before_the_reserved_range_and_recycle():
+    platform = KvmPlatform(memory_bytes=1 * GIB)
+    first = platform.create_vm("first", 16 * MIB)
+    assert first.pid == 2000
+    platform.host._pid_rover = TOP - 1
+    parent = platform.create_vm("p", 16 * MIB, ip="10.0.7.1", max_clones=8)
+    children = platform.clone(parent.pid, count=3)
+    assert [parent.pid, *children] == [TOP, 1, 2, 3]
+    assert audit_kvm_platform(platform) == []
+    platform.destroy(children[1])
+    platform.host._pid_rover = 1
+    assert platform.create_vm("again", 16 * MIB).pid == 2
+    assert audit_kvm_platform(platform) == []
+
+
+def test_orphaned_kvm_clone_is_not_adopted_by_a_recycled_parent_pid():
+    platform = KvmPlatform(memory_bytes=1 * GIB)
+    parent = platform.create_vm("p", 16 * MIB, ip="10.0.7.1", max_clones=4)
+    (orphan_pid,) = platform.clone(parent.pid, count=1)
+    orphan = platform.host.get_vm(orphan_pid)
+    platform.destroy(parent.pid)
+    assert orphan.parent_pid is None
+    platform.host._pid_rover = parent.pid - 1
+    stranger = platform.create_vm("x", 16 * MIB)
+    assert stranger.pid == parent.pid
+    assert not orphan.is_clone
+    assert orphan_pid not in platform.host.descendants(stranger.pid)
+    platform.destroy(orphan_pid)
+    assert audit_kvm_platform(platform) == []

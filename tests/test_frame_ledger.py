@@ -13,10 +13,11 @@ import pytest
 
 from repro import NepheleSession, P9Config
 from repro.apps.udp_server import UdpServerApp
-from repro.faults.chaos import audit_platform
+from repro.faults.chaos import audit_kvm_platform, audit_platform
 from repro.guest.api import Region
 from repro.idc.shm import IdcSharedArea
-from repro.sim.units import PAGE_SIZE
+from repro.kvm.platform import KvmPlatform
+from repro.sim.units import GIB, MIB, PAGE_SIZE
 from repro.xen.domid import XEN_OWNER
 from tests.heap_budget import clone_parent
 
@@ -182,3 +183,20 @@ def test_audit_reports_a_page_charged_to_the_wrong_guest():
         # Put the charge back, so the session closes clean.
         frames._debit(b.domid, 1)
         frames._credit(a.domid, 1)
+
+
+def test_kvm_audit_reports_a_page_charged_to_the_wrong_vm():
+    """The KVM audit holds the same ledger: a page's charge moved from
+    a VM to its clone names both."""
+    platform = KvmPlatform(memory_bytes=1 * GIB)
+    a = platform.create_vm("a", 16 * MIB, ip="10.0.7.1", max_clones=2)
+    (b,) = platform.clone(a.pid)
+    frames = platform.host.frames
+    assert audit_kvm_platform(platform) == []
+    frames._debit(a.pid, 1)
+    frames._credit(b, 1)
+    frames.check_invariants()
+    violations = audit_kvm_platform(platform)
+    assert len(violations) == 2
+    assert violations[0].startswith(f"VMM process {a.pid} ")
+    assert violations[1].startswith(f"VMM process {b} ")

@@ -2,9 +2,9 @@
 
 The first slice of backend parity: the injector's frame-alloc, paging,
 notify and device sites are threaded through KVM_CLONE_VM with
-NULL_INJECTOR off-path, a failed batch unwinds whole (like CLONEOP),
-and the same randomized storm that audits the Xen platform audits the
-KVM one.
+NULL_INJECTOR off-path, a failed batch unwinds whole (like CLONEOP), a
+failed boot releases its half-built VM (like xl create), and the same
+randomized storm that audits the Xen platform audits the KVM one.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ from repro.faults import (
 )
 from repro.faults.sites import SITES
 from repro.kvm.platform import KvmPlatform
-from repro.sim.units import GIB, MIB
+from repro.sim.units import GIB, MIB, PAGE_SIZE
+from repro.xen.errors import XenInvalidError, XenNoMemoryError
 
 
 def kvm_with(spec: FaultSpec) -> KvmPlatform:
@@ -60,6 +61,47 @@ def test_each_site_aborts_the_batch_without_leaking(site):
     assert platform.host.frames.free_frames == before
     assert parent.children == []
     assert parent.clones_created == 0
+    assert audit_kvm_platform(platform) == []
+
+
+@pytest.mark.parametrize("after", [1, 2, 3, 4])
+def test_each_boot_allocation_fails_without_leaking(after):
+    # The boot's frame allocations in order: guest RAM, the two EPT
+    # extents, the VMM extent, the virtio-net queues. A failure past
+    # the first releases what the earlier ones took.
+    platform = kvm_with(FaultSpec(site="frames.alloc", after=after, count=1))
+    before = platform.host.frames.free_frames
+    with pytest.raises(XenNoMemoryError):
+        platform.create_vm("p", 16 * MIB, ip="10.0.7.1")
+    assert platform.host.frames.free_frames == before
+    assert platform.host.vms == {}
+    assert audit_kvm_platform(platform) == []
+
+
+def test_boot_that_outgrows_the_host_releases_its_frames():
+    """A VM whose RAM fits in a full host but whose EPT and VMM extent
+    do not leaves no frames with its dead pid."""
+    platform = KvmPlatform(memory_bytes=256 * MIB)
+    frames = platform.host.frames
+    while frames.free_frames > 32 * MIB // PAGE_SIZE:
+        platform.create_vm(f"vm{len(platform.host.vms)}", 16 * MIB)
+    before = frames.free_frames
+    with pytest.raises(XenNoMemoryError):
+        platform.create_vm("big", before * PAGE_SIZE)
+    assert frames.free_frames == before
+    assert audit_kvm_platform(platform) == []
+
+
+def test_failed_create_vm_destroys_the_vm():
+    # A bad clone budget fails after the tap is plugged in: the VM is
+    # destroyed whole, as xl create destroys a guest that fails to boot.
+    platform = KvmPlatform(memory_bytes=1 * GIB)
+    before = platform.host.frames.free_frames
+    with pytest.raises(XenInvalidError):
+        platform.create_vm("p", 16 * MIB, ip="10.0.7.1", max_clones=-1)
+    assert platform.host.frames.free_frames == before
+    assert platform.host.vms == {}
+    assert list(platform.host.bridge.ports) == [platform.host.host_port]
     assert audit_kvm_platform(platform) == []
 
 

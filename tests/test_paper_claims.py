@@ -4,9 +4,13 @@ One test per claim from the abstract/conclusions, so a regression that
 breaks a headline number fails with the claim's name.
 """
 
+import pytest
+
 from repro import Platform
 from repro.apps.udp_server import UdpServerApp
 from repro.sim.units import GIB
+from repro.xen.domid import DOMID_CHILD
+from repro.xen.errors import XenPermissionError
 from tests.conftest import udp_config
 
 
@@ -85,16 +89,20 @@ def test_claim_single_hypercall_interface(platform):
 
 def test_claim_memory_sharing_restricted_to_family(platform):
     """§1/§8: dedup side channels are closed by sharing only within a
-    family of clones."""
-    from repro.core.family import share_allowed
-
+    family of clones: a ``DOMID_CHILD`` grant maps from the granter's
+    clones and from no other tenant."""
     a = platform.xl.create(udp_config("a", max_clones=2), app=UdpServerApp())
     b = platform.xl.create(udp_config("b", ip="10.0.9.1", max_clones=2),
                            app=UdpServerApp())
+    hyp = platform.hypervisor
+    gref = a.grants.grant_access(DOMID_CHILD, a.guest.heap_base_pfn)
     a_child = platform.cloneop.clone(a.domid)[0]
-    assert share_allowed(platform.hypervisor, a.domid, a_child)
-    assert not share_allowed(platform.hypervisor, a.domid, b.domid)
-    assert not share_allowed(platform.hypervisor, a_child, b.domid)
+    assert hyp.map_grant(a.domid, gref, a_child).gref == gref
+    with pytest.raises(XenPermissionError,
+                       match=f"domain {b.domid} may not map grant {gref}"):
+        hyp.map_grant(a.domid, gref, b.domid)
+    assert a_child in hyp.family_of(a.domid)
+    assert b.domid not in hyp.family_of(a.domid)
 
 
 def test_claim_ipc_as_idc(platform):

@@ -4,8 +4,11 @@ import pytest
 
 from repro import Platform
 from repro.apps.udp_server import UdpServerApp
+from repro.faults.chaos import audit_platform
+from repro.sim.units import MIB
 from repro.toolstack.xl import ToolstackError
 from repro.xen.domain import DomainState
+from repro.xen.errors import XenNoMemoryError
 from tests.conftest import udp_config
 
 
@@ -130,6 +133,34 @@ def test_restore_twice_from_one_image(platform):
     a = platform.xl.restore(image, name="copy-a")
     b = platform.xl.restore(image, name="copy-b")
     assert a.name == "copy-a" and b.name == "copy-b"
+
+
+def test_failed_restore_unwinds_like_a_failed_create():
+    """A restore whose guest cannot be populated (the pool is full of
+    other guests) is destroyed as a failed create is: the domain table,
+    the free pool, /local/domain and the audit read as before."""
+    platform = Platform.create(total_memory_bytes=128 * MIB,
+                               dom0_memory_bytes=64 * MIB)
+    hyp = platform.hypervisor
+    free = hyp.frames.free_frames
+    saved = platform.xl.create(udp_config("saved", memory_mb=16),
+                               app=UdpServerApp())
+    needed = free - hyp.frames.free_frames
+    image = platform.xl.save(saved.domid)
+    while hyp.frames.free_frames >= needed:
+        index = len(hyp.domains) + 1
+        platform.xl.create(udp_config(f"g{index}", ip=f"10.0.2.{index}"))
+
+    def host_state():
+        return (sorted(hyp.domains), hyp.frames.free_frames,
+                platform.xenstore.directory("/local/domain"),
+                audit_platform(platform))
+
+    before = host_state()
+    assert before[-1] == []
+    with pytest.raises(XenNoMemoryError):
+        platform.xl.restore(image)
+    assert host_state() == before
 
 
 def test_list_domains(platform):

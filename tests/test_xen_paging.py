@@ -64,72 +64,18 @@ def build_paging_entries(guest_pages: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# skeleton templates (the clone fast path's geometry cache)
+# per-domain paging frames
 # ----------------------------------------------------------------------
-def test_skeleton_cache_hits_on_repeat_geometry():
-    from repro.xen.paging import SkeletonCache
-
-    cache = SkeletonCache()
-    first = cache.get(1024)
-    again = cache.get(1024)
-    assert first is again
-    assert (cache.hits, cache.misses) == (1, 1)
-    assert first.pt_pages == page_table_pages(1024)
-    assert first.p2m_pages == p2m_pages(1024)
-
-
-def test_skeleton_cache_separates_geometries():
-    from repro.xen.paging import SkeletonCache
-
-    cache = SkeletonCache()
-    small = cache.get(256)
-    large = cache.get(1 << 20)
-    assert small is not large
-    assert small.pt_pages != large.pt_pages
-    assert len(cache) == 2
-    assert cache.hits == 0 and cache.misses == 2
-
-
-def test_build_with_skeleton_matches_derived_geometry(frames):
-    from repro.xen.paging import SkeletonCache
-
-    cache = SkeletonCache()
-    derived = build_paging(frames, domid=1, guest_pages=1024)
-    templated = build_paging(frames, domid=2, guest_pages=1024,
-                             skeleton=cache.get(1024))
-    assert templated.pt_pages == derived.pt_pages
-    assert templated.p2m_pages == derived.p2m_pages
-    assert templated.total_entries == derived.total_entries
-    # Frames are per-domain even when the geometry came from a template.
-    assert templated.pt_extent is not derived.pt_extent
-    assert frames.pages_owned(1) == frames.pages_owned(2)
-
-
-def test_mismatched_skeleton_falls_back_to_derivation(frames):
-    from repro.xen.paging import SkeletonCache
-
-    cache = SkeletonCache()
-    wrong = cache.get(256)
-    paging = build_paging(frames, domid=1, guest_pages=1024, skeleton=wrong)
-    assert paging.pt_pages == page_table_pages(1024)
-    assert paging.p2m_pages == p2m_pages(1024)
-
-
 def test_release_templated_paging_keeps_template_intact(frames):
-    from repro.xen.paging import SkeletonCache
-
-    cache = SkeletonCache()
-    skeleton = cache.get(1024)
-    a = build_paging(frames, domid=1, guest_pages=1024, skeleton=skeleton)
-    b = build_paging(frames, domid=2, guest_pages=1024, skeleton=skeleton)
+    """Releasing one domain's paging frames leaves a same-geometry
+    sibling's frames and later builds as they were."""
+    a = build_paging(frames, domid=1, guest_pages=1024)
+    b = build_paging(frames, domid=2, guest_pages=1024)
     freed = release_paging(frames, a)
     assert freed == a.pt_pages + a.p2m_pages
-    # The sibling and the template are untouched by the release.
     assert frames.pages_owned(2) == b.pt_pages + b.p2m_pages
-    assert skeleton.pt_pages == page_table_pages(1024)
-    later = build_paging(frames, domid=3, guest_pages=1024,
-                         skeleton=cache.get(1024))
-    assert later.pt_pages == b.pt_pages
+    later = build_paging(frames, domid=3, guest_pages=1024)
+    assert later.pt_pages == b.pt_pages == page_table_pages(1024)
     frames.check_invariants()
 
 
@@ -145,10 +91,6 @@ def test_mixed_geometry_fleet_does_not_share_skeletons():
     large_geo = {(d.paging.pt_pages, d.paging.p2m_pages) for d in large}
     assert len(small_geo) == 1 and len(large_geo) == 1
     assert small_geo != large_geo
-    # One miss per distinct geometry; everything else hit the template.
-    cache = hyp.paging_skeletons
-    assert cache.misses == 2
-    assert cache.hits == 4
     hyp.frames.check_invariants()
 
 
@@ -166,10 +108,7 @@ def test_destroy_templated_clone_keeps_sibling_accounting():
     for survivor in fleet:
         assert hyp.frames.pages_owned(survivor.domid) == \
             owned_before[survivor.domid]
-    # New same-geometry domains still template off the cached skeleton.
-    misses_before = hyp.paging_skeletons.misses
     replacement = hyp.create_domain("r", 4 * MIB, populate=True)
-    assert hyp.paging_skeletons.misses == misses_before
     assert hyp.frames.pages_owned(replacement.domid) == \
         owned_before[victim.domid]
     hyp.frames.check_invariants()
