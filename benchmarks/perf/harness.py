@@ -258,8 +258,10 @@ def kvm_fingerprint() -> str:
     observables of one KVM burst.
 
     Covers the virtual clock, the per-kind span aggregates (count and
-    total virtual ms) and the surviving-VM census — everything the
-    clone path touches. Two same-seed runs must agree byte-for-byte.
+    total virtual ms), the surviving-VM census — everything the clone
+    path touches — and the host network: 16 host-to-family packets
+    after the clones, and the family bond's per-tap ``distribution()``.
+    Two same-seed runs, in one process or two, must agree byte-for-byte.
     """
     from repro.kvm import KvmPlatform
     from repro.scenarios import fingerprint
@@ -268,12 +270,15 @@ def kvm_fingerprint() -> str:
     parent = platform.create_vm("det-kvm", memory_bytes=8 << 20,
                                 ip="10.0.8.1", max_clones=64)
     clones = [platform.clone(parent.pid, count=4) for _ in range(3)]
+    for src_port in range(40000, 40016):
+        platform.host.send_to_guest("10.0.8.1", 9000, src_port=src_port)
     observables = {
         "clock_ms": round(platform.clock.now, 9),
         "clones": clones,
         "vms": sorted(platform.host.vms),
         "spans": {kind: [entry["count"], round(entry["total_ms"], 9)]
                   for kind, entry in platform.tracer.summary().items()},
+        "distribution": platform.host.family_bond("10.0.8.1").distribution(),
     }
     return fingerprint(observables)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from repro.guest.api import GuestAPI
 from repro.guest.app import GuestApp
 from repro.net.packets import Packet
-from repro.toolstack.dom0 import HOST_IP
+from repro.net.host import HOST_IP
 
 
 class UdpServerApp(GuestApp):

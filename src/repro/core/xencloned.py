@@ -18,7 +18,6 @@ import weakref
 from repro.core.cloneop import CloneOp
 from repro.errors import ReproError
 from repro.devices.udev import UdevEvent
-from repro.net.bridge import Bridge
 from repro.toolstack.dom0 import Dom0
 from repro.xen.domid import DOM0
 from repro.xen.domain import Domain
@@ -226,29 +225,12 @@ class Xencloned:
             backend = self.dom0.netback.backends.get((domid, index))
             if backend is None:
                 return
-            self._aggregate_family_vif(backend)
-
-    def _aggregate_family_vif(self, backend) -> None:
-        """Enslave a clone vif (and, the first time, the parent's vif)
-        to the family's bond or OVS group."""
-        ip = backend.ip
-        first_time = ip not in self.dom0._family_switch
-        if self.switch_mode is CloneSwitchMode.BOND:
-            switch = self.dom0.family_bond(ip)
-            add = switch.enslave
-        else:
-            switch = self.dom0.family_ovs_group(ip)
-            add = switch.add_bucket
-        if first_time:
-            parent_backend = self._parent_backend(backend)
-            if parent_backend is not None:
-                if isinstance(parent_backend.switch, Bridge):
-                    parent_backend.switch.detach(parent_backend.port)
-                add(parent_backend.port)
-        add(backend.port)
-        # Outbound clone traffic still reaches the host via the bridge.
-        backend.attach_switch(self.dom0.bridges["xenbr0"])
-        self.hypervisor.clock.charge(self.hypervisor.costs.switch_attach)
+            # Enslave the clone vif (and, the first time, the parent's
+            # vif) to the family's bond or OVS group.
+            self.dom0.join_family(
+                backend, lambda: self._parent_backend(backend),
+                ovs=self.switch_mode is CloneSwitchMode.OVS)
+            self.hypervisor.clock.charge(self.hypervisor.costs.switch_attach)
 
     def _parent_backend(self, backend):
         child = self.hypervisor.domains.get(backend.domid)

@@ -4,7 +4,7 @@
 Dom0 and from inside guests, COW writes, transactional Xenstore
 updates, destroys, host traffic) on a platform armed with a fault plan,
 then tears everything down and audits the platform for leaked frames,
-grants, event endpoints, Xenstore nodes and bond slaves.
+grants, event endpoints, Xenstore nodes and switch ports.
 ``run_kvm_chaos`` is the same workload against the KVM port. Both
 return a JSON-ready payload whose fingerprint covers every
 deterministic output, so two runs at the same seed must produce
@@ -17,7 +17,7 @@ the audits does not pull in a platform stack.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from repro.errors import ReproError
 from repro.faults.plan import FaultPlan
@@ -53,6 +53,30 @@ def _audit_frames(frames: Any, live: set[int], guests: Mapping[int, Any],
             violations.append(
                 f"{noun} {guest_id} holds {held} machine pages, the frame "
                 f"table charges it {owned}")
+    return violations
+
+
+def _audit_network(net: Any, guest_ports: Iterable[Any]) -> list[str]:
+    """The host-network half of both backends' audits, as strings: no
+    bridge, bond or OVS group of ``net`` (a
+    :class:`~repro.net.host.HostNetwork`) holds a port other than its
+    uplink and ``guest_ports``, the live guests' ports."""
+    live = {net.host_port, *guest_ports}
+    violations: list[str] = []
+    for name, bridge in net.bridges.items():
+        for port in bridge.ports:
+            if port not in live:
+                violations.append(
+                    f"bridge {name} holds dead port {port.name}")
+    for name, bond in net.bonds.items():
+        for port in bond.slaves:
+            if port not in live:
+                violations.append(f"bond {name} holds dead slave {port.name}")
+    for group_id, group in net.ovs_groups.items():
+        for port in group.buckets:
+            if port not in live:
+                violations.append(
+                    f"OVS group {group_id} holds dead bucket {port.name}")
     return violations
 
 
@@ -120,16 +144,7 @@ def audit_platform(platform: Any) -> list[str]:
             f"{store.transactions.open_count} xenstore transactions left open")
 
     dom0 = platform.dom0
-    live_ports = {backend.port for backend in dom0.netback.backends.values()}
-    for name, bond in dom0.bonds.items():
-        for port in bond.slaves:
-            if port not in live_ports:
-                violations.append(f"bond {name} holds dead slave {port.name}")
-    for group_id, group in dom0.ovs_groups.items():
-        for port in group.buckets:
-            if port not in live_ports:
-                violations.append(
-                    f"OVS group {group_id} holds dead bucket {port.name}")
+    violations += _audit_network(dom0, dom0.netback.backends.values())
     return violations
 
 
@@ -146,8 +161,7 @@ def audit_kvm_platform(platform: Any) -> list[str]:
     """Leak oracle for the KVM backend, mirroring :func:`audit_platform`.
 
     Checks the frame table as :func:`_audit_frames` does, stale child
-    links, and dead taps left on the host bridge or enslaved in a
-    family bond.
+    links, and the host network as :func:`_audit_network` does.
     """
     host = platform.host
     live = set(host.vms)
@@ -160,17 +174,8 @@ def audit_kvm_platform(platform: Any) -> list[str]:
                 violations.append(
                     f"VM {vm.pid} still lists dead child {child}")
 
-    live_ports = {host.host_port}
-    for vm in host.vms.values():
-        if vm.net is not None:
-            live_ports.add(vm.net.port)
-    for port in host.bridge.ports:
-        if port not in live_ports:
-            violations.append(f"bridge holds dead tap {port.name}")
-    for name, bond in host.bonds.items():
-        for port in bond.slaves:
-            if port not in live_ports:
-                violations.append(f"bond {name} holds dead slave {port.name}")
+    violations += _audit_network(
+        host, [vm.net for vm in host.vms.values() if vm.net is not None])
     return violations
 
 
@@ -227,6 +232,16 @@ def _touch(child: Any, rng: Any) -> None:
     try:
         child.memory.write_range(child.memory.segments[0].pfn_start,
                                  rng.randint(1, 4))
+    except ReproError:
+        pass
+
+
+def _family_traffic(net: Any, ip: str, round_index: int) -> None:
+    """One host packet towards a clone family, through the host
+    network's family switch (exercises the bond or OVS group)."""
+    try:
+        net.send_to_guest(ip, 9000, payload=round_index,
+                          src_port=40000 + round_index)
     except ReproError:
         pass
 
@@ -303,12 +318,7 @@ def run_kvm_chaos(seed: int = 0xC10E, faults: int = 100,
             parent = platform.host.vms.get(root)
             if parent is not None and parent.children \
                     and parent.net is not None:
-                try:
-                    platform.host.send_to_guest(
-                        parent.net.ip, 9000, payload=round_index,
-                        src_port=40000 + round_index)
-                except ReproError:
-                    pass
+                _family_traffic(platform.host, parent.net.ip, round_index)
 
             _destroy_victim(report, platform.destroy, children, rng)
 
@@ -365,17 +375,11 @@ def run_chaos(seed: int = 0xC10E, faults: int = 100,
             except ReproError:
                 report["clone_errors"] += 1
 
-            # Host traffic towards the family (exercises bond/OVS).
             parent = platform.hypervisor.domains.get(root)
             if parent is not None and parent.children:
                 vif = parent.frontends.get("vif")
                 if vif:
-                    try:
-                        platform.dom0.send_to_guest(
-                            vif[0].ip, 9000, payload=round_index,
-                            src_port=40000 + round_index)
-                    except ReproError:
-                        pass
+                    _family_traffic(platform.dom0, vif[0].ip, round_index)
 
             _destroy_victim(report, platform.xl.destroy, children, rng)
 

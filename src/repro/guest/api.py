@@ -5,6 +5,9 @@ memory allocation (tinyalloc-style), UDP/packet I/O through netfront,
 9pfs files, the Nephele ``fork()`` (a thin wrapper over the CLONEOP
 hypercall — "using the cloning interface from inside a guest is as easy
 as calling fork() from a process", paper §4) and IDC pipes/socketpairs.
+The calls that do not depend on the backend are
+:class:`CommonGuestAPI`'s, which the KVM port's handle
+(:mod:`repro.kvm.guest_api`) shares.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from repro.idc.pipe import Pipe
 from repro.idc.socketpair import SocketPair
 from repro.net.packets import Flow, Packet
 from repro.sim.units import pages_of
-from repro.xen.errors import XenInvalidError
+from repro.xen.errors import XenInvalidError, XenNoMemoryError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.guest.unikernel import UnikernelVM
@@ -34,40 +37,24 @@ class Region:
 PacketHandler = Callable[[Packet], None]
 
 
-class GuestAPI:
-    """Per-guest handle passed to application code.
+class CommonGuestAPI:
+    """The guest calls that do not depend on the backend, written once
+    over ``platform`` (the Xen platform or the KVM host) and ``domain``
+    (the Xen domain or the KVM VM).
 
-    It reaches its kernel through ``domain.guest`` rather than holding
-    it: the guest caches this handle, and destroying the domain unlinks
-    ``domain.guest``, so the pair dies by refcount.
+    A backend's handle subclasses this and supplies only its lookups:
+    ``domid``, ``_vm`` (the guest kernel: heap cursor, UDP handlers,
+    ``filters_changed``), ``console``, ``vif`` and ``_p9``.
     """
 
     __slots__ = ("platform", "domain", "__weakref__")
 
-    def __init__(self, vm: "UnikernelVM") -> None:
-        self.platform = vm.platform
-        self.domain = vm.domain
-
-    @property
-    def _vm(self) -> "UnikernelVM":
-        return self.domain.guest
-
     # ------------------------------------------------------------------
-    # identity / time
+    # time
     # ------------------------------------------------------------------
-    @property
-    def domid(self) -> int:
-        return self.domain.domid
-
     @property
     def now(self) -> float:
         return self.platform.clock.now
-
-    def console(self, line: str) -> None:
-        """Print to the guest console (ring + xenconsoled log)."""
-        consoles = self.domain.frontends.get("console", [])
-        if consoles:
-            consoles[0].write_line(line)
 
     # ------------------------------------------------------------------
     # memory (tinyalloc model)
@@ -75,13 +62,11 @@ class GuestAPI:
     def alloc(self, nbytes: int, touch: bool = True) -> Region:
         """Allocate memory from the guest heap (tinyalloc model).
 
-        The heap pages were populated at boot (a PV guest owns its whole
+        The heap pages were populated at boot (a guest owns its whole
         RAM allocation); allocation is a bump of the allocator cursor.
         With ``touch=True`` (the default - tinyalloc returns zeroed
         chunks) the pages are written, so shared pages COW-fault.
         """
-        from repro.xen.errors import XenNoMemoryError
-
         npages = pages_of(nbytes)
         vm = self._vm
         if vm.heap_cursor + npages > vm.heap_npages:
@@ -117,29 +102,18 @@ class GuestAPI:
         return stats
 
     # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-    def shutdown(self) -> None:
-        """Clean poweroff; the toolstack applies the on_poweroff policy."""
-        self.platform.hypervisor.guest_shutdown(self.domid, crashed=False)
-
-    def crash(self) -> None:
-        """Guest panic; the toolstack applies the on_crash policy."""
-        self.platform.hypervisor.guest_shutdown(self.domid, crashed=True)
-
-    # ------------------------------------------------------------------
     # fork / clone
     # ------------------------------------------------------------------
     def fork(self, count: int = 1) -> list[int]:
-        """Clone this VM ``count`` times; returns the children's domids.
+        """Clone this VM ``count`` times; returns the children's ids.
 
         Parent view only: each child resumes with its app's
         ``on_cloned`` hook, the moral ``fork() == 0`` branch.
         """
-        return self.platform.cloneop.clone(self.domain.domid, count=count)
+        return self.platform.cloneop.clone(self.domid, count=count)
 
     # ------------------------------------------------------------------
-    # network (UDP over netfront)
+    # network (UDP)
     # ------------------------------------------------------------------
     def udp_bind(self, port: int, handler: PacketHandler) -> None:
         """Listen for UDP datagrams on ``port``."""
@@ -153,7 +127,7 @@ class GuestAPI:
 
     def udp_send(self, dst_ip: str, dst_port: int, payload: Any = None,
                  src_port: int = 9000, size: int = 64, index: int = 0) -> None:
-        """Send a UDP datagram through the given vif."""
+        """Send a UDP datagram through the given network device."""
         vif = self.vif(index)
         flow = Flow(src_ip=vif.ip, dst_ip=dst_ip, src_port=src_port,
                     dst_port=dst_port, proto="udp")
@@ -174,6 +148,67 @@ class GuestAPI:
         self.platform.clock.charge(self.platform.costs.net_tx_packet)
         vif.transmit(packet)
 
+    # ------------------------------------------------------------------
+    # files
+    # ------------------------------------------------------------------
+    def open(self, path: str, mode: str = "rw", create: bool = False) -> int:
+        """Open a file on the first file-system mount; returns a fid."""
+        return self._p9().open(path, mode, create)
+
+    def write_file(self, fid: int, nbytes: int) -> int:
+        """Write ``nbytes`` at the fid's offset."""
+        return self._p9().write(fid, nbytes)
+
+    def close_file(self, fid: int) -> None:
+        """Close a fid."""
+        self._p9().close(fid)
+
+
+class GuestAPI(CommonGuestAPI):
+    """Per-guest handle passed to application code on Xen.
+
+    It reaches its kernel through ``domain.guest`` rather than holding
+    it: the guest caches this handle, and destroying the domain unlinks
+    ``domain.guest``, so the pair dies by refcount.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, vm: "UnikernelVM") -> None:
+        self.platform = vm.platform
+        self.domain = vm.domain
+
+    @property
+    def _vm(self) -> "UnikernelVM":
+        return self.domain.guest
+
+    # ------------------------------------------------------------------
+    # identity / console
+    # ------------------------------------------------------------------
+    @property
+    def domid(self) -> int:
+        return self.domain.domid
+
+    def console(self, line: str) -> None:
+        """Print to the guest console (ring + xenconsoled log)."""
+        consoles = self.domain.frontends.get("console", [])
+        if consoles:
+            consoles[0].write_line(line)
+
+    # ------------------------------------------------------------------
+    # lifecycle
+    # ------------------------------------------------------------------
+    def shutdown(self) -> None:
+        """Clean poweroff; the toolstack applies the on_poweroff policy."""
+        self.platform.hypervisor.guest_shutdown(self.domid, crashed=False)
+
+    def crash(self) -> None:
+        """Guest panic; the toolstack applies the on_crash policy."""
+        self.platform.hypervisor.guest_shutdown(self.domid, crashed=True)
+
+    # ------------------------------------------------------------------
+    # devices: netfront and 9pfs
+    # ------------------------------------------------------------------
     def vif(self, index: int = 0):
         """The guest's netfront device ``index``."""
         vifs = self.domain.frontends.get("vif", [])
@@ -183,30 +218,15 @@ class GuestAPI:
         raise XenInvalidError(
             f"domain {self.domid} has no vif {index} (has {len(vifs)})")
 
-    # ------------------------------------------------------------------
-    # files (9pfs)
-    # ------------------------------------------------------------------
     def _p9(self, index: int = 0):
         mounts = self.domain.frontends.get("9pfs", [])
         if not mounts:
             raise XenInvalidError(f"domain {self.domid} has no 9pfs mount")
         return mounts[index]
 
-    def open(self, path: str, mode: str = "rw", create: bool = False) -> int:
-        """Open a file on the first 9pfs mount; returns a fid."""
-        return self._p9().open(path, mode, create)
-
-    def write_file(self, fid: int, nbytes: int) -> int:
-        """Write ``nbytes`` at the fid's offset."""
-        return self._p9().write(fid, nbytes)
-
     def read_file(self, fid: int, nbytes: int) -> int:
         """Read up to ``nbytes``; returns the bytes read."""
         return self._p9().read(fid, nbytes)
-
-    def close_file(self, fid: int) -> None:
-        """Close a fid."""
-        self._p9().close(fid)
 
     # ------------------------------------------------------------------
     # IDC (pre-fork IPC setup)

@@ -47,17 +47,9 @@ class KvmCloned:
                 if self.host.faults.enabled:
                     self.host.faults.fire("device.attach", device="tap",
                                           parent=parent.pid, child=child.pid)
-                # Fresh tap for the clone; family aggregation behind a
-                # bond.
-                ip = parent.net.ip
-                first_time = ip not in self.host._family_switch
-                bond = self.host.family_bond(ip)
-                if first_time:
-                    self.host.bridge.detach(parent.net.port)
-                    bond.enslave(parent.net.port)
-                    parent.net.attach(self.host.bridge)
-                bond.enslave(child.net.port)
-                child.net.attach(self.host.bridge)
+                # Fresh tap for the clone, aggregated behind the
+                # family bond.
+                self.host.join_family(child.net, lambda: parent.net)
                 self.host.clock.charge(costs.switch_attach
                                        + costs.udev_dispatch)
             # virtio-9p: nothing to do (fork inherited the fids).
@@ -175,8 +167,6 @@ class KvmCloneOp:
                 # Devices.
                 if parent.net is not None:
                     parent.net.clone_for(child)
-                    if child.net is not None:
-                        child.net.rx_handler = child.dispatch_packet
                 if parent.p9 is not None:
                     parent.p9.clone_for(child)
 

@@ -1,138 +1,62 @@
 """Guest API adapter for KVM VMs.
 
 The same :class:`~repro.guest.app.GuestApp` protocol the Xen guests use
-(``main``/``on_cloned``/``clone_for_child``) works on the KVM port: this
-adapter exposes the API surface the apps consume — tinyalloc heap,
-touch/COW, fork(), virtio-net UDP, virtio-9p files, console — backed by
-the KVM objects. Porting an application between the platforms is a
-config change, which is the §5.3 "supporting new guests" goal.
+(``main``/``on_cloned``/``clone_for_child``) works on the KVM port: the
+handle serves :class:`~repro.guest.api.CommonGuestAPI`'s calls —
+tinyalloc heap, touch/COW, fork(), UDP, files — over the KVM host and
+the VM, and supplies only the lookups that name KVM objects: the VMM
+pid, the VM as its own kernel, its console buffer, virtio-net and
+virtio-9p. Porting an application between the platforms is a config
+change, which is the §5.3 "supporting new guests" goal. The Xen-only
+calls (``shutdown``, ``crash``, ``read_file``, ``pipe``, ``socketpair``)
+are not offered.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING
 
-from repro.guest.api import Region
-from repro.net.packets import Flow, Packet
-from repro.sim.units import pages_of
-from repro.xen.errors import XenInvalidError, XenNoMemoryError
+from repro.guest.api import CommonGuestAPI
+from repro.xen.errors import XenInvalidError
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.kvm.virtio import Virtio9p, VirtioNet
     from repro.kvm.vm import KvmVm
 
 
-class KvmGuestAPI:
-    """Per-VM handle passed to application code on the KVM port."""
+class KvmGuestAPI(CommonGuestAPI):
+    """Per-VM handle passed to application code on the KVM port:
+    ``platform`` is the KVM host and ``domain`` the VM."""
+
+    __slots__ = ()
 
     def __init__(self, vm: "KvmVm") -> None:
-        self._vm = vm
-        self.host = vm.host
+        self.platform = vm.host
+        self.domain = vm
 
-    # ------------------------------------------------------------------
     @property
     def domid(self) -> int:
         """The VMM pid plays the domid role on KVM."""
-        return self._vm.pid
+        return self.domain.pid
 
     @property
-    def now(self) -> float:
-        return self.host.clock.now
+    def _vm(self) -> "KvmVm":
+        # The VM is its own guest kernel: heap cursor, UDP handlers.
+        return self.domain
 
     def console(self, line: str) -> None:
         """Print to the VM's console buffer."""
-        self._vm.console_output.append(line)
+        self.domain.console_output.append(line)
 
-    # ------------------------------------------------------------------
-    # memory
-    # ------------------------------------------------------------------
-    def alloc(self, nbytes: int, touch: bool = True) -> Region:
-        """Allocate from the guest heap (same semantics as on Xen)."""
-        vm = self._vm
-        npages = pages_of(nbytes)
-        if vm.heap_cursor + npages > vm.heap_npages:
-            raise XenNoMemoryError(
-                f"VM {vm.pid} heap exhausted: need {npages} pages, "
-                f"{vm.heap_npages - vm.heap_cursor} left")
-        region = Region(vm.heap_cursor, npages, nbytes)
-        vm.heap_cursor += npages
-        if touch:
-            self.touch(region)
-        return region
-
-    def touch(self, region: Region, npages: int | None = None,
-              offset_pages: int = 0):
-        """Write a region; fork-shared pages COW-fault."""
-        count = region.npages - offset_pages if npages is None else npages
-        if count <= 0 or offset_pages + count > region.npages:
+    def vif(self, index: int = 0) -> "VirtioNet":
+        """The VM's virtio-net device (a VM has at most one)."""
+        net = self.domain.net
+        if net is None or index != 0:
             raise XenInvalidError(
-                f"touch outside region: offset={offset_pages} count={count}")
-        stats = self._vm.memory.write_range(
-            region.pfn_start + offset_pages, count)
-        costs = self.host.costs
-        self.host.clock.charge(costs.guest_touch_page * count
-                               + costs.cow_fault * stats.copied
-                               + costs.cow_adopt * stats.adopted)
-        return stats
+                f"VM {self.domid} has no virtio-net {index}")
+        return net
 
-    # ------------------------------------------------------------------
-    # fork
-    # ------------------------------------------------------------------
-    def fork(self, count: int = 1) -> list[int]:
-        """KVM_CLONE_VM; returns the children's VMM pids."""
-        if self.host.cloneop is None:
-            raise XenInvalidError("no KVM_CLONE_VM handler installed")
-        return self.host.cloneop.clone(self._vm.pid, count=count)
-
-    # ------------------------------------------------------------------
-    # network (virtio-net UDP)
-    # ------------------------------------------------------------------
-    def udp_bind(self, port: int, handler: Callable[[Packet], None]) -> None:
-        """Listen for UDP datagrams on ``port``."""
-        self._vm.udp_handlers[port] = handler
-
-    def udp_unbind(self, port: int) -> None:
-        """Stop listening on ``port``."""
-        self._vm.udp_handlers.pop(port, None)
-
-    def udp_send(self, dst_ip: str, dst_port: int, payload: Any = None,
-                 src_port: int = 9000, size: int = 64) -> None:
-        """Send a UDP datagram through virtio-net."""
-        net = self._vm.net
-        if net is None:
-            raise XenInvalidError(f"VM {self._vm.pid} has no virtio-net")
-        flow = Flow(src_ip=net.ip, dst_ip=dst_ip, src_port=src_port,
-                    dst_port=dst_port, proto="udp")
-        net.transmit(Packet(src_mac=net.mac, dst_mac="ff:ff:ff:ff:ff:ff",
-                            flow=flow, payload=payload, size=size))
-
-    def reply(self, request: Packet, payload: Any = None,
-              size: int = 64) -> None:
-        """Answer a received packet (swap the flow around)."""
-        net = self._vm.net
-        if net is None:
-            raise XenInvalidError(f"VM {self._vm.pid} has no virtio-net")
-        flow = Flow(src_ip=request.flow.dst_ip, dst_ip=request.flow.src_ip,
-                    src_port=request.flow.dst_port,
-                    dst_port=request.flow.src_port, proto=request.flow.proto)
-        net.transmit(Packet(src_mac=net.mac, dst_mac=request.src_mac,
-                            flow=flow, payload=payload, size=size))
-
-    # ------------------------------------------------------------------
-    # files (virtio-9p)
-    # ------------------------------------------------------------------
-    def _p9(self):
-        if self._vm.p9 is None:
-            raise XenInvalidError(f"VM {self._vm.pid} has no virtio-9p")
-        return self._vm.p9
-
-    def open(self, path: str, mode: str = "rw", create: bool = False) -> int:
-        """Open a file on the virtio-9p export; returns a fid."""
-        return self._p9().open(path, mode, create)
-
-    def write_file(self, fid: int, nbytes: int) -> int:
-        """Write ``nbytes`` at the fid's offset."""
-        return self._p9().write(fid, nbytes)
-
-    def close_file(self, fid: int) -> None:
-        """Close a fid."""
-        self._p9().close(fid)
+    def _p9(self) -> "Virtio9p":
+        if self.domain.p9 is None:
+            raise XenInvalidError(f"VM {self.domid} has no virtio-9p")
+        return self.domain.p9

@@ -10,17 +10,19 @@ pseudo-domain, but the accounting is identical.
 from __future__ import annotations
 
 from repro.faults.injector import NULL_INJECTOR
-from repro.net.bond import BondInterface
-from repro.net.bridge import Bridge
+from repro.net.host import HostNetwork
 from repro.obs.tracer import NULL_TRACER
 from repro.sim import CostModel, VirtualClock, pages_of
+from repro.sim.units import PAGE_SIZE
 from repro.xen.domid import live_descendants, next_free_id
 from repro.xen.errors import XenInvalidError, XenNoEntryError
 from repro.xen.frames import FrameTable
 
 
-class KvmHost:
-    """One Linux host running KVM VMs."""
+class KvmHost(HostNetwork):
+    """One Linux host running KVM VMs; also the host network, with
+    ``br0`` as its default bridge and the same uplink and family
+    switches as Dom0's."""
 
     def __init__(self, memory_bytes: int, cpus: int = 4,
                  clock: VirtualClock | None = None,
@@ -46,19 +48,7 @@ class KvmHost:
         #: come from Xen's domid rover, so they start at 2000 and wrap
         #: to 1 before the reserved range, skipping live VMs.
         self._pid_rover = 1999
-        # Host networking: a default bridge plus per-family bonds,
-        # exactly like Dom0's switching fabric.
-        self.bridge = Bridge("br0")
-        self.bonds: dict[str, BondInterface] = {}
-        self._family_switch: dict[str, BondInterface] = {}
-        #: Host-side UDP listeners (port -> handler) behind an uplink.
-        from repro.net.packets import Port
-
-        self._listeners: dict[int, object] = {}
-        self.host_ip = "10.0.0.1"
-        self.host_port = Port("eth0", "52:54:00:00:00:01",
-                              self._host_deliver)
-        self.bridge.attach(self.host_port)
+        super().__init__("br0", "52:54:00:00:00:01")
         #: The KVM_CLONE_VM handler (set by KvmPlatform).
         self.cloneop = None
 
@@ -83,58 +73,8 @@ class KvmHost:
         """Forget a (destroyed) VM."""
         self.vms.pop(pid, None)
 
-    def listen(self, port: int, handler) -> None:
-        """Bind a host-side UDP listener."""
-        self._listeners[port] = handler
-
-    def unlisten(self, port: int) -> None:
-        """Unbind a host-side listener."""
-        self._listeners.pop(port, None)
-
-    def _host_deliver(self, packet) -> None:
-        if packet.flow.dst_ip != self.host_ip:
-            return
-        handler = self._listeners.get(packet.flow.dst_port)
-        if handler is not None:
-            handler(packet)
-
-    def send_to_guest(self, dst_ip: str, dst_port: int, payload=None,
-                      src_port: int = 40000) -> None:
-        """Send a packet towards a guest IP (bond-aware for families)."""
-        from repro.net.packets import Flow, Packet
-
-        flow = Flow(src_ip=self.host_ip, dst_ip=dst_ip, src_port=src_port,
-                    dst_port=dst_port, proto="udp")
-        packet = Packet(src_mac="52:54:00:00:00:01",
-                        dst_mac="ff:ff:ff:ff:ff:ff", flow=flow,
-                        payload=payload)
-        switch = self._family_switch.get(dst_ip, self.bridge)
-        switch.forward(packet, ingress=self.host_port)
-
-    def family_bond(self, ip: str) -> BondInterface:
-        """The bond aggregating the clone family that owns ``ip``."""
-        bond = self._family_switch.get(ip)
-        if bond is None:
-            bond = BondInterface(f"bond-{len(self.bonds)}")
-            self.bonds[bond.name] = bond
-            self._family_switch[ip] = bond
-        return bond
-
-    def detach_port(self, port) -> None:
-        """Unplug a tap from the bridge and from any family bond.
-
-        Safe to call for ports that were never attached (both the
-        bridge and the bonding driver treat unknown ports as no-ops),
-        which keeps VM teardown idempotent under fault unwinding.
-        """
-        self.bridge.detach(port)
-        for bond in self.bonds.values():
-            bond.release(port)
-
     @property
     def free_bytes(self) -> int:
-        from repro.sim.units import PAGE_SIZE
-
         return self.frames.free_frames * PAGE_SIZE
 
     def descendants(self, pid: int) -> frozenset[int]:

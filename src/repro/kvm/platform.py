@@ -57,15 +57,13 @@ class KvmPlatform:
             if ip:
                 net = VirtioNet(vm, mac=f"52:54:00:00:{vm.pid % 256:02x}:00",
                                 ip=ip)
-                self.host.bridge.attach(net.port)
-                net.attach(self.host.bridge)
+                self.host.bridge.attach(net)
+                net.attach_switch(self.host.bridge)
                 self.clock.charge(self.costs.switch_attach)
             if p9_export:
                 Virtio9p(vm, p9_export, self.hostfs)
             vm.enable_cloning(max_clones)
             vm.app = app
-            if vm.net is not None:
-                vm.net.rx_handler = vm.dispatch_packet
             vm.boot()
             if app is not None:
                 app.main(vm.api)

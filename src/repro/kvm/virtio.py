@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from repro.devices.hostfs import HostFS
 from repro.net.packets import Packet, Port
@@ -18,44 +18,48 @@ from repro.net.packets import Packet, Port
 if TYPE_CHECKING:  # pragma: no cover
     from repro.kvm.vm import KvmVm
 
-PacketHandler = Callable[[Packet], None]
-
 #: vhost queue backing (descriptor rings + buffers).
 QUEUE_PAGES = 64
 
 
-class VirtioNet:
-    """virtio-net: guest queues + a host tap device."""
+class VirtioNet(Port):
+    """virtio-net: guest queues plus the host tap, which is the
+    device's switch port.
 
-    _tap_ids = itertools.count()
+    Being its own port, a tap stores no delivery callback: bridges and
+    bonds call :meth:`deliver`, which hands the packet to the VM's RX
+    dispatch. The tap is named after its VM (``tap<pid>``), as Xen
+    names a vif ``vif<domid>.<index>``.
+    """
+
+    #: No flood pre-filter: a tap takes every packet a switch floods.
+    accepts = None
 
     def __init__(self, vm: "KvmVm", mac: str, ip: str) -> None:
         self.vm = vm
         self.mac = mac
         self.ip = ip
-        self.tap_name = f"tap{next(VirtioNet._tap_ids)}"
+        self.name = f"tap{vm.pid}"
         # Queue memory is guest memory pinned for vhost; on clone these
         # pages must be copied (same reason as the Xen rings).
         self.queues = vm.memory.populate(QUEUE_PAGES, label="virtio-queues")
-        self.rx_handler: PacketHandler | None = None
-        self.port = Port(self.tap_name, mac, self._to_guest)
+        #: The host switch used for outbound traffic.
         self.switch = None
         vm.net = self
 
-    def attach(self, switch) -> None:
+    def attach_switch(self, switch) -> None:
         """Set the host switch used for outbound traffic."""
         self.switch = switch
 
     def transmit(self, packet: Packet) -> None:
         """Guest TX through vhost into the host fabric."""
         if self.switch is None:
-            raise RuntimeError(f"{self.tap_name} has no switch attached")
-        self.vm.host.clock.charge(self.vm.host.costs.net_tx_packet)
-        self.switch.forward(packet, ingress=self.port)
+            raise RuntimeError(f"{self.name} has no switch attached")
+        self.switch.forward(packet, ingress=self)
 
-    def _to_guest(self, packet: Packet) -> None:
-        if self.rx_handler is not None:
-            self.rx_handler(packet)
+    def deliver(self, packet: Packet) -> None:
+        """Host-to-guest RX: the VM's bound UDP handler gets it."""
+        self.vm.dispatch_packet(packet)
 
     def clone_for(self, child: "KvmVm") -> "VirtioNet":
         """Clone-side device: fresh tap (kvmcloned creates it), queue
@@ -78,7 +82,7 @@ class Virtio9p:
     """virtio-9p: the fid table lives in the VMM process."""
 
     def __init__(self, vm: "KvmVm", export_root: str, hostfs: HostFS) -> None:
-        self.vm = vm
+        self.host = vm.host
         self.export_root = export_root
         self.hostfs = hostfs
         self.fids: dict[int, VirtioFid] = {}
@@ -88,8 +92,8 @@ class Virtio9p:
         vm.p9 = self
 
     def _charge(self, nbytes: int = 0) -> None:
-        costs = self.vm.host.costs
-        self.vm.host.clock.charge(costs.p9_request_base
+        costs = self.host.costs
+        self.host.clock.charge(costs.p9_request_base
                                   + costs.p9_write_per_byte * nbytes)
 
     def open(self, path: str, mode: str = "rw", create: bool = False) -> int:

@@ -107,6 +107,10 @@ class KvmVm:
         if handler is not None:
             handler(packet)
 
+    def filters_changed(self) -> None:
+        """A UDP socket was bound or unbound. The tap has no flood
+        pre-filter, so no switch holds a decision to repair."""
+
     # ------------------------------------------------------------------
     @property
     def is_clone(self) -> bool:
@@ -139,12 +143,20 @@ class KvmVm:
         the VMM extent are each released only if the build reached
         them. The family links go too: the parent forgets this VM, and
         its live children are orphaned, so a VM that later gets this
-        pid is no parent of theirs."""
+        pid is no parent of theirs. Nothing is left pointing back at the
+        VM (the tap, the app, the API handle, the UDP handlers), so a
+        destroyed VM dies by refcount."""
         host = self.host
-        if self.net is not None:
+        net = self.net
+        if net is not None:
             # The tap goes away with the VMM: unplug it from the bridge
-            # and from the family bond so neither keeps a dead slave.
-            host.detach_port(self.net.port)
+            # and from its family's switch so neither keeps a dead port.
+            host.bridge.detach(net)
+            host.leave_family(net)
+            net.vm = None
+        self.app = None
+        self._api = None
+        self.udp_handlers.clear()
         freed = self.memory.release()
         if self.paging is not None:
             freed += release_paging(host.frames, self.paging)

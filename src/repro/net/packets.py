@@ -39,8 +39,9 @@ class Port:
 
     Build one from plain callables, ``Port(name, mac, deliver,
     accepts)``, or subclass it in an endpoint that is its own port and
-    implements ``deliver`` and ``accepts`` as methods (netback's vif
-    does, so a clone's port stores no callback objects).
+    implements ``deliver`` and ``accepts`` as methods (netback's vif, a
+    KVM tap and the host's uplink do, so none stores callback
+    objects).
 
     ``accepts`` is an optional cheap pre-filter: switches flooding a
     packet may skip ``deliver`` entirely when ``accepts(packet)`` is

@@ -9,17 +9,13 @@ hypervisor split (§6.2), and Fig 5 reports both "Dom0 free" and
 
 from __future__ import annotations
 
-from typing import Callable
-
 from repro.devices.console import ConsoleBackendDaemon
 from repro.devices.hostfs import HostFS
 from repro.devices.p9 import P9BackendPolicy, P9Service
 from repro.devices.udev import UdevBus, UdevEvent
 from repro.devices.vif import NetBackendDriver
-from repro.net.bond import BondInterface
 from repro.net.bridge import Bridge
-from repro.net.ovs import OvsGroup
-from repro.net.packets import Flow, Packet, Port
+from repro.net.host import HostNetwork
 from repro.sim.units import MIB
 from repro.xen.hypervisor import Hypervisor
 from repro.xenstore.client import XsHandle
@@ -28,36 +24,13 @@ from repro.xenstore.store import XenstoreDaemon
 #: Dom0 kernel + base userspace (Alpine, Xen services) resident set.
 BASE_SERVICES_BYTES = 600 * MIB
 
+#: The MAC of Dom0's uplink.
 HOST_MAC = "00:16:3e:00:00:01"
-HOST_IP = "10.0.0.1"
-
-HostListener = Callable[[Packet], None]
 
 
-class _HostPort(Port):
-    """Dom0's uplink to the host network: its own switch port, holding
-    the host-side listeners (port -> handler)."""
-
-    def __init__(self) -> None:
-        self.name = "eth0"
-        self.mac = HOST_MAC
-        self.listeners: dict[int, HostListener] = {}
-
-    def deliver(self, packet: Packet) -> None:
-        if packet.flow.dst_ip != HOST_IP:
-            return
-        handler = self.listeners.get(packet.flow.dst_port)
-        if handler is not None:
-            handler(packet)
-
-    def accepts(self, packet: Packet) -> bool:
-        """Flood pre-filter: mirrors :meth:`deliver`'s drop path."""
-        return (packet.flow.dst_ip == HOST_IP
-                and packet.flow.dst_port in self.listeners)
-
-
-class Dom0:
-    """The host domain and its userspace."""
+class Dom0(HostNetwork):
+    """The host domain and its userspace; also the host network, with
+    ``xenbr0`` as its default bridge."""
 
     def __init__(self, hypervisor: Hypervisor, xenstore: XenstoreDaemon,
                  memory_bytes: int,
@@ -74,17 +47,8 @@ class Dom0:
         self.hostfs = HostFS()
         self.hostfs.mkdir("/srv")
 
-        # Switching fabric.
-        self.bridges: dict[str, Bridge] = {
-            "xenbr0": Bridge("xenbr0")}
-        self.bonds: dict[str, BondInterface] = {}
-        self.ovs_groups: dict[int, OvsGroup] = {}
-        #: Guest IP -> aggregation switch for clone families.
-        self._family_switch: dict[str, object] = {}
-
-        # Host network endpoint (the "uplink" the experiments talk to).
-        self.host_port = _HostPort()
-        self.bridges["xenbr0"].attach(self.host_port)
+        # Switching fabric and the uplink the experiments talk to.
+        super().__init__("xenbr0", HOST_MAC)
 
         # Backend drivers.
         self.netback = NetBackendDriver(
@@ -126,17 +90,11 @@ class Dom0:
 
     def _unplug(self, event: UdevEvent) -> None:
         """Release a dead vif's port from its clone-family aggregation
-        switch (bond slave / OVS bucket). Bridge detach is handled by
-        the netback driver itself; both release paths are idempotent."""
-        ip = event.properties.get("ip")
+        switch. Bridge detach is handled by the netback driver itself;
+        both release paths are idempotent."""
         port = event.properties.get("port")
-        if ip is None or port is None:
-            return
-        switch = self._family_switch.get(ip)
-        if isinstance(switch, BondInterface):
-            switch.release(port)
-        elif isinstance(switch, OvsGroup):
-            switch.remove_bucket(port)
+        if port is not None:
+            self.leave_family(port)
 
     def _vif_bridge(self, domid: int, index: int) -> str:
         path = f"/local/domain/0/backend/vif/{domid}/{index}/bridge"
@@ -178,60 +136,6 @@ class Dom0:
         self.udev.unsubscribe(self._hotplug)
         for switch in self.host_port.switches:
             switch.detach(self.host_port)
-
-    # ------------------------------------------------------------------
-    # clone-family switching (bond / OVS)
-    # ------------------------------------------------------------------
-    def family_bond(self, ip: str) -> BondInterface:
-        """The bond aggregating the clone family that owns ``ip``."""
-        switch = self._family_switch.get(ip)
-        if isinstance(switch, BondInterface):
-            return switch
-        bond = BondInterface(f"bond-{len(self.bonds)}")
-        self.bonds[bond.name] = bond
-        self._family_switch[ip] = bond
-        return bond
-
-    def family_ovs_group(self, ip: str) -> OvsGroup:
-        """The OVS group aggregating the clone family that owns ``ip``."""
-        switch = self._family_switch.get(ip)
-        if isinstance(switch, OvsGroup):
-            return switch
-        group = OvsGroup(group_id=len(self.ovs_groups) + 1)
-        self.ovs_groups[group.group_id] = group
-        self._family_switch[ip] = group
-        return group
-
-    # ------------------------------------------------------------------
-    # host network endpoint
-    # ------------------------------------------------------------------
-    def listen(self, port: int, handler: HostListener) -> None:
-        """Bind a host-side UDP/TCP listener."""
-        self.host_port.listeners[port] = handler
-        self.host_port.touch()
-
-    def unlisten(self, port: int) -> None:
-        """Unbind a host-side listener."""
-        self.host_port.listeners.pop(port, None)
-        self.host_port.touch()
-
-    def send_to_guest(self, dst_ip: str, dst_port: int, payload,
-                      src_port: int = 40000, proto: str = "udp",
-                      size: int = 64) -> None:
-        """Send a packet from the host towards a guest IP.
-
-        Clone families (aggregated behind a bond or OVS group) are
-        selected by flow hash; everything else floods the bridge.
-        """
-        flow = Flow(src_ip=HOST_IP, dst_ip=dst_ip, src_port=src_port,
-                    dst_port=dst_port, proto=proto)
-        packet = Packet(src_mac=HOST_MAC, dst_mac="ff:ff:ff:ff:ff:ff",
-                        flow=flow, payload=payload, size=size)
-        switch = self._family_switch.get(dst_ip)
-        if switch is not None:
-            switch.forward(packet, ingress=self.host_port)
-        else:
-            self.bridges["xenbr0"].forward(packet, ingress=self.host_port)
 
     # ------------------------------------------------------------------
     # memory accounting (Fig 5 "Dom0 free")

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from repro.xenstore.clone import XsCloneOp, xs_clone
+from repro.xenstore.clone import DomidRewrite, XsCloneOp, xs_clone
 from repro.xenstore.store import WatchCallback, XenstoreDaemon, XenstoreError
 
 
@@ -178,15 +178,10 @@ class XsHandle:
         """
         with self.daemon.tracer.span("xenstore.xs_clone", op=op.value):
             self._request(extra=self.daemon.costs.xs_clone_base)
-            if tid:
-                from repro.xenstore.clone import xs_clone_txn
-
-                manager = self.daemon.transactions
-                return xs_clone_txn(self.daemon, manager.get(tid),
-                                    parent_domid, child_domid, op,
-                                    parent_path, child_path)
+            transaction = (self.daemon.transactions.get(tid) if tid
+                           else None)
             return xs_clone(self.daemon, parent_domid, child_domid, op,
-                            parent_path, child_path)
+                            parent_path, child_path, transaction)
 
     def deep_copy(self, parent_domid: int, child_domid: int,
                   parent_path: str, child_path: str,
@@ -200,15 +195,13 @@ class XsHandle:
             # xencloned-side rewriting work, per node.
             self.daemon.clock.charge(
                 self.daemon.costs.xencloned_deep_copy_per_node * len(entries))
-            from repro.xenstore.clone import _rewrite_value
-
+            domid_rewrite = DomidRewrite(parent_domid, child_domid)
             written = 0
             for path, value in entries:
                 suffix = path[len(parent_path):]
                 if rewrite and value:
                     key = path.rstrip("/").rsplit("/", 1)[-1]
-                    value = _rewrite_value(key, value, parent_domid,
-                                           child_domid)
+                    value = domid_rewrite(key, value)
                 self._request()
                 self.daemon.write_node(child_path + suffix, value,
                                        fire=(written == 0))

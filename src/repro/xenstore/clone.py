@@ -14,8 +14,18 @@ from __future__ import annotations
 
 import enum
 from sys import intern
+from typing import TYPE_CHECKING
 
-from repro.xenstore.store import Node, Overlay, XenstoreDaemon, XenstoreError
+from repro.xenstore.store import (
+    Node,
+    Overlay,
+    XenstoreDaemon,
+    XenstoreError,
+    walk_entry,
+)
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.xenstore.transactions import Transaction
 
 
 class XsCloneOp(enum.Enum):
@@ -52,7 +62,7 @@ def _is_domid_position(parts: list[str], index: int) -> bool:
 
 
 def _rewrite(key: str, value: str, parent: str, child: str) -> str:
-    """The heuristics of :func:`_rewrite_value` over domid strings; an
+    """The heuristics of :class:`DomidRewrite` over domid strings; an
     unchanged value comes back as the same object."""
     if key in DOMID_KEYS and value == parent:
         return child
@@ -68,9 +78,11 @@ def _rewrite(key: str, value: str, parent: str, child: str) -> str:
     return value
 
 
-def _rewrite_value(key: str, value: str, parent_domid: int,
-                   child_domid: int) -> str:
-    """Rewrite guest-ID references inside a value.
+class DomidRewrite:
+    """One clone's domid rewrite, ``(key, value) -> value``: what every
+    :class:`~repro.xenstore.store.Overlay` of that clone's device grafts
+    applies on read, and what the pre-Nephele deep copy applies per
+    node.
 
     Heuristics (paper §5.2.1: "such keys (and values referencing them)
     must be rewritten to reference the new clone ID"):
@@ -84,17 +96,10 @@ def _rewrite_value(key: str, value: str, parent_domid: int,
       equal the parent's domid is left alone.
 
     Other numeric values (states, ports, ring refs) are never touched.
-    The child domid string is interned: it is the same object as the
-    clone's ``"<domid>"`` directory keys.
+    Both domid strings are interned (the child's is the same object as
+    the clone's ``"<domid>"`` directory keys), so the record holds no
+    string of its own.
     """
-    return _rewrite(key, value, str(parent_domid), intern(str(child_domid)))
-
-
-class DomidRewrite:
-    """One clone's domid rewrite, ``(key, value) -> value``: what every
-    :class:`~repro.xenstore.store.Overlay` of that clone's device grafts
-    applies on read. Both domid strings are interned, so the record
-    holds no string of its own."""
 
     __slots__ = ("parent", "child")
 
@@ -107,26 +112,30 @@ class DomidRewrite:
 
 
 def xs_clone(daemon: XenstoreDaemon, parent_domid: int, child_domid: int,
-             op: XsCloneOp, parent_path: str, child_path: str) -> int:
+             op: XsCloneOp, parent_path: str, child_path: str,
+             transaction: Transaction | None = None) -> int:
     """Serve one xs_clone request; returns the number of nodes created.
 
-    Mirrors the client API of paper Fig. 2 (the transaction handle is
-    implicit; the simulation applies the copy atomically). The caller
+    Mirrors the client API of paper Fig. 2, whose signature takes an
+    ``xs_transaction_t``: with ``transaction`` ``None`` the copy is
+    applied at once, otherwise its nodes are buffered in that open
+    transaction and applied atomically at commit. The caller
     (XsHandle) accounts the request; this function performs the
-    server-side work and charges the per-node copy cost.
+    server-side work and charges ``xs_clone_per_node`` per logical
+    node either way.
 
-    The copy is structural sharing, not a deep copy: the parent subtree
-    is grafted into the child by reference and marked shared, so the
-    host-side work is one pass over the source directory's own
-    entries, not over its subtree. A device op grafts it
-    inside an :class:`~repro.xenstore.store.Overlay` that carries the
-    domid rewrite as a rule, one :class:`DomidRewrite` per clone shared
-    by all its grafts: values are rewritten when read, walked or
-    copied, and a write below the overlay opens it along the written
-    path only. Virtual cost and store accounting are unchanged: the
-    request still charges ``xs_clone_per_node`` per logical node, and
-    write stats / conflict generations advance by the full subtree size
-    exactly as the per-node copy did.
+    Both forms build the same graft root. A device op wraps the source
+    directory in an :class:`~repro.xenstore.store.Overlay` that
+    carries the domid rewrite as a rule, one :class:`DomidRewrite` per
+    clone shared by all its grafts: values are rewritten when read,
+    walked or copied, and a write below the overlay opens it along the
+    written path only. Immediately, the copy is structural sharing, not
+    a deep copy: the root is grafted into the child by reference and
+    marked shared, so the host-side work is one pass over the source
+    directory's own entries, not over its subtree; write stats and
+    conflict generations still advance by the full subtree size, as a
+    per-node copy would. In a transaction, the root's nodes are
+    buffered as a read would return them.
     """
     if not daemon.exists(parent_path):
         raise XenstoreError(f"xs_clone: ENOENT {parent_path!r}")
@@ -139,7 +148,6 @@ def xs_clone(daemon: XenstoreDaemon, parent_domid: int, child_domid: int,
                            child=child_domid, path=parent_path)
     source = daemon._lookup(parent_path)
     leaf = source.__class__ is str
-    created = 1 if leaf else source.count
     # Interned: an overlay keeps the source's name for good.
     key = intern(parent_path.rstrip("/").rsplit("/", 1)[-1])
     graft_root = source
@@ -153,6 +161,16 @@ def xs_clone(daemon: XenstoreDaemon, parent_domid: int, child_domid: int,
                                                            child_domid)
         graft_root = (rewrite(key, source) if leaf
                       else Overlay(source, rewrite, key))
+    if transaction is not None:
+        manager = daemon.transactions
+        created = 0
+        for path, value in walk_entry(child_path.rstrip("/"), graft_root):
+            manager.write(transaction, path, value)
+            created += 1
+        daemon.clock.charge(daemon.costs.xs_clone_per_node * created)
+        daemon.stats["clones"] += 1
+        return created
+    created = 1 if leaf else source.count
     parent_norm = parent_path.rstrip("/")
     child_norm = child_path.rstrip("/")
     if not parent_norm or child_norm.startswith(f"{parent_norm}/"):
@@ -170,34 +188,6 @@ def xs_clone(daemon: XenstoreDaemon, parent_domid: int, child_domid: int,
     # One notification for the new directory (backends watch the class
     # directory, not every node).
     daemon.fire_watches(child_path)
-    return created
-
-
-def xs_clone_txn(daemon: XenstoreDaemon, transaction, parent_domid: int,
-                 child_domid: int, op: XsCloneOp, parent_path: str,
-                 child_path: str) -> int:
-    """Transactional xs_clone: buffer the copied nodes into an open
-    transaction (the paper's Fig. 2 signature takes ``xs_transaction_t``).
-    Applied atomically at commit."""
-    if not daemon.exists(parent_path):
-        raise XenstoreError(f"xs_clone: ENOENT {parent_path!r}")
-    if daemon.exists(child_path):
-        raise XenstoreError(f"xs_clone: EEXIST {child_path!r}")
-    if daemon.faults.enabled:
-        daemon.faults.fire("xenstore.xs_clone", parent=parent_domid,
-                           child=child_domid, path=parent_path)
-    rewrite = op in _DEVICE_OPS
-    manager = daemon.transactions
-    created = 0
-    for path, value in daemon.walk(parent_path):
-        suffix = path[len(parent_path):]
-        key = path.rstrip("/").rsplit("/", 1)[-1] or parent_path
-        if rewrite and value:
-            value = _rewrite_value(key, value, parent_domid, child_domid)
-        manager.write(transaction, child_path + suffix, value)
-        created += 1
-    daemon.clock.charge(daemon.costs.xs_clone_per_node * created)
-    daemon.stats["clones"] += 1
     return created
 
 

@@ -134,6 +134,33 @@ class Overlay(Node):
         return Node(rewrite(self.key, source.value), children, source.count)
 
 
+def walk_entry(path: str, entry: Node | Overlay | str
+               ) -> list[tuple[str, str]]:
+    """All (path, value) pairs of the tree ``entry`` as if it stood at
+    ``path`` (no trailing slash), itself included, with overlaid values
+    rewritten: what reading each node would return.
+
+    Iterative pre-order with children in sorted name order (the same
+    visit order the old recursive version produced), so it works on
+    arbitrarily deep trees.
+    """
+    result: list[tuple[str, str]] = []
+    stack = [(path, entry)]
+    while stack:
+        prefix, entry = stack.pop()
+        if entry.__class__ is str:
+            result.append((prefix or "/", entry))
+            continue
+        if entry.__class__ is Overlay:
+            entry = entry.open()
+        result.append((prefix or "/", entry.value))
+        children = entry.children
+        if children:
+            stack.extend((f"{prefix}/{name}", children[name])
+                         for name in sorted(children, reverse=True))
+    return result
+
+
 def _nodes(entry: Node | str) -> int:
     """Subtree size of a child entry (a leaf string counts 1)."""
     return 1 if entry.__class__ is str else entry.count
@@ -472,27 +499,8 @@ class XenstoreDaemon:
 
     def walk(self, path: str) -> list[tuple[str, str]]:
         """All (path, value) pairs under ``path``, including it, with
-        overlaid values rewritten.
-
-        Iterative pre-order with children in sorted name order (the
-        same visit order the old recursive version produced), so it
-        works on arbitrarily deep trees.
-        """
-        result: list[tuple[str, str]] = []
-        stack = [(path.rstrip("/"), self._lookup(path))]
-        while stack:
-            prefix, entry = stack.pop()
-            if entry.__class__ is str:
-                result.append((prefix or "/", entry))
-                continue
-            if entry.__class__ is Overlay:
-                entry = entry.open()
-            result.append((prefix or "/", entry.value))
-            children = entry.children
-            if children:
-                stack.extend((f"{prefix}/{name}", children[name])
-                             for name in sorted(children, reverse=True))
-        return result
+        overlaid values rewritten (:func:`walk_entry`)."""
+        return walk_entry(path.rstrip("/"), self._lookup(path))
 
     # ------------------------------------------------------------------
     # watches

@@ -17,6 +17,8 @@ import pytest
 
 from repro import FleetSession, NepheleSession, P9Config
 from repro.apps.udp_server import UdpServerApp
+from repro.kvm.platform import KvmPlatform
+from repro.sim.units import GIB, MIB
 from tests.heap_budget import (
     BUDGETS,
     EXTENT_BUDGETS,
@@ -79,6 +81,21 @@ def test_destroyed_clones_die_at_destroy(gc_off):
             session.destroy(domid)
             _assert_dead(refs)
         _assert_no_cyclic_garbage()
+
+
+def test_destroyed_kvm_clones_die_at_destroy(gc_off):
+    kvm = KvmPlatform(memory_bytes=1 * GIB)
+    parent = kvm.create_vm("p", 16 * MIB, ip="10.0.5.1",
+                           p9_export="/srv/p", max_clones=8,
+                           app=UdpServerApp())
+    for pid in kvm.clone(parent.pid, count=4):
+        vm = kvm.host.get_vm(pid)
+        refs = [(name, weakref.ref(obj)) for name, obj in (
+            ("vm", vm), ("tap", vm.net), ("9p", vm.p9), ("api", vm.api))]
+        del vm
+        kvm.destroy(pid)
+        _assert_dead(refs)
+    _assert_no_cyclic_garbage()
 
 
 def test_destroyed_cold_boot_with_vif_and_9pfs_dies_at_destroy(gc_off):

@@ -119,7 +119,7 @@ def test_midbatch_failure_rolls_back_earlier_children():
     assert audit_kvm_platform(platform) == []
     # The family bond holds no dead taps after the unwind: at most the
     # parent's own port remains enslaved.
-    live = {parent.net.port}
+    live = {parent.net}
     for bond in platform.host.bonds.values():
         assert set(bond.slaves) <= live
     platform.clone(parent.pid, count=2)  # spec consumed: cloning works
@@ -132,10 +132,10 @@ def test_destroy_releases_the_tap_from_bond_and_bridge():
     (child_pid,) = platform.clone(parent.pid, count=1)
     child = platform.host.get_vm(child_pid)
     bond = platform.host.family_bond(parent.net.ip)
-    assert child.net.port in bond.slaves
+    assert child.net in bond.slaves
     platform.destroy(child_pid)
-    assert child.net.port not in bond.slaves
-    assert child.net.port not in platform.host.bridge.ports
+    assert child.net not in bond.slaves
+    assert child.net not in platform.host.bridge.ports
     assert audit_kvm_platform(platform) == []
 
 

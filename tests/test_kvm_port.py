@@ -6,6 +6,7 @@ from repro.kvm.clone import KvmCloneError
 from repro.kvm.platform import KvmPlatform
 from repro.kvm.vm import VmState
 from repro.sim.units import GIB, MIB
+from repro.xen.errors import XenInvalidError
 
 
 @pytest.fixture
@@ -70,9 +71,26 @@ def test_virtio_net_clone_keeps_identity_and_joins_bond(kvm, parent):
     assert child.net is not None
     assert child.net.ip == parent.net.ip
     assert child.net.mac == parent.net.mac
-    assert child.net.tap_name != parent.net.tap_name  # fresh tap
+    assert child.net.name != parent.net.name  # fresh tap
     bond = kvm.host.family_bond(parent.net.ip)
     assert len(bond.slaves) == 2  # parent + clone
+
+
+def test_taps_are_named_after_their_vms():
+    """A tap is ``tap<pid>``, as a vif is ``vif<domid>.<index>``, so two
+    same-seed platforms in one process name a family's taps alike and
+    their bonds spread the same host traffic over the same names."""
+    runs = []
+    for _ in range(2):
+        kvm = KvmPlatform(memory_bytes=1 * GIB)
+        parent = kvm.create_vm("p", 16 * MIB, ip="10.0.5.3", max_clones=4)
+        family = [parent.pid, *kvm.clone(parent.pid, count=3)]
+        for src_port in range(40000, 40016):
+            kvm.host.send_to_guest("10.0.5.3", 9000, src_port=src_port)
+        names = [kvm.host.get_vm(pid).net.name for pid in family]
+        assert names == [f"tap{pid}" for pid in family]
+        runs.append((names, kvm.host.family_bond("10.0.5.3").distribution()))
+    assert runs[0] == runs[1]
 
 
 def test_virtio_9p_fids_inherited_by_fork(kvm, parent):
@@ -161,6 +179,22 @@ def test_udp_server_app_on_kvm(kvm):
         if echoed:
             break
     assert "ping" in echoed
+
+
+def test_kvm_handle_offers_the_shared_calls_and_no_xen_only_ones(kvm,
+                                                                  parent):
+    api = parent.api
+    for name in ("shutdown", "crash", "read_file", "pipe", "socketpair"):
+        assert not hasattr(api, name)
+    assert api.domid == parent.pid and api.now == kvm.now
+    (child,) = api.fork()
+    assert kvm.host.get_vm(child).parent_pid == parent.pid
+    fid = api.open("/log", create=True)
+    assert api.write_file(fid, 64) == 64
+    api.close_file(fid)
+    bare = kvm.create_vm("bare", 16 * MIB)
+    with pytest.raises(XenInvalidError):
+        bare.api.udp_send("10.0.0.1", 9999)
 
 
 def test_kvm_console_via_api(kvm, parent):

@@ -13,6 +13,7 @@ from benchmarks.perf.harness import (
     SCENARIOS,
     SCHEMA_VERSION,
     _pinned_experiment,
+    kvm_fingerprint,
 )
 from repro import scenarios
 from repro.scenarios import PIN_SEED, Scenario, fingerprint
@@ -86,6 +87,13 @@ def test_determinism_drift_fails():
     payload = _payload(determinism={"fig5": "drift"})
     violations, _ = check(payload, FLOORS)
     assert any("determinism drift" in v for v in violations)
+
+
+def test_kvm_fingerprint_is_the_same_twice_in_one_process():
+    # The gate's kvm_clone_burst determinism row: its hash covers the
+    # family bond's per-tap distribution, so tap names must not depend
+    # on what ran before in the process.
+    assert kvm_fingerprint() == kvm_fingerprint()
 
 
 def test_reference_schema_version_is_enforced(tmp_path):

@@ -2,6 +2,7 @@
 
 from repro import DomainConfig, Platform, VifConfig
 from repro.apps.udp_server import UdpServerApp
+from repro.faults.chaos import audit_platform
 from repro.net.bridge import Bridge
 from tests.conftest import udp_config
 
@@ -75,6 +76,17 @@ def test_parent_vif_detached_from_bridge_when_family_forms(platform):
     platform.cloneop.clone(parent.domid)
     assert backend.port not in bridge.ports  # moved to the bond
     assert isinstance(backend.switch, Bridge)  # outbound still via bridge
+
+
+def test_audit_reports_a_port_left_on_a_bridge_after_its_guest(platform):
+    domain = platform.xl.create(udp_config("g"), app=UdpServerApp())
+    port = platform.dom0.netback.backends[(domain.domid, 0)]
+    platform.xl.destroy(domain.domid)
+    assert audit_platform(platform) == []
+    # A vif release that forgot its bridge.
+    platform.dom0.bridges["xenbr0"].attach(port)
+    assert audit_platform(platform) == [
+        f"bridge xenbr0 holds dead port {port.name}"]
 
 
 def test_dom0_used_grows_with_guests_and_store(platform):

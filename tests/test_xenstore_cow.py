@@ -18,7 +18,7 @@ import pytest
 
 from repro.sim import CostModel, VirtualClock
 from repro.xenstore.client import XsHandle
-from repro.xenstore.clone import XsCloneOp, _rewrite_value, xs_clone
+from repro.xenstore.clone import DomidRewrite, XsCloneOp, xs_clone
 from repro.xenstore.store import Node, XenstoreDaemon, XenstoreError
 
 BASE = "/local/domain/0/backend/9pfs"
@@ -229,7 +229,7 @@ def _model_clone(model: dict, src: str, dst: str,
         if rewrite is None or not value:
             return value
         key = path.rsplit("/", 1)[-1]
-        return _rewrite_value(key, value, *rewrite)
+        return DomidRewrite(*rewrite)(key, value)
 
     _model_write(model, dst, copied(src, model[src]))
     prefix = src + "/"
@@ -284,7 +284,7 @@ def test_random_interleavings_match_deep_copy_model():
     Each clone copies a backend directory (basic op or a device op) and
     the frontend ``device/vif`` and ``console`` directories (their
     device ops), as xencloned does; the model reproduces the rewrite
-    sites with ``_rewrite_value``. Writes land on leaves, below existing
+    sites with ``DomidRewrite``. Writes land on leaves, below existing
     leaves (turning them into nodes) and on domid-bearing keys; removes
     take leaves and whole interior directories. After every step the
     tree is walked and every model path read back."""

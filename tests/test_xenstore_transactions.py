@@ -133,6 +133,49 @@ def test_transactional_xs_clone(handle, daemon):
     assert daemon.read_node(f"{cloned}/state") == "4"
 
 
+@pytest.mark.parametrize("overlaid", [False, True],
+                         ids=["directory", "overlaid-directory"])
+@pytest.mark.parametrize("op", list(XsCloneOp), ids=lambda op: op.name)
+def test_committed_transactional_xs_clone_matches_an_immediate_one(
+        clock, costs, op, overlaid):
+    """A transactional xs_clone, once committed, leaves what an
+    immediate one grafts: the same tree under the clone and the same
+    node count, rewrites included. The source holds a device whose
+    index equals the cloning parent's domid, which the rewrite must
+    leave alone; the overlaid case clones a clone's directory, so two
+    rewrites compose."""
+    base = "/local/domain/0/backend/vif"
+    results = []
+    for transactional in (False, True):
+        daemon = XenstoreDaemon(clock, costs)
+        handle = XsHandle(daemon)
+        for index in ("0", "5", "7"):
+            device = f"{base}/5/{index}"
+            daemon.write_node(f"{device}/frontend-id", "5")
+            daemon.write_node(f"{device}/frontend",
+                              f"/local/domain/5/device/vif/{index}")
+            daemon.write_node(f"{device}/state", "4")
+        parent = 5
+        if overlaid:
+            handle.clone(5, 7, XsCloneOp.DEV_VIF, f"{base}/5", f"{base}/7")
+            parent = 7
+        source, dest = f"{base}/{parent}", f"{base}/9"
+        if transactional:
+            tid = handle.transaction_start()
+            created = handle.clone(parent, 9, op, source, dest, tid=tid)
+            assert not daemon.exists(dest)
+            handle.transaction_end(tid)
+        else:
+            created = handle.clone(parent, 9, op, source, dest)
+        results.append((created, daemon.walk(dest), daemon.node_count))
+    assert results[0] == results[1]
+    walked = dict(results[0][1])
+    if op is not XsCloneOp.BASIC:
+        assert walked[f"{base}/9/{parent}/frontend-id"] == "9"
+        assert (walked[f"{base}/9/{parent}/frontend"]
+                == f"/local/domain/9/device/vif/{parent}")
+
+
 def test_open_count(daemon, handle):
     t1 = handle.transaction_start()
     assert daemon.transactions.open_count == 1
