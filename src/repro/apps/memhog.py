@@ -27,16 +27,24 @@ class MemhogApp(GuestApp):
         self.region: Region | None = None
         self.clones_triggered = 0
         self.last_clone_domids: list[int] = []
+        #: The guest API the trigger server forks through (set by
+        #: ``main``/``on_cloned``).
+        self._api: GuestAPI | None = None
 
     def main(self, api: GuestAPI) -> None:
         """Allocate the resident chunk; start the trigger server."""
         # tinyalloc returns touched, resident memory.
         self.region = api.alloc(self.alloc_bytes, touch=True)
-        api.udp_bind(CONTROL_PORT, lambda p: self._control(api, p))
+        self._api = api
+        api.udp_bind(CONTROL_PORT, self._control)
 
-    def _control(self, api: GuestAPI, packet: Packet) -> None:
+    def on_cloned(self, api: GuestAPI, child_index: int) -> None:
+        """The clone's trigger server forks the clone."""
+        self._api = api
+
+    def _control(self, packet: Packet) -> None:
         if packet.payload == "fork":
-            self.trigger_clone(api)
+            self.trigger_clone(self._api)
 
     def trigger_clone(self, api: GuestAPI) -> list[int]:
         """The fork/clone request handler; returns child domids."""

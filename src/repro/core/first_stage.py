@@ -44,13 +44,13 @@ def clone_domain(hypervisor: Hypervisor, parent: Domain,
                 overhead_pages=costs.hyp_per_clone_overhead_pages,
                 charge_create=False,
             )
-            # Unnamed, like the domain, until xencloned names both.
-            child.config = (parent.config.for_clone(child.name)
-                            if parent.config is not None else None)
+            # The clone runs its parent's config; the toolstack names a
+            # copy after the clone where it needs one (save, restart).
+            child.config = parent.config
 
             # vCPUs: affinity and user registers, rax fixed up (paper §5.2).
-            child.vcpus = [vcpu.clone_for_child(child_index)
-                           for vcpu in parent.vcpus]
+            child.vcpus = tuple(vcpu.clone_for_child(child_index)
+                                for vcpu in parent.vcpus)
 
             # Private Xen pages were freshly allocated by create_domain; their
             # contents are rewritten from the parent's (domid references etc.).

@@ -131,11 +131,7 @@ class Xencloned:
             with tracer.span("clone.second_stage.name"):
                 # 3. Generate + set the clone's name. xencloned guarantees
                 # uniqueness (domid-suffixed), so no name scan is needed.
-                # The clone's config carries the same string, so `xl
-                # save` and `xl restore` see the clone's own name.
                 name = child.name = f"{parent.name}-c{child_domid}"
-                if child.config is not None:
-                    child.config.name = name
                 self.handle.write(f"{child.store_path}/name", name)
 
                 # Grant reference and event port for the child's own

@@ -29,20 +29,29 @@ class ConsoleFrontend:
 
     device_class = "console"
 
-    __slots__ = ("domid", "output", "sink", "__weakref__")
+    __slots__ = ("domid", "_lines", "sink", "__weakref__")
 
     def __init__(self, domain: Domain) -> None:
         self.domid = domain.domid
         # The ring lives in the domain's dedicated console page
-        # (allocated with the domain's special pages).
-        self.output: list[str] = []
+        # (allocated with the domain's special pages). Its lines are
+        # ``None`` until the first: most clones never print.
+        self._lines: list[str] | None = None
         #: Backend daemon draining the ring (xenconsoled-style logging).
         self.sink: ConsoleBackendDaemon | None = None
-        domain.frontends.setdefault("console", []).append(self)
+        domain.attach(self)
+
+    @property
+    def output(self) -> list[str]:
+        """The lines printed so far, oldest first."""
+        return self._lines if self._lines is not None else []
 
     def write_line(self, line: str) -> None:
         """Guest prints a line: ring + xenconsoled sink."""
-        self.output.append(line)
+        if self._lines is None:
+            self._lines = [line]
+        else:
+            self._lines.append(line)
         if self.sink is not None:
             self.sink._drain(self.domid, line)
 

@@ -191,7 +191,7 @@ class P9Frontend:
         self.mount_point = mount_point
         self.index = index
         self.backend_process: P9BackendProcess | None = None
-        domain.frontends.setdefault("9pfs", []).append(self)
+        domain.attach(self)
 
     def _process(self) -> P9BackendProcess:
         if self.backend_process is None:

@@ -74,7 +74,7 @@ class NetFrontend:
         self.backend: "NetBackend | None" = None
         self.tx_count = 0
         self.rx_count = 0
-        domain.frontends.setdefault("vif", []).append(self)
+        domain.attach(self)
 
     @property
     def private_pages(self) -> int:
@@ -135,7 +135,7 @@ class NetFrontend:
         clone.backend = None
         clone.tx_count = 0
         clone.rx_count = 0
-        child.frontends.setdefault("vif", []).append(clone)
+        child.attach(clone)
         return clone
 
 

@@ -11,7 +11,8 @@ for immutable state; apps with mutable state override it).
 from __future__ import annotations
 
 import copy
-from typing import TYPE_CHECKING
+from types import MethodType
+from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.guest.api import GuestAPI
@@ -44,3 +45,16 @@ class GuestApp:
 
     def on_restored(self, api: "GuestAPI") -> None:
         """Runs after an xl restore resumed this guest."""
+
+
+def inherit_udp_handlers(handlers: dict[int, Any], parent_app: Any,
+                         child_app: Any) -> dict[int, Any]:
+    """A clone's UDP handlers: its parent's, with each one bound to the
+    parent's app rebound to the same method of the child's app, so a
+    datagram to the clone runs the clone's app (called once the
+    child's app exists, on either backend)."""
+    return {port: (MethodType(handler.__func__, child_app)
+                   if parent_app is not None
+                   and getattr(handler, "__self__", None) is parent_app
+                   else handler)
+            for port, handler in handlers.items()}

@@ -7,6 +7,7 @@ from typing import TYPE_CHECKING, Any
 from repro.devices.console import ConsoleFrontend
 from repro.devices.vif import NetFrontend
 from repro.guest.api import GuestAPI
+from repro.guest.app import inherit_udp_handlers
 from repro.guest.image import IMAGES, UnikernelImage
 from repro.net.packets import Packet
 from repro.xen.domain import Domain, DomainState
@@ -141,16 +142,15 @@ class UnikernelVM:
         copied_pages = 0
         child_vm = UnikernelVM(self.platform, child, self.image,
                                app=None)
-        for console in self.domain.frontends.get("console", []):
-            console.clone_for(child)
-        for vif in self.domain.frontends.get("vif", []):
-            vif.clone_for(child).guest = child_vm
-            copied_pages += vif.private_pages
-        for mount in self.domain.frontends.get("9pfs", []):
-            mount.clone_for(child)
+        for frontend in self.domain.frontends:
+            clone = frontend.clone_for(child)
+            if frontend.device_class == "vif":
+                clone.guest = child_vm
+                copied_pages += frontend.private_pages
         if self.app is not None:
             child_vm.app = self.app.clone_for_child()
-        child_vm.udp_handlers = dict(self.udp_handlers)
+        child_vm.udp_handlers = inherit_udp_handlers(
+            self.udp_handlers, self.app, child_vm.app)
         # tinyalloc state is part of the cloned memory image.
         child_vm.kernel_pages = self.kernel_pages
         child_vm.heap_base_pfn = self.heap_base_pfn

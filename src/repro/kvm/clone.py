@@ -15,6 +15,7 @@ needs nothing: fork duplicated the fid table's file descriptors.
 from __future__ import annotations
 
 from repro.errors import ReproError
+from repro.guest.app import inherit_udp_handlers
 from repro.kvm.host import KvmHost
 from repro.kvm.vm import KvmVm, VmState
 from repro.sim.units import pages_of
@@ -118,7 +119,6 @@ class KvmCloneOp:
         child.state = VmState.PAUSED
         child.max_clones = parent.max_clones
         child.heap_cursor = parent.heap_cursor
-        child.udp_handlers = dict(parent.udp_handlers)
         tracer = host.tracer
         try:
             with tracer.span("clone.first_stage", parent=parent.pid,
@@ -174,6 +174,8 @@ class KvmCloneOp:
                 if parent.app is not None and hasattr(parent.app,
                                                       "clone_for_child"):
                     child.app = parent.app.clone_for_child()
+                child.udp_handlers = inherit_udp_handlers(
+                    parent.udp_handlers, parent.app, child.app)
 
                 child.parent_pid = parent.pid
                 parent.children.append(child.pid)

@@ -11,13 +11,21 @@ from typing import Iterator
 
 
 class IntervalSet:
-    """Set of non-overlapping half-open integer intervals ``[start, end)``."""
+    """Set of non-overlapping half-open integer intervals ``[start, end)``.
 
-    __slots__ = ("_starts", "_ends", "_count")
+    The intervals are one flat sorted tuple of bounds, ``(start0, end0,
+    start1, end1, ...)``, coalesced so that no two touch: a value lies
+    in the set iff an odd number of bounds are at or below it. An empty
+    set holds the shared ``()`` and one interval a two-slot tuple, where
+    two lists of starts and ends held 176 B; sets stay small (writes are
+    contiguous ranges and runs coalesce), so rebuilding the tuple on an
+    add costs what an insertion into a list did.
+    """
+
+    __slots__ = ("_bounds", "_count")
 
     def __init__(self) -> None:
-        self._starts: list[int] = []
-        self._ends: list[int] = []
+        self._bounds: tuple[int, ...] = ()
         self._count = 0
 
     @property
@@ -35,58 +43,55 @@ class IntervalSet:
         """Add ``[start, start+length)``; returns how many were newly added."""
         if length <= 0:
             return 0
+        bounds = self._bounds
         end = start + length
-        # Find all intervals overlapping or adjacent to [start, end).
-        lo = bisect.bisect_left(self._ends, start)
+        inside = bisect.bisect_right(bounds, start)
         # Fast path: the range sits entirely inside one existing
         # interval — the steady state for repeated writes to the same
-        # buffer (IDC areas, clone COW touches). No list surgery.
-        if (lo < len(self._starts) and self._starts[lo] <= start
-                and end <= self._ends[lo]):
+        # buffer (IDC areas, clone COW touches).
+        if inside & 1 and end <= bounds[inside]:
             return 0
-        hi = bisect.bisect_right(self._starts, end)
-        new_start, new_end = start, end
-        removed = 0
-        for i in range(lo, hi):
-            new_start = min(new_start, self._starts[i])
-            new_end = max(new_end, self._ends[i])
-            removed += self._ends[i] - self._starts[i]
-        del self._starts[lo:hi]
-        del self._ends[lo:hi]
-        self._starts.insert(lo, new_start)
-        self._ends.insert(lo, new_end)
+        # Every interval overlapping or touching [start, end) is replaced
+        # by their union: bounds[lo:hi] is whole intervals.
+        lo = bisect.bisect_left(bounds, start)
+        hi = bisect.bisect_right(bounds, end)
+        new_start = bounds[lo - 1] if lo & 1 else start
+        new_end = bounds[hi] if hi & 1 else end
+        lo -= lo & 1
+        hi += hi & 1
+        removed = sum(bounds[i + 1] - bounds[i] for i in range(lo, hi, 2))
+        self._bounds = bounds[:lo] + (new_start, new_end) + bounds[hi:]
         added = (new_end - new_start) - removed
         self._count += added
         return added
 
     def contains(self, value: int) -> bool:
         """Is ``value`` covered by any interval?"""
-        i = bisect.bisect_right(self._starts, value) - 1
-        return i >= 0 and value < self._ends[i]
+        return bool(bisect.bisect_right(self._bounds, value) & 1)
 
     def overlap(self, start: int, length: int) -> int:
         """How many integers of ``[start, start+length)`` are covered."""
         if length <= 0:
             return 0
         end = start + length
+        bounds = self._bounds
         total = 0
-        i = bisect.bisect_right(self._starts, start) - 1
-        if i < 0:
-            i = 0
-        while i < len(self._starts) and self._starts[i] < end:
-            lo = max(self._starts[i], start)
-            hi = min(self._ends[i], end)
+        i = bisect.bisect_right(bounds, start)
+        i -= i & 1
+        while i < len(bounds) and bounds[i] < end:
+            lo = max(bounds[i], start)
+            hi = min(bounds[i + 1], end)
             if hi > lo:
                 total += hi - lo
-            i += 1
+            i += 2
         return total
 
     def clear(self) -> None:
         """Drop every interval."""
-        self._starts.clear()
-        self._ends.clear()
+        self._bounds = ()
         self._count = 0
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
         """Yield ``(start, end)`` pairs in ascending order."""
-        return iter(zip(self._starts, self._ends))
+        bounds = self._bounds
+        return iter(zip(bounds[0::2], bounds[1::2]))

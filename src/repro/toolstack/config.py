@@ -75,7 +75,9 @@ class DomainConfig:
                 raise ConfigError(f"unknown exit policy: {policy!r}")
 
     def for_clone(self, clone_name: str) -> "DomainConfig":
-        """The config a clone inherits (same resources, new name)."""
+        """A copy named ``clone_name``, same resources: what a clone,
+        which runs its parent's config, is saved and restarted with,
+        and what a restore under a new name boots."""
         return DomainConfig(
             name=clone_name,
             memory_mb=self.memory_mb,

@@ -99,7 +99,9 @@ class XL:
             app = domain.guest.app if domain.guest is not None else None
             self.destroy(domid)
             if policy == "restart" and config is not None:
-                self.create(config, app=app)
+                # A clone runs its parent's config: restart it under
+                # its own name.
+                self.create(config.for_clone(domain.name), app=app)
 
     @property
     def _clock(self):
@@ -230,9 +232,11 @@ class XL:
             n_pages = domain.ram_budget_pages
             self._clock.charge(self._costs.save_per_page * n_pages)
             app = domain.guest.app if domain.guest is not None else None
-            config = domain.config
-            if config is None:
+            if domain.config is None:
                 raise ToolstackError(f"domain {domid} has no config to save")
+            # A clone runs its parent's config: the image keeps a copy
+            # named after the clone, which restore brings back.
+            config = domain.config.for_clone(domain.name)
             if destroy:
                 self.destroy(domid)
             image = SavedImage(config=config, n_pages=n_pages, app=app)

@@ -42,6 +42,38 @@ SPECIAL_PAGES = (
 )
 
 
+class Frontends(tuple):
+    """A domain's device frontends in attach order, read by device
+    class: ``frontends["vif"]`` lists the vifs (KeyError if none),
+    ``frontends.get("9pfs", [])`` the 9pfs mounts.
+
+    One flat tuple: a clone's console and vif cost one two-slot tuple
+    (56 B), where a dict of per-class lists cost 360 B. Attaching
+    builds a new tuple (:meth:`Domain.attach`); a domain has a handful
+    of devices.
+    """
+
+    __slots__ = ()
+
+    def get(self, kind: str, default: Any = None) -> Any:
+        """The frontends of device class ``kind``, or ``default``."""
+        found = [frontend for frontend in self
+                 if frontend.device_class == kind]
+        return found if found else default
+
+    def __getitem__(self, key):
+        if key.__class__ is not str:
+            return tuple.__getitem__(self, key)
+        found = self.get(key)
+        if found is None:
+            raise KeyError(key)
+        return found
+
+
+#: The frontends of a domain with no devices (shared: it is immutable).
+NO_FRONTENDS = Frontends()
+
+
 class Domain:
     """One guest VM (or Dom0)."""
 
@@ -66,15 +98,17 @@ class Domain:
         self.state = DomainState.CREATED
         self.memory_bytes = memory_bytes
         self.ram_budget_pages = pages_of(memory_bytes)
-        self.vcpus = [VCPU(i) for i in range(vcpu_count)]
+        self.vcpus = tuple(VCPU(i) for i in range(vcpu_count))
         self.memory = GuestMemory(domid, frame_table)
         self.paging: PagingState | None = None
         self.grants = GrantTable(domid)
         self.events = EventChannelTable(domid)
         #: Foreign grants this domain mapped, as (granter_domid, gref);
         #: scrubbed from the granters' tables when this domain dies.
-        self.foreign_maps: list[tuple[int, int]] = []
-        self.special: dict[str, Extent] = {}
+        #: ``()`` until the first mapping: few domains map any.
+        self.foreign_maps: list[tuple[int, int]] | tuple = ()
+        #: The special pages' extents, in :data:`SPECIAL_PAGES` order.
+        self.special: tuple[Extent, ...] = ()
         #: The frame numbers Xen publishes (see :mod:`repro.xen.frames`):
         #: the start_info page's, carried by clone notifications, and
         #: the Xenstore ring page's, written as ``store/ring-ref``.
@@ -90,8 +124,8 @@ class Domain:
         self.children: list[int] = []
 
         # --- attachments from higher layers ---
-        #: Device frontends, keyed by device class ("vif", "console", "9pfs").
-        self.frontends: dict[str, list[Any]] = {}
+        #: Device frontends ("vif", "console", "9pfs"), in attach order.
+        self.frontends = NO_FRONTENDS
         #: Guest kernel/application object (set by repro.guest).
         self.guest: Any = None
         #: Toolstack configuration this domain was created from.
@@ -109,6 +143,10 @@ class Domain:
     def store_path(self) -> str:
         """This domain's directory in the Xenstore registry."""
         return f"/local/domain/{self.domid}"
+
+    def attach(self, frontend: Any) -> None:
+        """Add a device frontend; its ``device_class`` names its kind."""
+        self.frontends = Frontends((*self.frontends, frontend))
 
     def populate_ram(self, npages: int, page_type: PageType = PageType.NORMAL,
                      label: str = ""):
@@ -132,7 +170,7 @@ class Domain:
         total = self.memory.private_pages()
         if self.paging is not None:
             total += self.paging.pt_pages + self.paging.p2m_pages
-        total += sum(extent.count for extent in self.special.values())
+        total += sum(extent.count for extent in self.special)
         return total
 
     # ------------------------------------------------------------------

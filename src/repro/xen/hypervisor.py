@@ -13,7 +13,7 @@ from typing import Any, Callable
 from repro.faults.injector import NULL_INJECTOR
 from repro.obs.tracer import NULL_TRACER
 from repro.sim import CostModel, VirtualClock, pages_of
-from repro.xen.domain import SPECIAL_PAGES, Domain, DomainState
+from repro.xen.domain import NO_FRONTENDS, SPECIAL_PAGES, Domain, DomainState
 from repro.xen.domid import (
     DOM0,
     DOMID_CHILD,
@@ -116,18 +116,20 @@ class Hypervisor:
         overhead = (costs.hyp_per_domain_overhead_pages
                     if overhead_pages is None else overhead_pages)
         frames = self.frames
+        special = []
         try:
             domain.overhead_extent = frames.alloc(
                 XEN_OWNER, overhead, PageType.NORMAL, label="xen-overhead")
             for name_, page_type in SPECIAL_PAGES:
-                domain.special[name_] = frames.alloc(
-                    domid, 1, page_type, label=name_)
+                special.append(frames.alloc(domid, 1, page_type,
+                                            label=name_))
                 self.clock.charge(costs.page_alloc)
                 # The two frame numbers Xen publishes.
                 if page_type is PageType.START_INFO:
                     domain.start_info_mfn = frames.extents_created
                 elif page_type is PageType.XENSTORE_RING:
                     domain.store_mfn = frames.extents_created
+            domain.special = tuple(special)
 
             ram_pages = domain.ram_budget_pages
             if self.faults.enabled:
@@ -139,6 +141,7 @@ class Hypervisor:
                 domain.populate_ram(ram_pages, label="ram")
                 self.clock.charge(costs.page_alloc * ram_pages)
         except Exception:
+            domain.special = tuple(special)
             self._release_frames(domain)
             raise
 
@@ -158,9 +161,9 @@ class Hypervisor:
         if domain.paging is not None:
             freed += release_paging(self.frames, domain.paging)
             domain.paging = None
-        for extent in domain.special.values():
+        for extent in domain.special:
             freed += self.frames.free_extent(extent)
-        domain.special.clear()
+        domain.special = ()
         if domain.overhead_extent is not None:
             freed += self.frames.free_extent(domain.overhead_extent)
             domain.overhead_extent = None
@@ -192,7 +195,7 @@ class Hypervisor:
                 granter.grants.unmap_grant(gref, domid)
             except XenNoEntryError:
                 pass
-        domain.foreign_maps.clear()
+        domain.foreign_maps = ()
         # Drop its guest vIRQ bindings: a domain that later gets the
         # same domid (the allocator recycles them) must not inherit
         # them.
@@ -248,7 +251,7 @@ class Hypervisor:
         # The guest kernel and device frontends that higher layers hang
         # off the domain point back at it, and at each other through
         # it. Dropping the domain's side lets refcounting free them.
-        domain.frontends.clear()
+        domain.frontends = NO_FRONTENDS
         domain.guest = None
 
     def pause_domain(self, domid: int) -> None:
@@ -306,7 +309,10 @@ class Hypervisor:
         children = self.descendants(granter_domid)
         self.clock.charge(self.costs.grant_op)
         entry = granter.grants.map_grant(gref, mapper_domid, children)
-        mapper.foreign_maps.append((granter_domid, gref))
+        if mapper.foreign_maps:
+            mapper.foreign_maps.append((granter_domid, gref))
+        else:
+            mapper.foreign_maps = [(granter_domid, gref)]
         return entry
 
     # ------------------------------------------------------------------

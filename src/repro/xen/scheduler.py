@@ -20,7 +20,7 @@ DEFAULT_WEIGHT = 256
 
 
 class SchedulerEntry:
-    """One vCPU of a domain, as the scheduler sees it."""
+    """One vCPU of a domain, as the scheduler places it."""
 
     __slots__ = ("domain", "vcpu_index", "weight", "cap")
 
@@ -56,14 +56,24 @@ def entries_runnable(entries: list[SchedulerEntry]) -> list[SchedulerEntry]:
     return [e for e in entries if e.runnable]
 
 
+#: The (weight, cap) of a domain scheduled with the defaults.
+_DEFAULTS = (DEFAULT_WEIGHT, 0.0)
+
+
 class CreditScheduler:
-    """Weight-proportional CPU sharing with affinity-aware placement."""
+    """Weight-proportional CPU sharing with affinity-aware placement.
+
+    The scheduler keeps each domain once, by domid, and the (weight,
+    cap) of those not at the defaults; :meth:`place` builds the
+    per-vCPU entries of the runnable ones when it is asked.
+    """
 
     def __init__(self, cpus: int) -> None:
         if cpus < 1:
             raise XenInvalidError(f"need at least one CPU: {cpus}")
         self.cpus = cpus
-        self._entries: list[SchedulerEntry] = []
+        self._domains: dict[int, Domain] = {}
+        self._params: dict[int, tuple[int, float]] = {}
 
     # ------------------------------------------------------------------
     def add_domain(self, domain: Domain, weight: int = DEFAULT_WEIGHT,
@@ -73,25 +83,42 @@ class CreditScheduler:
             raise XenInvalidError(f"non-positive weight: {weight}")
         if not 0.0 <= cap <= 1.0:
             raise XenInvalidError(f"cap must be within one CPU: {cap}")
-        for index in range(len(domain.vcpus)):
-            self._entries.append(SchedulerEntry(domain, index, weight, cap))
+        self._domains[domain.domid] = domain
+        self._set_params(domain.domid, weight, cap)
 
     def remove_domain(self, domid: int) -> None:
         """Drop all of a domain's vCPUs from scheduling."""
-        self._entries = [e for e in self._entries
-                         if e.domain.domid != domid]
+        self._domains.pop(domid, None)
+        self._params.pop(domid, None)
 
     def set_weight(self, domid: int, weight: int) -> None:
         """Change a domain's credit weight (xl sched-credit -w)."""
         if weight <= 0:
             raise XenInvalidError(f"non-positive weight: {weight}")
-        found = False
-        for entry in self._entries:
-            if entry.domain.domid == domid:
-                entry.weight = weight
-                found = True
-        if not found:
+        if domid not in self._domains:
             raise XenInvalidError(f"domain {domid} is not scheduled")
+        self._set_params(domid, weight,
+                         self._params.get(domid, _DEFAULTS)[1])
+
+    def _set_params(self, domid: int, weight: int, cap: float) -> None:
+        if (weight, cap) == _DEFAULTS:
+            self._params.pop(domid, None)
+        else:
+            self._params[domid] = (weight, cap)
+
+    def _runnable_entries(self) -> list[SchedulerEntry]:
+        """One entry per vCPU of every RUNNING domain, in (domid, vcpu)
+        order."""
+        params = self._params
+        entries = []
+        for domid in sorted(self._domains):
+            domain = self._domains[domid]
+            if domain.state is not DomainState.RUNNING:
+                continue
+            weight, cap = params.get(domid, _DEFAULTS)
+            entries.extend(SchedulerEntry(domain, index, weight, cap)
+                           for index in range(len(domain.vcpus)))
+        return entries
 
     # ------------------------------------------------------------------
     def place(self) -> dict[int, CoreAssignment]:
@@ -102,9 +129,7 @@ class CreditScheduler:
         ties break by core number, entries process in (domid, vcpu) order.
         """
         cores = {c: CoreAssignment(c) for c in range(self.cpus)}
-        ordered = sorted(
-            entries_runnable(self._entries),
-            key=lambda e: (e.domain.domid, e.vcpu_index))
+        ordered = self._runnable_entries()
         # Pinned first: they have no choice.
         for entry in ordered:
             if entry.affinity:
@@ -147,4 +172,5 @@ class CreditScheduler:
 
     @property
     def runnable_vcpus(self) -> int:
-        return len(entries_runnable(self._entries))
+        return sum(len(domain.vcpus) for domain in self._domains.values()
+                   if domain.state is DomainState.RUNNING)

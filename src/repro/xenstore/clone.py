@@ -21,6 +21,7 @@ from repro.xenstore.store import (
     Overlay,
     XenstoreDaemon,
     XenstoreError,
+    mark_children_shared,
     walk_entry,
 )
 
@@ -178,8 +179,12 @@ def xs_clone(daemon: XenstoreDaemon, parent_domid: int, child_domid: int,
         # root): sharing would create a cycle, so snapshot eagerly the
         # way the pre-sharing implementation did.
         graft_root = _copy_tree(graft_root)
-    elif source.__class__ is Node:
-        source.shared = True
+    else:
+        if source.__class__ is Node:
+            source.shared = True
+        if graft_root.__class__ is Overlay:
+            # The graft aliases the source's child directories.
+            mark_children_shared(graft_root)
     daemon.graft(child_path, graft_root)
     daemon.stats["writes"] += created
     daemon.transactions.record_subtree_write(child_path, created)

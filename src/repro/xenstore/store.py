@@ -69,7 +69,7 @@ class Node:
         self.shared = False
 
 
-class Overlay(Node):
+class Overlay:
     """A shared entry read through one clone's domid rewrite.
 
     A device ``xs_clone`` grafts ``Overlay(source, rewrite, key)``
@@ -85,24 +85,30 @@ class Overlay(Node):
     An overlay is always ``shared``: a write below it opens it
     (:meth:`open`) along the written path only. ``children`` and
     ``count`` are the source's -- names and shape, with the values
-    *before* the rewrite (their child nodes are marked shared, since
-    the overlay aliases them); ``value``, :meth:`child` and
-    :meth:`open` read through the rewrite. The overlay's subtree counts
-    as nodes of its own, as a deep copy's would.
+    *before* the rewrite -- read through, not kept; ``value``,
+    :meth:`child` and :meth:`open` read through the rewrite. The
+    overlay's subtree counts as nodes of its own, as a deep copy's
+    would. Building an overlay marks nothing: whoever links one into
+    the tree marks the source's child nodes shared
+    (:func:`mark_children_shared`), since the overlay aliases them.
     """
 
     __slots__ = ("source", "rewrite", "key")
+
+    shared = True
 
     def __init__(self, source: Node, rewrite, key: str) -> None:
         self.source = source
         self.rewrite = rewrite
         self.key = key
-        children = self.children = source.children
-        self.count = source.count
-        self.shared = True
-        for child in children.values():
-            if child.__class__ is Node:
-                child.shared = True
+
+    @property
+    def children(self) -> dict[str, Node | Overlay | str]:
+        return self.source.children
+
+    @property
+    def count(self) -> int:
+        return self.source.count
 
     @property
     def value(self) -> str:
@@ -114,7 +120,7 @@ class Overlay(Node):
         overlay of its own."""
         source = self.source
         entry = (source.child(name) if source.__class__ is Overlay
-                 else self.children[name])
+                 else source.children[name])
         if entry.__class__ is str:
             return self.rewrite(name, entry)
         return Overlay(entry, self.rewrite, name)
@@ -132,6 +138,14 @@ class Overlay(Node):
                    else Overlay(child, rewrite, name))
             for name, child in source.children.items()}
         return Node(rewrite(self.key, source.value), children, source.count)
+
+
+def mark_children_shared(entry: Node | Overlay) -> None:
+    """Mark the child nodes of ``entry`` (an overlay's: its source's)
+    shared: a new alias of them is about to be linked into the tree."""
+    for child in entry.children.values():
+        if child.__class__ is Node:
+            child.shared = True
 
 
 def walk_entry(path: str, entry: Node | Overlay | str
@@ -301,17 +315,19 @@ class XenstoreDaemon:
     def _unshare(self, node: Node | Overlay) -> Node:
         """Private copy of a shared entry: a node's children aliased
         (the child nodes marked shared so the laziness recurses), an
-        overlay opened. The caller re-links it into the (already
-        private) parent."""
+        overlay opened (its child directories' children marked, since
+        the overlays it opens to alias them). The caller re-links it
+        into the (already private) parent."""
         if self._path_cache:
             self._path_cache.clear()
         if node.__class__ is Overlay:
-            return node.open()
-        children = dict(node.children)
-        for child in children.values():
-            if child.__class__ is Node:
-                child.shared = True
-        return Node(node.value, children, node.count)
+            opened = node.open()
+            for child in opened.children.values():
+                if child.__class__ is Overlay:
+                    mark_children_shared(child)
+            return opened
+        mark_children_shared(node)
+        return Node(node.value, dict(node.children), node.count)
 
     def _store(self, path: str, value: str) -> None:
         """Set the value at ``path``: the mutating walk creates missing

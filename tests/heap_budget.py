@@ -34,43 +34,49 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 
 #: (gc-tracked objects, tracemalloc bytes) per clone of the clone_burst
-#: parent (one vif), per CPython minor version: the measured value plus
-#: 2 objects and plus 3% bytes (measured: 65 / 7,345 on 3.10.13,
-#: 64 / 6,945 on 3.11.7, 64 / 6,937 on 3.12.1).
+#: parent (one vif), per CPython minor version: the measured value
+#: (a fractional object count rounded up) plus 2 objects and plus 3%
+#: bytes (measured: 53.99 / 6,092.4 on 3.10.13, 53 / 5,789.7 on 3.11.7,
+#: 53 / 5,781.6 on 3.12.1, 52.98 / 5,789.6 on 3.13.0).
 BUDGETS = {
-    (3, 10): (67, 7_565),
-    (3, 11): (66, 7_153),
-    (3, 12): (66, 7_144),
+    (3, 10): (56, 6_275),
+    (3, 11): (55, 5_963),
+    (3, 12): (55, 5_955),
+    (3, 13): (55, 5_963),
 }
 
 #: The same per clone of a parent with a vif and a 9pfs mount, the
-#: clone_churn/FaaS shape (measured: 76 / 8,760 on 3.10.13,
-#: 74 / 8,196 on 3.11.7, 74 / 8,180 on 3.12.1).
+#: clone_churn/FaaS shape (measured: 62.99 / 7,277.9 on 3.10.13,
+#: 61 / 6,808.6 on 3.11.7, 61 / 6,792.5 on 3.12.1, 60.98 / 6,808.6 on
+#: 3.13.0).
 P9FS_BUDGETS = {
-    (3, 10): (78, 9_023),
-    (3, 11): (76, 8_441),
-    (3, 12): (76, 8_424),
+    (3, 10): (65, 7_496),
+    (3, 11): (63, 7_012),
+    (3, 12): (63, 6_996),
+    (3, 13): (63, 7_012),
 }
 
 
 #: Tracemalloc bytes per private one-page extent, per CPython minor
 #: version: the measured value plus 3% (measured: 64.1 on 3.10.13, 64.0
-#: on 3.11.7 and 3.12.1; an extent with an id and nine fields held
-#: 131.4 / 131.3 / 131.3).
+#: on 3.11.7, 3.12.1 and 3.13.0; an extent with an id and nine fields
+#: held 131.4 / 131.3 / 131.3 on 3.10-3.12).
 EXTENT_BUDGETS = {
     (3, 10): 66,
     (3, 11): 66,
     (3, 12): 66,
+    (3, 13): 66,
 }
 
 #: Tracemalloc bytes per span held by a full span ring, per CPython
 #: minor version: the measured value plus 3% (measured: 111.9 on
-#: 3.10.13, 112.3 on 3.11.7, 111.9 on 3.12.1; a ring of ``Span``
-#: objects held 341 / 313 / 313).
+#: 3.10.13, 112.3 on 3.11.7, 111.9 on 3.12.1, 111.3 on 3.13.0; a ring
+#: of ``Span`` objects held 341 / 313 / 313 on 3.10-3.12).
 SPAN_BUDGETS = {
     (3, 10): 116,
     (3, 11): 116,
     (3, 12): 116,
+    (3, 13): 115,
 }
 
 
@@ -137,6 +143,74 @@ def per_clone_files(p9fs: bool = False, top: int = 6, warmup: int = 20,
                    key=lambda stat: -stat.size_diff)[:top]
     return [(os.path.relpath(stat.traceback[0].filename, SRC),
              stat.size_diff / clones) for stat in stats]
+
+
+def per_clone_containers(p9fs: bool = False, warmup: int = 20,
+                         clones: int = 200) -> dict[str, list]:
+    """What :func:`per_clone_heap`'s objects are, per clone.
+
+    ``"types"``: (type name, gc-tracked objects) pairs. ``"owners"``:
+    (owner, type name, containers, ``sys.getsizeof`` bytes) for every
+    gc-tracked list, dict and tuple (subclasses included), where the
+    owner is the ``Class.slot`` that holds it, ``<owner>[]`` for a
+    container held by another container, or ``?`` when nothing new
+    holds it. Unlike :func:`per_clone_files`, which files a
+    free-list-reused object under the line that first allocated it,
+    this names what holds each container now. A tuple of atomic values
+    (ints, strings) is not gc-tracked, so it is in neither list.
+    """
+    clone, parent = clone_parent(p9fs)
+    for _ in range(warmup):
+        clone(parent, count=1)
+    gc.collect()
+    before = gc.get_objects()
+    known = {id(obj) for obj in before}
+    known.add(id(before))
+    for _ in range(clones):
+        clone(parent, count=1)
+    gc.collect()
+    new = [obj for obj in gc.get_objects()
+           if id(obj) not in known and obj is not known]
+    types: dict[str, int] = {}
+    for obj in new:
+        name = type(obj).__name__
+        types[name] = types.get(name, 0) + 1
+    containers = {id(obj): obj for obj in new
+                  if isinstance(obj, (list, dict, tuple))}
+    owner: dict[int, str] = {}
+    for obj in new:
+        cls = type(obj)
+        if isinstance(obj, (list, dict, tuple)):
+            continue
+        for klass in cls.__mro__:
+            for slot in klass.__dict__.get("__slots__", ()):
+                value = getattr(obj, slot, None)
+                if id(value) in containers:
+                    owner.setdefault(id(value), f"{cls.__name__}.{slot}")
+        if hasattr(obj, "__dict__") and id(obj.__dict__) in containers:
+            owner.setdefault(id(obj.__dict__), f"{cls.__name__}.__dict__")
+    for _ in range(3):  # containers held by named containers
+        for key, obj in containers.items():
+            if key not in owner:
+                continue
+            items = obj.values() if isinstance(obj, dict) else obj
+            for item in items:
+                if id(item) in containers:
+                    owner.setdefault(id(item), f"{owner[key]}[]")
+    rows: dict[tuple[str, str], list] = {}
+    for key, obj in containers.items():
+        row = rows.setdefault((owner.get(key, "?"), type(obj).__name__),
+                              [0, 0])
+        row[0] += 1
+        row[1] += sys.getsizeof(obj)
+    return {
+        "types": sorted(((name, count / clones)
+                         for name, count in types.items()),
+                        key=lambda row: (-row[1], row[0])),
+        "owners": sorted(((name, kind, count / clones, size / clones)
+                          for (name, kind), (count, size) in rows.items()),
+                         key=lambda row: (-row[3], row[0], row[1])),
+    }
 
 
 def per_extent_heap(extents: int = 10_000) -> float:
@@ -229,6 +303,14 @@ if __name__ == "__main__":  # pragma: no cover - budget re-measurement
               % (python, shape, objects, held, budgets.get(version)))
         for path, size in fresh("per_clone_files", p9fs):
             print("    %8.1f  %s" % (size, path))
+        held_by = fresh("per_clone_containers", p9fs)
+        print("  gc-tracked objects per clone, by type:")
+        for name, count in held_by["types"]:
+            print("    %8.2f  %s" % (count, name))
+        print("  lists, dicts and tuples per clone, by owner"
+              " (count, sys.getsizeof bytes):")
+        for name, kind, count, size in held_by["owners"]:
+            print("    %8.2f %8.1f  %-5s  %s" % (count, size, kind, name))
     print("%s bytes/extent %.1f budget %s"
           % (python, fresh("per_extent_heap"), EXTENT_BUDGETS.get(version)))
     print("%s bytes/span %.1f budget %s"

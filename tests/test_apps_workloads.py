@@ -9,7 +9,7 @@ from repro.apps.faas import (
     OpenFaasGateway,
 )
 from repro.apps.fuzzing import FuzzMode, FuzzSession
-from repro.apps.memhog import MemhogApp
+from repro.apps.memhog import CONTROL_PORT, MemhogApp
 from repro.apps.nginx import NginxCloneCluster, NginxProcessCluster
 from repro.apps.redis import (
     RedisApp,
@@ -18,6 +18,8 @@ from repro.apps.redis import (
     redis_unikernel_config,
 )
 from repro.apps.udp_server import UdpServerApp, unique_clone_port
+from repro.kvm.platform import KvmPlatform
+from repro.net.packets import Flow, Packet
 from repro.sim.units import GIB, MIB
 from repro.toolstack.config import P9Config
 from tests.conftest import udp_config
@@ -99,6 +101,36 @@ def test_memhog_fork_via_network_trigger(platform):
     platform.dom0.send_to_guest("10.0.1.1", 7000, payload="fork")
     assert domain.guest.app.clones_triggered == 1
     assert platform.guest_count() == 2
+
+
+@pytest.mark.parametrize("backend", ["xen", "kvm"])
+def test_memhog_clone_forks_itself_on_a_fork_packet(backend):
+    """A clone inherits its parent's trigger server bound to its own
+    app: a fork packet to the clone forks the clone, not the parent."""
+    if backend == "xen":
+        platform = Platform.create()
+        config = udp_config("m", memory_mb=16, max_clones=4)
+        config.kernel = "unikraft-memhog"
+        domain = platform.xl.create(config, app=MemhogApp(4 * MIB))
+        parent, app, api = domain, domain.guest.app, domain.guest.api
+        lookup = platform.hypervisor.get_domain
+    else:
+        platform = KvmPlatform()
+        parent = platform.create_vm("m", 16 * MIB, ip="10.0.1.1",
+                                    max_clones=4, app=MemhogApp(4 * MIB))
+        app, api = parent.app, parent.api
+        lookup = platform.host.get_vm
+    first = app.trigger_clone(api)
+    clone = lookup(first[0])
+    receiver = clone.guest if backend == "xen" else clone
+    receiver.dispatch_packet(Packet(
+        "00:00:00:00:00:01", "00:16:3e:00:00:00",
+        Flow("10.0.0.254", "10.0.1.1", 5555, CONTROL_PORT), payload="fork"))
+    assert list(parent.children) == first
+    assert len(clone.children) == 1
+    assert app.clones_triggered == 1
+    assert receiver.app.clones_triggered == 1
+    platform.check_invariants()
 
 
 # ----------------------------------------------------------------------

@@ -48,12 +48,12 @@ def _attachments(domain) -> list[tuple[str, weakref.ref]]:
     if domain.guest is not None:
         refs.append(("guest", weakref.ref(domain.guest)))
         refs.append(("api", weakref.ref(domain.guest.api)))
-    for kind, frontends in domain.frontends.items():
-        for frontend in frontends:
-            refs.append((kind, weakref.ref(frontend)))
-            backend = getattr(frontend, "backend", None)
-            if backend is not None:
-                refs.append((f"{kind} backend", weakref.ref(backend)))
+    for frontend in domain.frontends:
+        kind = frontend.device_class
+        refs.append((kind, weakref.ref(frontend)))
+        backend = getattr(frontend, "backend", None)
+        if backend is not None:
+            refs.append((f"{kind} backend", weakref.ref(backend)))
     return refs
 
 
@@ -156,14 +156,14 @@ def _assert_per_clone_heap_within(budgets: dict, p9fs: bool) -> None:
 
 @pytest.mark.skipif(sys.implementation.name != "cpython"
                     or sys.version_info[:2] not in BUDGETS,
-                    reason="budgets are pinned for CPython 3.10-3.12")
+                    reason="budgets are pinned for CPython 3.10-3.13")
 def test_per_clone_heap_budget():
     _assert_per_clone_heap_within(BUDGETS, p9fs=False)
 
 
 @pytest.mark.skipif(sys.implementation.name != "cpython"
                     or sys.version_info[:2] not in P9FS_BUDGETS,
-                    reason="budgets are pinned for CPython 3.10-3.12")
+                    reason="budgets are pinned for CPython 3.10-3.13")
 def test_per_clone_heap_budget_with_9pfs():
     """The clone_churn/FaaS shape: its 9pfs directories are overlaid
     like the vif and console ones."""
@@ -172,7 +172,7 @@ def test_per_clone_heap_budget_with_9pfs():
 
 @pytest.mark.skipif(sys.implementation.name != "cpython"
                     or sys.version_info[:2] not in EXTENT_BUDGETS,
-                    reason="budgets are pinned for CPython 3.10-3.12")
+                    reason="budgets are pinned for CPython 3.10-3.13")
 def test_per_extent_heap_budget():
     """A private extent is its four slots: no id, no label, no flags."""
     held = fresh("per_extent_heap")
@@ -182,7 +182,7 @@ def test_per_extent_heap_budget():
 
 @pytest.mark.skipif(sys.implementation.name != "cpython"
                     or sys.version_info[:2] not in SPAN_BUDGETS,
-                    reason="budgets are pinned for CPython 3.10-3.12")
+                    reason="budgets are pinned for CPython 3.10-3.13")
 def test_per_span_heap_budget():
     held = per_span_heap()
     assert held <= SPAN_BUDGETS[sys.version_info[:2]], (

@@ -1,5 +1,7 @@
 """Unit tests: IntervalSet."""
 
+import random
+
 from repro.sim.intervals import IntervalSet
 
 
@@ -77,3 +79,30 @@ def test_clear():
     s.clear()
     assert s.count == 0
     assert list(s) == []
+
+
+def test_random_adds_match_a_set_of_integers():
+    """Seeded random adds, clears and queries against a plain set: the
+    coalesced bounds cover exactly the added integers, no two intervals
+    touch, and every count, membership and overlap agrees."""
+    rng = random.Random(0xC10E)
+    for _ in range(300):
+        s, reference = IntervalSet(), set()
+        for _ in range(rng.randint(1, 20)):
+            if rng.random() < 0.05:
+                s.clear()
+                reference.clear()
+                continue
+            start, length = rng.randint(0, 60), rng.randint(-1, 12)
+            added = set(range(start, start + length)) - reference
+            assert s.add(start, length) == len(added)
+            reference |= added
+            pairs = list(s)
+            assert {v for lo, hi in pairs for v in range(lo, hi)} == reference
+            assert all(a[1] < b[0] for a, b in zip(pairs, pairs[1:]))
+            assert s.count == len(reference)
+            assert [v for v in range(-2, 75) if s.contains(v)] == \
+                sorted(reference)
+            start, length = rng.randint(0, 70), rng.randint(-1, 15)
+            assert s.overlap(start, length) == \
+                len(reference & set(range(start, start + length)))

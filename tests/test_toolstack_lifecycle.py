@@ -77,6 +77,26 @@ def test_clone_inherits_exit_policies(platform):
     assert platform.guest_count() == 2
 
 
+def test_crashed_clone_restarts_under_its_own_name(platform):
+    """A clone runs its parent's config; the restart policy boots the
+    clone's replacement under the clone's name, not the parent's."""
+    config = udp_config("p", max_clones=4)
+    config.on_crash = "restart"
+    parent = platform.xl.create(config, app=UdpServerApp())
+    child_id = platform.cloneop.clone(parent.domid)[0]
+    platform.hypervisor.get_domain(child_id).guest.api.crash()
+    listing = {name: (domid, state)
+               for domid, name, state in platform.xl.list_domains()}
+    assert sorted(listing) == ["p", "p-c2"]
+    assert listing["p"] == (parent.domid, "running")
+    new_domid, state = listing["p-c2"]
+    assert new_domid not in (parent.domid, child_id)
+    assert state == "running"
+    assert platform.hypervisor.get_domain(new_domid).config.name == "p-c2"
+    assert parent.config.name == "p"
+    platform.check_invariants()
+
+
 def test_invalid_policy_rejected():
     config = DomainConfig(name="x", on_crash="explode")
     with pytest.raises(ConfigError):

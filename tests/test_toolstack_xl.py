@@ -106,16 +106,17 @@ def test_restore_slower_than_boot(platform):
 
 
 def test_saved_clones_restore_under_their_own_names(platform):
-    """xencloned names a clone's config with the clone, so ``xl save``
-    writes one image per clone and ``xl restore`` brings each back
-    under its own name, not a shared placeholder."""
+    """A clone runs its parent's config, and ``xl save`` names the
+    image's copy after the clone, so it writes one image per clone and
+    ``xl restore`` brings each back under its own name, not a shared
+    placeholder."""
     parent = platform.xl.create(udp_config("p", max_clones=4),
                                 app=UdpServerApp())
     assert parent.domid == 1
     children = platform.cloneop.clone(parent.domid, count=2)
     for domid in children:
         domain = platform.hypervisor.get_domain(domid)
-        assert domain.config.name is domain.name
+        assert domain.config is parent.config
     images = [platform.xl.save(domid) for domid in children]
     assert [image.path for image in images] == [
         f"/srv/images/p-c{domid}-{image.image_id}.img"

@@ -19,7 +19,7 @@ import pytest
 from repro.sim import CostModel, VirtualClock
 from repro.xenstore.client import XsHandle
 from repro.xenstore.clone import DomidRewrite, XsCloneOp, xs_clone
-from repro.xenstore.store import Node, XenstoreDaemon, XenstoreError
+from repro.xenstore.store import Node, Overlay, XenstoreDaemon, XenstoreError
 
 BASE = "/local/domain/0/backend/9pfs"
 
@@ -44,13 +44,14 @@ def _count(entry) -> int:
 
 
 def _nodes_by_path(daemon):
-    """Every ``Node`` reachable from the root, once per path to it."""
+    """Every ``Node`` and ``Overlay`` reachable from the root, once per
+    path to it (an overlay's children are its source's)."""
     stack = [daemon.root]
     while stack:
         node = stack.pop()
         yield node
         stack.extend(child for child in node.children.values()
-                     if isinstance(child, Node))
+                     if isinstance(child, (Node, Overlay)))
 
 
 def assert_counts_consistent(daemon):
@@ -83,7 +84,7 @@ def assert_shared_nodes_marked(daemon):
             continue
         seen.add(id(node))
         for child in node.children.values():
-            if isinstance(child, Node):
+            if isinstance(child, (Node, Overlay)):
                 parents[id(child)] = parents.get(id(child), 0) + 1
                 marked[id(child)] = child.shared
                 stack.append(child)

@@ -176,6 +176,28 @@ def test_committed_transactional_xs_clone_matches_an_immediate_one(
                 == f"/local/domain/9/device/vif/{parent}")
 
 
+def test_transactional_xs_clone_leaves_the_source_unshared(handle, daemon):
+    """A transactional xs_clone grafts nothing: it reads the source
+    through the rewrite, so the parent's device directories stay
+    private and its next write below them copies nothing."""
+    base = "/local/domain/0/backend/vif/5"
+    for index in ("0", "1"):
+        daemon.write_node(f"{base}/{index}/frontend-id", "5")
+        daemon.write_node(f"{base}/{index}/state", "4")
+    source = daemon._lookup(base)
+    devices = [source.children[index] for index in ("0", "1")]
+    tid = handle.transaction_start()
+    handle.clone(5, 9, XsCloneOp.DEV_VIF, base,
+                 "/local/domain/0/backend/vif/9", tid=tid)
+    handle.transaction_end(tid)
+    assert [source.shared, *(device.shared for device in devices)] == [
+        False, False, False]
+    daemon.write_node(f"{base}/0/state", "5")
+    assert daemon._lookup(base) is source
+    assert source.children["0"] is devices[0]
+    assert daemon.read_node("/local/domain/0/backend/vif/9/0/state") == "4"
+
+
 def test_open_count(daemon, handle):
     t1 = handle.transaction_start()
     assert daemon.transactions.open_count == 1
